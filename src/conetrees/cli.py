@@ -27,7 +27,7 @@ from .harness import (
     sphere_ratio_check,
 )
 from .hyp_cone import build_grid
-from .qi_verify import fit_qi
+from .qi_verify import delta_hyperbolicity, fit_qi
 from .tree_embed import RadialCheckError, build_tree, embed_grid, radial_check
 
 
@@ -140,9 +140,17 @@ def _cmd_verify(args) -> int:
     check("charseq", rep.passed,
           "" if rep.passed else rep.summary().replace("\n", " | "))
     trees = tuple(build_tree(seq, a) for a in range(seq.n_colors))
-    check("trees", True, f"{len(trees)} trees rebuilt")
+    same = all(
+        np.array_equal(s["level"], t.level)
+        and np.array_equal(s["parent"], t.parent)
+        and s["members"] == t.members
+        for s, t in zip(bundle["trees"], trees)
+    )
+    check("trees", same, f"{len(trees)} trees rebuilt")
     grid = build_grid(bundle["space"], seq.r, seq.depth)
     emb = embed_grid(seq, grid, trees)
+    check("embedding", np.array_equal(bundle["embedding"]["table"], emb.table),
+          f"{grid.n_points} points")
     try:
         radial = radial_check(emb)
         check("radial", True, f"{radial['checks']} checks")
@@ -159,6 +167,11 @@ def _cmd_verify(args) -> int:
             and abs(qi.sigma - stored["sigma"]) < 1e-9)
     check("qi", same, f"lam={qi.lam:g} sigma={qi.sigma:.6g} "
                       f"stored lam={stored['lam']:g} sigma={stored['sigma']:.6g}")
+    deltas = None
+    if bundle["config"].get("tree_delta_check", True):
+        deltas = [float(delta_hyperbolicity(t.all_pairs_dist)) for t in trees]
+    stored = bundle["qireport"]["tree_deltas"]
+    check("tree_deltas", deltas == stored, f"{deltas} stored {stored}")
     if failures:
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)
         return 1

@@ -219,10 +219,14 @@ def read_bundle(outdir) -> dict:
     """Load the parts of a bundle needed to re-verify it."""
     out = Path(outdir)
     space = read_space(out / "space.json")
+    charseq = read_charseq(out / "charseq.json", space)
     return {
         "config": json.loads((out / "config.json").read_text(encoding="utf-8")),
         "space": space,
-        "charseq": read_charseq(out / "charseq.json", space),
+        "charseq": charseq,
+        "trees": tuple(read_tree(out / f"tree_{a}.csv")
+                       for a in range(charseq.n_colors)),
+        "embedding": read_embedding(out / "embedding.csv"),
         "qireport": read_qireport(out / "qireport.json"),
         "log": (out / "log.txt").read_text(encoding="utf-8").splitlines(),
     }

@@ -62,59 +62,51 @@ class RootedTree:
         return np.flatnonzero(self.level == j)
 
     @cached_property
-    def _chains(self) -> np.ndarray:
-        """(n_nodes, depth+1) ancestor chains, self first, padded with the
-        root id (a shared ancestor, so padding never invents one)."""
-        out = np.zeros((self.n_nodes, self.depth + 1), dtype=np.int64)
-        for u in range(self.n_nodes):
-            cur, k = u, 0
-            while cur != -1:
-                out[u, k] = cur
-                cur = int(self.parent[cur])
-                k += 1
-        return out
-
-    def ancestor_chain(self, u: int) -> list[int]:
-        chain = [u]
-        while self.parent[chain[-1]] != -1:
-            chain.append(int(self.parent[chain[-1]]))
-        return chain
+    def ancestors(self) -> np.ndarray:
+        """(n_nodes, depth+1) ancestor-at-level table: entry [u, l] is u's
+        ancestor at level l (u itself at level[u], the root at 0), or -1
+        where u's chain skips level l or l lies below u."""
+        anc = np.full((self.n_nodes, self.depth + 1), -1, dtype=np.int64)
+        rows = np.arange(self.n_nodes)
+        cur = rows.copy()
+        # levels drop by at least one per parent hop, so depth+1 steps carry
+        # every chain past the root, where cur becomes -1 and stops
+        for _ in range(self.depth + 1):
+            live = cur >= 0
+            anc[rows[live], self.level[cur[live]]] = cur[live]
+            cur[live] = self.parent[cur[live]]
+        return anc
 
     def lca_level(self, u: int, v: int) -> int:
-        cu = set(self.ancestor_chain(u))
-        best = 0
-        for w in self.ancestor_chain(v):
-            if w in cu:
-                best = max(best, int(self.level[w]))
-        return best
+        au, av = self.ancestors[u], self.ancestors[v]
+        return int(np.flatnonzero((au == av) & (au >= 0))[-1])
 
     def dist(self, u: int, v: int) -> int:
         return int(self.level[u] + self.level[v] - 2 * self.lca_level(u, v))
 
     @cached_property
     def all_pairs_dist(self) -> np.ndarray:
-        """(n_nodes, n_nodes) integer tree distances via chain matching."""
-        ch = self._chains
-        lv = self.level.astype(np.int16)
-        width = ch.shape[1]
+        """(n_nodes, n_nodes) integer tree distances level[u] + level[v] -
+        2*lca, where lca is the largest level l with ancestors[u, l] ==
+        ancestors[v, l] >= 0: one equality pass per level above the root,
+        which every pair shares at level 0."""
+        anc = self.ancestors
         lca = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int16)
-        for a in range(width):
-            ca = ch[:, a]
-            la = lv[ca]
-            for b in range(width):
-                match = ca[:, None] == ch[None, :, b]
-                np.maximum(lca, np.where(match, la[:, None], 0), out=lca)
+        match = np.empty(lca.shape, dtype=bool)
+        for lvl in range(1, self.depth + 1):
+            col = anc[:, lvl]
+            # -1 on one side against -2 on the other: skipped levels never match
+            np.equal(col[:, None], np.where(col < 0, -2, col)[None, :], out=match)
+            np.copyto(lca, lvl, where=match)
+        lv = self.level.astype(np.int16)
         return lv[:, None] + lv[None, :] - 2 * lca
 
     def steps_to_level(self, u: int, i: int) -> int:
-        """Parent hops from u until the level drops to i or below."""
-        steps, cur = 0, u
-        while self.level[cur] > i:
-            cur = int(self.parent[cur])
-            if cur == -1:
-                raise TreeError("walked past the root")
-            steps += 1
-        return steps
+        """Parent hops from u until the level drops to i or below: the
+        number of u's ancestors, u included, above level i."""
+        if i < 0:
+            raise TreeError("walked past the root")
+        return int(np.count_nonzero(self.ancestors[u, i + 1:] >= 0))
 
     def validate(self) -> None:
         if self.level[0] != 0 or self.parent[0] != -1:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -275,3 +276,69 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 1
         assert "[FAIL] qi" in out
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "bundle"
+    run_pipeline(PipelineConfig(generator="circle", params={"n": 96}, r=0.125,
+                                depth=3, colors=2, outdir=str(out)))
+    return out
+
+
+def _last_row_edit(column):
+    """Edit for a CSV bundle file: lower one integer cell of its last row."""
+    def edit(text):
+        rows = text.splitlines()
+        cells = rows[-1].split(",")
+        cells[column] = str(int(cells[column]) - 1)
+        return "\n".join(rows[:-1] + [",".join(cells)]) + "\n"
+    return edit
+
+
+def _set_tree_deltas(value):
+    def edit(text):
+        data = json.loads(text)
+        data["tree_deltas"] = value
+        return json.dumps(data)
+    return edit
+
+
+class TestVerifyTamper:
+    """verify rebuilds trees, embedding and tree deltas, so an edit to any
+    of their files must fail it."""
+
+    def _verify(self, tmp_path, small_bundle, capsys, name=None, edit=None):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        if name is not None:
+            path = bundle / name
+            path.write_text(edit(path.read_text(encoding="utf-8")),
+                            encoding="utf-8")
+        rc = cli_main(["verify", "--bundle", str(bundle)])
+        return rc, capsys.readouterr().out
+
+    def test_untouched_bundle_passes(self, tmp_path, small_bundle, capsys):
+        rc, out = self._verify(tmp_path, small_bundle, capsys)
+        assert rc == 0
+        for name in ("trees", "embedding", "tree_deltas"):
+            assert f"[PASS] {name}" in out
+
+    def test_tree_parent(self, tmp_path, small_bundle, capsys):
+        rc, out = self._verify(tmp_path, small_bundle, capsys,
+                               "tree_0.csv", _last_row_edit(2))
+        assert rc == 1
+        assert "[FAIL] trees" in out
+
+    def test_embedding_row(self, tmp_path, small_bundle, capsys):
+        rc, out = self._verify(tmp_path, small_bundle, capsys,
+                               "embedding.csv", _last_row_edit(3))
+        assert rc == 1
+        assert "[FAIL] embedding" in out
+
+    @pytest.mark.parametrize("value", [[0.5, 0.0], None])
+    def test_tree_deltas(self, tmp_path, small_bundle, capsys, value):
+        rc, out = self._verify(tmp_path, small_bundle, capsys,
+                               "qireport.json", _set_tree_deltas(value))
+        assert rc == 1
+        assert "[FAIL] tree_deltas" in out

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conetrees import qi_verify
 from conetrees import (
     build_base,
     build_tree,
@@ -65,6 +66,15 @@ class TestDeltaHyperbolicity:
         assert delta_hyperbolicity(d) == pytest.approx(
             brute_delta(d.astype(float)))
 
+    def test_narrow_integers_do_not_wrap(self, monkeypatch):
+        d = 10000 * np.array([[0, 1, 2, 1],
+                              [1, 0, 1, 2],
+                              [2, 1, 0, 1],
+                              [1, 2, 1, 0]], dtype=np.int16)
+        assert delta_hyperbolicity(d) == 10000.0
+        monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", 0)
+        assert delta_hyperbolicity(d) == 10000.0
+
     def test_matches_brute_force_on_random(self):
         rng = np.random.default_rng(17)
         pts = rng.uniform(0, 1, size=(12, 2))
@@ -90,6 +100,82 @@ class TestDeltaHyperbolicity:
         np.fill_diagonal(d, 0.0)
         delta = delta_hyperbolicity(d)
         assert 0.0 <= delta <= 1.5
+
+    def test_integer_l1_metrics_match_brute_force_on_both_paths(
+            self, monkeypatch):
+        rng = np.random.default_rng(29)
+        sides = {True: [], False: []}  # threshold path selected -> deltas
+        for trial in range(24):
+            n = int(rng.integers(12, 21))
+            span = (4, 100)[trial % 2]  # few distinct products, then many
+            pts = rng.integers(0, span, size=(n, 2))
+            d = np.abs(pts[:, None] - pts[None, :]).sum(-1)
+            base = int(rng.integers(0, n))
+            a = d[base][:, None] + d[base][None, :] - d
+            want = brute_delta(d.astype(float), base=base)
+            got = delta_hyperbolicity(d, base=base)
+            assert got == want
+            sides[len(np.unique(a)) <= qi_verify.THRESHOLD_MAX_VALUES].append(got)
+            # scan only, then threshold only, in products of 5 rows
+            for forced, block in ((0, 128), (n * n, 5)):
+                monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", forced)
+                monkeypatch.setattr(qi_verify, "ROW_BLOCK", block)
+                assert delta_hyperbolicity(d, base=base) == want
+            monkeypatch.undo()
+        for deltas in sides.values():
+            assert len(deltas) >= 5
+            assert max(deltas) > 0
+
+    def test_both_paths_match_brute_force_on_non_metrics(self, monkeypatch):
+        # a tampered certificate input need not satisfy the triangle
+        # inequality; the threshold path must still agree with the scan
+        rng = np.random.default_rng(37)
+        cases = []
+        for _ in range(20):
+            n = int(rng.integers(4, 12))
+            d = np.triu(rng.integers(0, 10, size=(n, n)), 1)
+            cases.append((d + d.T, int(rng.integers(0, n))))
+        # points 1 and 3 both sit at distance 0 from point 2 but 4 apart:
+        # their product climbs to the largest value through point 2
+        cases.append((np.array([[0, 5, 5, 5],
+                                [5, 0, 0, 4],
+                                [5, 0, 0, 0],
+                                [5, 4, 0, 0]]), 0))
+        for d, base in cases:
+            n = len(d)
+            want = brute_delta(d.astype(float), base=base)
+            for forced, block in ((0, 128), (n * n, 3)):
+                monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", forced)
+                monkeypatch.setattr(qi_verify, "ROW_BLOCK", block)
+                assert delta_hyperbolicity(d, base=base) == want
+
+    def test_threshold_matches_scan_bit_for_bit_on_floats(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        pts = rng.uniform(0, 1, size=(40, 2))
+        d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+        scan = delta_hyperbolicity(d, base=3)
+        monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", d.size)
+        assert delta_hyperbolicity(d, base=3) == scan
+        assert scan > 0
+
+    def test_raised_tree_distance_fails_through_threshold(self, monkeypatch):
+        sp = generate("circle", n=64)
+        seq = separate(build_base(sp, r=0.125, depth=2, colors=2))
+        d = build_tree(seq, 0).all_pairs_dist.copy()
+        u, v = d.shape[0] - 1, d.shape[0] - 2
+        d[u, v] += 2
+        d[v, u] += 2
+        a = d[0][:, None] + d[0][None, :] - d
+        assert len(np.unique(a)) <= qi_verify.THRESHOLD_MAX_VALUES
+        monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", 0)
+        want = delta_hyperbolicity(d)
+        monkeypatch.undo()
+
+        def no_scan(a):
+            raise AssertionError("scan path taken")
+
+        monkeypatch.setattr(qi_verify, "_scan_excess", no_scan)
+        assert delta_hyperbolicity(d) == want > 0
 
     def test_base_point_choice(self):
         d = line_metric([0.0, 1.0, 2.0, 4.0])

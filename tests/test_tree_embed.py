@@ -94,13 +94,12 @@ class TestTreeStructure:
             assert tree.dist(int(u), int(v)) == brute_tree_dist(tree, u, v)
 
     def test_all_pairs_matches_scalar(self, small_trees):
-        tree = small_trees[0]
-        ap = tree.all_pairs_dist
-        assert ap.shape == (tree.n_nodes, tree.n_nodes)
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            u, v = rng.integers(0, tree.n_nodes, size=2)
-            assert ap[u, v] == tree.dist(int(u), int(v))
+        for tree in small_trees:
+            ap = tree.all_pairs_dist
+            assert ap.shape == (tree.n_nodes, tree.n_nodes)
+            for u in range(tree.n_nodes):
+                for v in range(tree.n_nodes):
+                    assert ap[u, v] == brute_tree_dist(tree, u, v)
 
     def test_steps_to_level(self, small_trees):
         tree = small_trees[0]
@@ -112,6 +111,64 @@ class TestTreeStructure:
         for _ in range(hops):
             node = tree.parent[node]
         assert tree.level[node] <= 1
+
+
+def skipping_tree():
+    """Color 0 of a hand-built ladder on 10 line points.  {4} at level 3
+    skips level 2 to hang under {4,5,6}; {7,8} at level 2 and {9} at level
+    3 hang directly under the root.  Color 1 is all singletons, so that
+    every level covers the space."""
+    coords = np.arange(10, dtype=float)
+    d = np.abs(coords[:, None] - coords[None, :])
+    sp = FiniteMetricSpace(d, tuple(f"x{i}" for i in range(10)))
+    singles = Family(sp, tuple(sp.subset([i]) for i in range(10)))
+
+    def level(*members):
+        return ColoredCovering(sp, (
+            Family(sp, tuple(sp.subset(m) for m in members)), singles))
+
+    seq = CharSequence(sp, 0.5, (
+        level([0, 1, 2, 3], [4, 5, 6]),
+        level([0, 1], [7, 8]),
+        level([0], [4], [8], [9]),
+    ), 0.1, 0.1, 0.0, {})
+    return build_tree(seq, 0)
+
+
+class TestAncestorTable:
+    def test_skipped_levels_are_minus_one(self):
+        tree = skipping_tree()
+        # nodes: root, {0..3}, {4,5,6}, {0,1}, {7,8}, {0}, {4}, {8}, {9}
+        assert tree.parent.tolist() == [-1, 0, 0, 1, 0, 3, 2, 4, 0]
+        assert tree.ancestors.tolist() == [
+            [0, -1, -1, -1],
+            [0, 1, -1, -1],
+            [0, 2, -1, -1],
+            [0, 1, 3, -1],
+            [0, -1, 4, -1],
+            [0, 1, 3, 5],
+            [0, 2, -1, 6],
+            [0, -1, 4, 7],
+            [0, -1, -1, 8],
+        ]
+
+    def test_all_pairs_matches_chain_walk_with_skips(self):
+        tree = skipping_tree()
+        ap = tree.all_pairs_dist
+        for u in range(tree.n_nodes):
+            for v in range(tree.n_nodes):
+                assert ap[u, v] == brute_tree_dist(tree, u, v)
+                assert tree.dist(u, v) == ap[u, v]
+
+    def test_steps_match_parent_walk_with_skips(self):
+        tree = skipping_tree()
+        for u in range(tree.n_nodes):
+            for i in range(tree.depth + 1):
+                hops, node = 0, u
+                while tree.level[node] > i:
+                    node = tree.parent[node]
+                    hops += 1
+                assert tree.steps_to_level(u, i) == hops
 
 
 class TestAmbiguity:
