@@ -4,13 +4,11 @@ hyperbolic cone grids, and tree-product embeddings with QI verification."""
 from .metric_core import FiniteMetricSpace, MetricError, Subset
 from .coverings import ColoredCovering, CoveringError, Family, star_merge
 from .char_seq import (
-    BaseSequence,
     CharSequence,
     LadderConstructionError,
     PropertyCheck,
     PropertyReport,
     SeparationPreconditionError,
-    VerificationError,
     ast_shrink,
     build_base,
     build_level,
@@ -65,9 +63,9 @@ __version__ = "0.1.0"
 __all__ = [
     "FiniteMetricSpace", "MetricError", "Subset",
     "ColoredCovering", "CoveringError", "Family", "star_merge",
-    "BaseSequence", "CharSequence", "LadderConstructionError",
+    "CharSequence", "LadderConstructionError",
     "PropertyCheck", "PropertyReport", "SeparationPreconditionError",
-    "VerificationError", "ast_shrink", "build_base", "build_level",
+    "ast_shrink", "build_base", "build_level",
     "margin_trace", "separate", "separation_margins",
     "standing_assumptions", "verify_base", "verify_char_seq",
     "ConeError", "ConeGrid", "ConePoint", "build_grid", "cone_dist",

@@ -27,10 +27,6 @@ class SeparationPreconditionError(ValueError):
     """Raised when the merge cascade's hypotheses are violated and enforced."""
 
 
-class VerificationError(ValueError):
-    """Raised when a sequence fails re-verification against its constants."""
-
-
 @dataclass(frozen=True)
 class PropertyCheck:
     name: str
@@ -65,53 +61,20 @@ class PropertyReport:
 
 
 @dataclass(frozen=True, eq=False)
-class BaseSequence:
-    """Levels j = 1..depth of colored coverings at scales r**j."""
-
-    space: FiniteMetricSpace
-    r: float
-    levels: tuple[ColoredCovering, ...]
-    delta: float
-    lam: float
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    @property
-    def n_colors(self) -> int:
-        return self.levels[0].n_colors
-
-    def scale(self, j: int) -> float:
-        return self.r ** j
-
-    def level(self, j: int) -> ColoredCovering:
-        if not 1 <= j <= self.depth:
-            raise IndexError(f"level {j} outside 1..{self.depth}")
-        return self.levels[j - 1]
-
-    def __repr__(self):
-        return (
-            f"BaseSequence(depth={self.depth}, colors={self.n_colors}, "
-            f"r={self.r}, delta={self.delta:.4g}, lam={self.lam:.4g})"
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class CharSequence:
-    """A separated ladder: same shape as a base sequence plus a measured
-    separation quality gamma.  For same-color members U at level j and U'
-    at level j' <= j, the open gamma*r**j neighborhood of U either misses
-    U' or sits inside it, and every U' contains such a neighborhood of
-    some level-j member."""
+    """Levels j = 1..depth of colored coverings at scales r**j: the base
+    ladder, or the separated one, which adds a measured separation quality
+    gamma (None on a base ladder).  For same-color members U at level j
+    and U' at level j' <= j of a separated ladder, the open gamma*r**j
+    neighborhood of U either misses U' or sits inside it, and every U'
+    contains such a neighborhood of some level-j member."""
 
     space: FiniteMetricSpace
     r: float
     levels: tuple[ColoredCovering, ...]
     delta: float
     lam: float
-    gamma: float
+    gamma: float | None = None
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -131,9 +94,10 @@ class CharSequence:
         return self.levels[j - 1]
 
     def __repr__(self):
+        gamma = "" if self.gamma is None else f", gamma={self.gamma:.4g}"
         return (
             f"CharSequence(depth={self.depth}, colors={self.n_colors}, r={self.r}, "
-            f"delta={self.delta:.4g}, lam={self.lam:.4g}, gamma={self.gamma:.4g})"
+            f"delta={self.delta:.4g}, lam={self.lam:.4g}{gamma})"
         )
 
 
@@ -463,7 +427,7 @@ def _measure(levels: tuple[ColoredCovering, ...], r: float) -> tuple[float, floa
 
 def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
                delta_target: float | None = None, strategy: str = "auto",
-               allow_more_colors: bool = False) -> BaseSequence:
+               allow_more_colors: bool = False) -> CharSequence:
     """Build levels j = 1..depth at scales r**j and measure their constants."""
     if not 0 < r < 1:
         raise LadderConstructionError(f"ratio must be in (0, 1), got {r}")
@@ -494,7 +458,7 @@ def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
         "levels": stats,
         "delta_target": delta_target,
     }
-    return BaseSequence(space, r, levels, delta_hat, lam_hat, prov)
+    return CharSequence(space, r, levels, delta_hat, lam_hat, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +574,7 @@ def standing_assumptions(r: float, delta: float, lam: float) -> list[str]:
     return out
 
 
-def separate(base: BaseSequence, enforce_assumptions: bool = False) -> CharSequence:
+def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSequence:
     """Run the merge cascade over a base sequence and measure the result.
 
     Stage k folds base level k in: every coarser member is eroded by a moat,
@@ -746,7 +710,7 @@ def _sequence_checks(seq, gamma: float | None) -> list[PropertyCheck]:
     return checks
 
 
-def verify_base(seq: BaseSequence) -> PropertyReport:
+def verify_base(seq: CharSequence) -> PropertyReport:
     """Re-measure a base sequence against its recorded constants."""
     return PropertyReport(tuple(_sequence_checks(seq, gamma=None)))
 

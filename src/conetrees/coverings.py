@@ -107,10 +107,6 @@ class Family:
                 rows[i] = np.inf
         return rows
 
-    def lebesgue_at(self, z: int) -> float:
-        best = float(self._depths[:, z].max()) if self.members else 0.0
-        return min(best, self.mesh)
-
     def lebesgue(self) -> float:
         """min over points of min(best inscribed depth, mesh)."""
         if self.space.n == 0 or not self.members:
@@ -186,15 +182,6 @@ class Family:
                 f"shrink step {s:.6g} exceeds Lebesgue number {leb:.6g}"
             )
         out = [u.neighborhood(-s) for u in self.members]
-        return Family(self.space, tuple(u for u in out if not u.is_empty))
-
-    def eroded(self, s: float) -> "Family":
-        """Erode every member by s with no covering guarantee."""
-        out = [u.neighborhood(-s) for u in self.members]
-        return Family(self.space, tuple(u for u in out if not u.is_empty))
-
-    def grown(self, s: float) -> "Family":
-        out = [u.neighborhood(s) for u in self.members]
         return Family(self.space, tuple(u for u in out if not u.is_empty))
 
     def __repr__(self):

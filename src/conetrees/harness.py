@@ -1,10 +1,13 @@
 """Example spaces, capacity profiling, and the end-to-end pipeline.
 
-The pipeline runs generate -> base ladder -> separation cascade -> trees ->
-cone grid -> product embedding -> checks (radial climb, sphere ratio, QI
-fit, tree hyperbolicity), revalidating each stage and failing loudly with
-the stage name on any violation.  All stages are deterministic given the
-config, so a bundle written twice is byte-identical.
+The pipeline runs generate -> base ladder -> separation cascade, then
+`certify`: trees -> cone grid -> product embedding -> checks (radial climb,
+sphere ratio, QI fit, tree hyperbolicity).  It revalidates each stage and
+fails loudly with the stage name on any violation.  `conetrees verify`
+runs the same `certify` on a bundle's stored ladder, so the pipeline and
+its re-verification share one copy of the stage code.  All stages are
+deterministic given the config, so a bundle written twice is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from . import io as bundle_io
 from .char_seq import (
+    CharSequence,
     LadderConstructionError,
     SeparationPreconditionError,
     build_base,
@@ -202,7 +206,6 @@ class PipelineConfig:
     delta_target: float | None = None
     seed: int = 0
     outdir: str | None = None
-    product_mode: str = "l1"
     enforce_assumptions: bool = False
     tree_delta_check: bool = True
 
@@ -263,6 +266,62 @@ def sphere_ratio_check(grid: ConeGrid) -> dict:
     return {"min_ratio": lo, "max_ratio": hi, "bound": c_bound, "passed": passed}
 
 
+def certify(charseq: CharSequence, tree_delta_check: bool,
+            log: list[str]) -> dict:
+    """The certification tail shared by `run_pipeline` and `conetrees
+    verify`: trees, cone grid (r and depth from the ladder), product
+    embedding, radial climb, sphere ratios, QI fit and, if asked, tree
+    hyperbolicity.  Appends one log line per stage and raises StageError
+    on the first failure.  Returns the outputs keyed by their
+    PipelineResult field names."""
+    try:
+        trees = tuple(build_tree(charseq, a) for a in range(charseq.n_colors))
+    except TreeError as e:
+        raise StageError("build_tree", str(e)) from e
+    log.append("build_tree: " + " ".join(
+        f"tree{a}={t.n_nodes}nodes" for a, t in enumerate(trees)))
+    try:
+        grid = build_grid(charseq.space, charseq.r, charseq.depth)
+    except ConeError as e:
+        raise StageError("build_grid", str(e)) from e
+    log.append(f"build_grid: points={grid.n_points} R={grid.R:.6g}")
+    try:
+        embedding = embed_grid(charseq, grid, trees)
+    except TreeError as e:
+        raise StageError("embed_grid", str(e)) from e
+    try:
+        radial = radial_check(embedding)
+    except RadialCheckError as e:
+        raise StageError("radial_check", str(e)) from e
+    log.append(f"radial_check: checks={radial['checks']} "
+               f"max_steps={radial['max_steps']}")
+    sphere = sphere_ratio_check(grid)
+    if not sphere["passed"]:
+        raise StageError(
+            "sphere_ratio",
+            f"ratios [{sphere['min_ratio']:.6g}, {sphere['max_ratio']:.6g}] "
+            f"escape [1/{sphere['bound']:.6g}, {sphere['bound']:.6g}]",
+        )
+    log.append(f"sphere_ratio: min={sphere['min_ratio']:.6g} "
+               f"max={sphere['max_ratio']:.6g} bound={sphere['bound']:.6g}")
+    iu = np.triu_indices(grid.n_points, k=1)
+    ds = grid.dist_matrix[iu]
+    dt = embedding.all_pairs_dist[iu]
+    qi = fit_qi(ds, dt)
+    if qi.violations:
+        raise StageError("fit_qi", repr(qi))
+    log.append(f"fit_qi: lam={qi.lam:.6g} sigma={qi.sigma:.6g} "
+               f"pairs={qi.n_pairs}")
+    tree_deltas = None
+    if tree_delta_check:
+        tree_deltas = [float(delta_hyperbolicity(t.all_pairs_dist)) for t in trees]
+        if any(dlt != 0.0 for dlt in tree_deltas):
+            raise StageError("tree_delta", f"nonzero hyperbolicity {tree_deltas}")
+        log.append("tree_delta: " + " ".join(f"{dlt:g}" for dlt in tree_deltas))
+    return {"trees": trees, "grid": grid, "embedding": embedding, "qi": qi,
+            "radial": radial, "sphere": sphere, "tree_deltas": tree_deltas}
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every stage, revalidating as it goes; see module docstring."""
     t0 = time.perf_counter()
@@ -295,54 +354,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         raise StageError("separate", rep.summary())
     log.append(f"separate: delta={charseq.delta:.6g} lam={charseq.lam:.6g} "
                f"gamma={charseq.gamma:.6g}")
-    try:
-        trees = tuple(build_tree(charseq, a) for a in range(charseq.n_colors))
-    except TreeError as e:
-        raise StageError("build_tree", str(e)) from e
-    log.append("build_tree: " + " ".join(
-        f"tree{a}={t.n_nodes}nodes" for a, t in enumerate(trees)))
-    try:
-        grid = build_grid(space, config.r, config.depth)
-    except ConeError as e:
-        raise StageError("build_grid", str(e)) from e
-    log.append(f"build_grid: points={grid.n_points} R={grid.R:.6g}")
-    try:
-        embedding = embed_grid(charseq, grid, trees, mode=config.product_mode)
-    except (TreeError, ValueError) as e:
-        raise StageError("embed_grid", str(e)) from e
-    try:
-        radial = radial_check(embedding)
-    except RadialCheckError as e:
-        raise StageError("radial_check", str(e)) from e
-    log.append(f"radial_check: checks={radial['checks']} "
-               f"max_steps={radial['max_steps']}")
-    sphere = sphere_ratio_check(grid)
-    if not sphere["passed"]:
-        raise StageError(
-            "sphere_ratio",
-            f"ratios [{sphere['min_ratio']:.6g}, {sphere['max_ratio']:.6g}] "
-            f"escape [1/{sphere['bound']:.6g}, {sphere['bound']:.6g}]",
-        )
-    log.append(f"sphere_ratio: min={sphere['min_ratio']:.6g} "
-               f"max={sphere['max_ratio']:.6g} bound={sphere['bound']:.6g}")
-    iu = np.triu_indices(grid.n_points, k=1)
-    ds = grid.dist_matrix[iu]
-    dt = embedding.all_pairs_dist[iu]
-    qi = fit_qi(ds, dt)
-    if qi.violations:
-        raise StageError("fit_qi", repr(qi))
-    log.append(f"fit_qi: lam={qi.lam:.6g} sigma={qi.sigma:.6g} "
-               f"pairs={qi.n_pairs}")
-    tree_deltas = None
-    if config.tree_delta_check:
-        tree_deltas = [float(delta_hyperbolicity(t.all_pairs_dist)) for t in trees]
-        if any(dlt != 0.0 for dlt in tree_deltas):
-            raise StageError("tree_delta", f"nonzero hyperbolicity {tree_deltas}")
-        log.append("tree_delta: " + " ".join(f"{dlt:g}" for dlt in tree_deltas))
+    certified = certify(charseq, config.tree_delta_check, log)
     result = PipelineResult(
-        config=config, space=space, base=base, charseq=charseq, trees=trees,
-        grid=grid, embedding=embedding, qi=qi, radial=radial, sphere=sphere,
-        tree_deltas=tree_deltas, log=log, runtime=time.perf_counter() - t0,
+        config=config, space=space, base=base, charseq=charseq, **certified,
+        log=log, runtime=time.perf_counter() - t0,
     )
     if config.outdir:
         bundle_io.write_bundle(config.outdir, result)

@@ -2,7 +2,9 @@
 
 Everything is written canonically: JSON with sorted keys and a fixed indent,
 CSV with fixed columns, no timestamps or absolute paths, so rerunning the
-same deterministic pipeline reproduces every file byte for byte.
+same deterministic pipeline reproduces every file byte for byte.  The
+`render_*` functions produce the text of the certified files, for
+`write_bundle` and for `conetrees verify` to compare against.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def read_charseq(path, space: FiniteMetricSpace) -> CharSequence:
     )
 
 
-def write_tree(path, tree) -> None:
+def render_tree(tree) -> str:
     lines = ["node,level,parent,ref_level,ref_member,points"]
     for u in range(tree.n_nodes):
         pts = ";".join(str(p) for p in sorted(tree.members[u]))
@@ -113,29 +115,10 @@ def write_tree(path, tree) -> None:
         lines.append(
             f"{u},{int(tree.level[u])},{int(tree.parent[u])},{rl},{rm},{pts}"
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def read_tree(path) -> dict:
-    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not rows or rows[0] != "node,level,parent,ref_level,ref_member,points":
-        raise ValueError(f"{path} is not a tree file")
-    node, level, parent, members = [], [], [], []
-    for row in rows[1:]:
-        cells = row.split(",")
-        node.append(int(cells[0]))
-        level.append(int(cells[1]))
-        parent.append(int(cells[2]))
-        members.append(frozenset(int(p) for p in cells[5].split(";") if p))
-    return {
-        "node": np.array(node),
-        "level": np.array(level),
-        "parent": np.array(parent),
-        "members": tuple(members),
-    }
-
-
-def write_embedding(path, embedding) -> None:
+def render_embedding(embedding) -> str:
     grid = embedding.grid
     m = embedding.n_trees
     header = "level,point_id,t," + ",".join(f"v{a}" for a in range(m))
@@ -146,42 +129,27 @@ def write_embedding(path, embedding) -> None:
         t = grid.points[i].t
         cells = ",".join(str(int(embedding.table[i, a])) for a in range(m))
         lines.append(f"{j},{pid},{t!r},{cells}")
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def read_embedding(path) -> dict:
-    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not rows or not rows[0].startswith("level,point_id,t,v0"):
-        raise ValueError(f"{path} is not an embedding file")
-    m = len(rows[0].split(",")) - 3
-    level, pid, t, table = [], [], [], []
-    for row in rows[1:]:
-        cells = row.split(",")
-        level.append(int(cells[0]))
-        pid.append(cells[1])
-        t.append(float(cells[2]))
-        table.append([int(c) for c in cells[3:]])
-    return {
-        "level": np.array(level),
-        "point_id": pid,
-        "t": np.array(t),
-        "table": np.array(table).reshape(len(table), m),
-    }
+def render_qireport(qi, radial: dict, sphere: dict, tree_deltas) -> str:
+    return dumps_canonical({
+        "qi": {
+            "lam": qi.lam,
+            "sigma": qi.sigma,
+            "n_pairs": qi.n_pairs,
+            "violations": qi.violations,
+            "details": qi.details,
+        },
+        "radial": radial,
+        "sphere": sphere,
+        "tree_deltas": tree_deltas,
+    })
 
 
 def write_qireport(path, result) -> None:
-    _write_text(path, dumps_canonical({
-        "qi": {
-            "lam": result.qi.lam,
-            "sigma": result.qi.sigma,
-            "n_pairs": result.qi.n_pairs,
-            "violations": result.qi.violations,
-            "details": result.qi.details,
-        },
-        "radial": result.radial,
-        "sphere": result.sphere,
-        "tree_deltas": result.tree_deltas,
-    }))
+    _write_text(path, render_qireport(result.qi, result.radial, result.sphere,
+                                      result.tree_deltas))
 
 
 def read_qireport(path) -> dict:
@@ -208,25 +176,23 @@ def write_bundle(outdir, result) -> Path:
     write_space(out / "space.json", result.space)
     write_charseq(out / "charseq.json", result.charseq)
     for a, tree in enumerate(result.trees):
-        write_tree(out / f"tree_{a}.csv", tree)
-    write_embedding(out / "embedding.csv", result.embedding)
+        _write_text(out / f"tree_{a}.csv", render_tree(tree))
+    _write_text(out / "embedding.csv", render_embedding(result.embedding))
     write_qireport(out / "qireport.json", result)
     _write_text(out / "log.txt", "\n".join(result.log) + "\n")
     return out
 
 
 def read_bundle(outdir) -> dict:
-    """Load the parts of a bundle needed to re-verify it."""
+    """Load the parts of a bundle needed to re-verify it: config, ladder and
+    report parsed, the tree and embedding files as raw bytes."""
     out = Path(outdir)
-    space = read_space(out / "space.json")
-    charseq = read_charseq(out / "charseq.json", space)
+    charseq = read_charseq(out / "charseq.json", read_space(out / "space.json"))
     return {
         "config": json.loads((out / "config.json").read_text(encoding="utf-8")),
-        "space": space,
         "charseq": charseq,
-        "trees": tuple(read_tree(out / f"tree_{a}.csv")
+        "trees": tuple((out / f"tree_{a}.csv").read_bytes()
                        for a in range(charseq.n_colors)),
-        "embedding": read_embedding(out / "embedding.csv"),
+        "embedding": (out / "embedding.csv").read_bytes(),
         "qireport": read_qireport(out / "qireport.json"),
-        "log": (out / "log.txt").read_text(encoding="utf-8").splitlines(),
     }

@@ -162,24 +162,22 @@ class Subset:
         r < 0: erosion, points at distance > |r| from the complement.  The
         whole space has empty complement, so it is fixed by every erosion.
         """
-        if r == 0:
-            return self
-        if r > 0:
-            keep = _dist_to(self.space, self.indices) < r
-        else:
-            comp = frozenset(range(self.space.n)) - self.indices
-            keep = _dist_to(self.space, comp) > -r
-        return Subset(self.space, frozenset(np.flatnonzero(keep).tolist()))
+        return self._hood(r, np.less)
 
     def closed_neighborhood(self, r: float) -> "Subset":
         """Like neighborhood but with non-strict comparisons."""
+        return self._hood(r, np.less_equal)
+
+    def _hood(self, r: float, within) -> "Subset":
         if r == 0:
             return self
         if r > 0:
-            keep = _dist_to(self.space, self.indices) <= r
+            signed = _dist_to(self.space, self.indices)
         else:
+            # d(x, complement) > |r| exactly when -d(x, complement) < r
             comp = frozenset(range(self.space.n)) - self.indices
-            keep = _dist_to(self.space, comp) >= -r
+            signed = -_dist_to(self.space, comp)
+        keep = within(signed, r)
         return Subset(self.space, frozenset(np.flatnonzero(keep).tolist()))
 
     def is_lambda_net(self, lam: float) -> bool:

@@ -207,11 +207,8 @@ class ProductEmbedding:
     grid: ConeGrid
     trees: tuple[RootedTree, ...]
     table: np.ndarray  # (n_points, n_trees)
-    mode: str = "l1"
 
     def __post_init__(self):
-        if self.mode != "l1":
-            raise ValueError(f"unsupported product mode {self.mode!r}")
         if self.table.shape != (self.grid.n_points, len(self.trees)):
             raise ValueError("embedding table shape mismatch")
 
@@ -237,15 +234,11 @@ class ProductEmbedding:
         return out
 
     def __repr__(self):
-        return (
-            f"ProductEmbedding(points={self.grid.n_points}, trees={self.n_trees}, "
-            f"mode={self.mode})"
-        )
+        return f"ProductEmbedding(points={self.grid.n_points}, trees={self.n_trees})"
 
 
 def embed_grid(seq: CharSequence, grid: ConeGrid,
-               trees: tuple[RootedTree, ...] | None = None,
-               mode: str = "l1") -> ProductEmbedding:
+               trees: tuple[RootedTree, ...]) -> ProductEmbedding:
     """Embed every grid point into the product of the ladder's trees."""
     if grid.space is not seq.space:
         raise TreeError("grid and ladder live on different spaces")
@@ -253,8 +246,6 @@ def embed_grid(seq: CharSequence, grid: ConeGrid,
         raise TreeError(
             f"grid depth {grid.depth} does not match ladder depth {seq.depth}"
         )
-    if trees is None:
-        trees = tuple(build_tree(seq, a) for a in range(seq.n_colors))
     table = np.zeros((grid.n_points, len(trees)), dtype=np.int64)
     for a, tree in enumerate(trees):
         for j in range(1, grid.depth + 1):
@@ -267,7 +258,7 @@ def embed_grid(seq: CharSequence, grid: ConeGrid,
             nearest = ids[rows.argmin(axis=0)]
             lo = grid.index(j, 0)
             table[lo: lo + seq.space.n, a] = nearest
-    return ProductEmbedding(grid=grid, trees=trees, table=table, mode=mode)
+    return ProductEmbedding(grid=grid, trees=trees, table=table)
 
 
 def rough_triangle_bound(p: float, q: float, t: float) -> bool:

@@ -162,14 +162,6 @@ class TestBundleIO:
                 want = [m.indices for m in seq.level(j).colors[a].members]
                 assert got == want
 
-    def test_tree_round_trip(self, tmp_path, flagship_result):
-        tree = flagship_result.trees[0]
-        path = tmp_path / "tree.csv"
-        bundle_io.write_tree(path, tree)
-        back = bundle_io.read_tree(path)
-        assert np.array_equal(back["level"], tree.level)
-        assert np.array_equal(back["parent"], tree.parent)
-
     def test_qireport_round_trip(self, tmp_path, flagship_result):
         path = tmp_path / "qi.json"
         bundle_io.write_qireport(path, flagship_result)
@@ -286,27 +278,32 @@ def small_bundle(tmp_path_factory):
     return out
 
 
-def _last_row_edit(column):
-    """Edit for a CSV bundle file: lower one integer cell of its last row."""
+def _last_row_edit(column, change=lambda cell: str(int(cell) - 1)):
+    """Edit for a CSV bundle file: change one cell of its last row (by
+    default, lower an integer by one)."""
     def edit(text):
         rows = text.splitlines()
         cells = rows[-1].split(",")
-        cells[column] = str(int(cells[column]) - 1)
+        cells[column] = change(cells[column])
         return "\n".join(rows[:-1] + [",".join(cells)]) + "\n"
     return edit
 
 
-def _set_tree_deltas(value):
+def _set_report(keys, value):
+    """Edit for qireport.json: set the entry at a path of keys."""
     def edit(text):
         data = json.loads(text)
-        data["tree_deltas"] = value
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
         return json.dumps(data)
     return edit
 
 
 class TestVerifyTamper:
-    """verify rebuilds trees, embedding and tree deltas, so an edit to any
-    of their files must fail it."""
+    """verify replays the certification stages on the stored ladder and
+    compares every certified file, so an edit to any of them must fail it."""
 
     def _verify(self, tmp_path, small_bundle, capsys, name=None, edit=None):
         bundle = tmp_path / "bundle"
@@ -316,29 +313,57 @@ class TestVerifyTamper:
             path.write_text(edit(path.read_text(encoding="utf-8")),
                             encoding="utf-8")
         rc = cli_main(["verify", "--bundle", str(bundle)])
-        return rc, capsys.readouterr().out
+        return rc, capsys.readouterr()
 
     def test_untouched_bundle_passes(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys)
         assert rc == 0
-        for name in ("trees", "embedding", "tree_deltas"):
-            assert f"[PASS] {name}" in out
+        for name in ("trees", "embedding", "qi", "radial", "sphere",
+                     "tree_deltas"):
+            assert f"[PASS] {name}" in out.out
 
     def test_tree_parent(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys,
                                "tree_0.csv", _last_row_edit(2))
         assert rc == 1
-        assert "[FAIL] trees" in out
+        assert "[FAIL] trees" in out.out
 
     def test_embedding_row(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys,
                                "embedding.csv", _last_row_edit(3))
         assert rc == 1
-        assert "[FAIL] embedding" in out
+        assert "[FAIL] embedding" in out.out
 
     @pytest.mark.parametrize("value", [[0.5, 0.0], None])
     def test_tree_deltas(self, tmp_path, small_bundle, capsys, value):
-        rc, out = self._verify(tmp_path, small_bundle, capsys,
-                               "qireport.json", _set_tree_deltas(value))
+        rc, out = self._verify(tmp_path, small_bundle, capsys, "qireport.json",
+                               _set_report(("tree_deltas",), value))
         assert rc == 1
-        assert "[FAIL] tree_deltas" in out
+        assert "[FAIL] tree_deltas" in out.out
+
+    @pytest.mark.parametrize("name, edit, fail_line", [
+        ("tree_0.csv", _last_row_edit(4),
+         "[FAIL] trees: 2 trees rebuilt, tree_0.csv differs"),
+        ("embedding.csv", _last_row_edit(2, lambda t: repr(float(t) * 2)),
+         "[FAIL] embedding"),
+        ("embedding.csv", _last_row_edit(1, lambda pid: "p0000"),
+         "[FAIL] embedding"),
+        ("qireport.json", _set_report(("radial", "checks"), 1),
+         "[FAIL] radial: qireport.json"),
+        ("qireport.json", _set_report(("sphere", "max_ratio"), 99.0),
+         "[FAIL] sphere: qireport.json"),
+        ("qireport.json", _set_report(("qi", "details", "dt_values"), 99),
+         "[FAIL] qi: qireport.json"),
+    ], ids=["ref_member", "t", "point_id", "radial.checks", "sphere.max_ratio",
+            "qi.details"])
+    def test_certified_field(self, tmp_path, small_bundle, capsys, name, edit,
+                             fail_line):
+        rc, out = self._verify(tmp_path, small_bundle, capsys, name, edit)
+        assert rc == 1
+        assert fail_line in out.out
+
+    def test_unknown_config_key_refused(self, tmp_path, small_bundle, capsys):
+        rc, out = self._verify(tmp_path, small_bundle, capsys, "config.json",
+                               _set_report(("product_mode",), "l1"))
+        assert rc == 1
+        assert "unknown config keys: ['product_mode']" in out.err

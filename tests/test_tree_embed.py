@@ -9,6 +9,7 @@ from conetrees import (
     Family,
     FiniteMetricSpace,
     ProductEmbedding,
+    RadialCheckError,
     RootedTree,
     TreeError,
     build_base,
@@ -232,11 +233,6 @@ class TestEmbedding:
             assert emb.product_dist(int(i), int(k)) == want
             assert emb.all_pairs_dist[i, k] == want
 
-    def test_rejects_unknown_mode(self, small__seq, small_trees):
-        grid = build_grid(small__seq.space, 0.125, 3)
-        with pytest.raises(ValueError, match="mode"):
-            embed_grid(small__seq, grid, small_trees, mode="l2")
-
     def test_rejects_depth_mismatch(self, small__seq, small_trees):
         grid = build_grid(small__seq.space, 0.125, 2)
         with pytest.raises(TreeError, match="depth"):
@@ -257,6 +253,15 @@ class TestRadial:
         assert report["failures"] == 0
         # each grid point at level j checks every target level i < j
         assert report["checks"] == 32 * (1 + 2 + 3)
+
+    def test_deep_point_at_the_roots_fails(self, small__seq, small_trees):
+        grid = build_grid(small__seq.space, 0.125, 3)
+        table = embed_grid(small__seq, grid, small_trees).table.copy()
+        # a level-3 point sent to the root of both trees climbs no levels
+        table[grid.index(3, 5)] = 0
+        emb = ProductEmbedding(grid=grid, trees=small_trees, table=table)
+        with pytest.raises(RadialCheckError, match=r"level=3\) reaches level 0"):
+            radial_check(emb)
 
 
 class TestRoughTriangle:
