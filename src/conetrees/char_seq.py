@@ -143,39 +143,31 @@ def ast_shrink(fam: Family, ghat: Family, s: float, delta: float) -> Family:
         raise SeparationPreconditionError(
             f"fine family is not {delta * s:.6g}-disjoint"
         )
-    out = []
-    for u in fam:
-        core = u.neighborhood(-4 * s)
-        if core.is_empty:
-            continue
-        merged, _ = star_merge(core, ghat, delta * s)
-        out.append(merged)
-    return Family(fam.space, tuple(out))
+    cores = fam.eroded_members(4 * s)
+    return Family(fam.space, tuple(star_merge(core, ghat, delta * s)[0]
+                                   for core in cores))
 
 
 # ---------------------------------------------------------------------------
 # level construction
 
 
-def _whole_level(space: FiniteMetricSpace, m: int) -> ColoredCovering:
-    fam = Family(space, (space.whole(),))
+def _shared_level(space: FiniteMetricSpace, members, m: int) -> ColoredCovering:
+    """The same family of members in each of the m colors."""
+    fam = Family(space, tuple(members))
     return ColoredCovering(space, tuple(fam for _ in range(m)))
 
 
-def _singleton_level(space: FiniteMetricSpace, m: int) -> ColoredCovering:
-    members = tuple(space.subset([i]) for i in range(space.n))
-    fam = Family(space, members)
-    return ColoredCovering(space, tuple(fam for _ in range(m)))
-
-
-def _slot_windows(values: np.ndarray, pitch: float, width: float, count: int,
-                  wrap: float | None) -> list[np.ndarray]:
-    """Index arrays for windows [i*pitch, i*pitch + width], i = 0..count-1.
+def _window_level(space: FiniteMetricSpace, values: np.ndarray, pitch: float,
+                  width: float, count: int, m: int,
+                  wrap: float | None) -> ColoredCovering:
+    """Windows [i*pitch, i*pitch + width] of the points' values, i = 0..count-1,
+    dealt to the m colors in turn; empty windows are skipped.
 
     With ``wrap`` set (the period), windows are taken modulo the period.
     """
     eps = 1e-12 * max(width, 1.0)
-    out = []
+    colors: list[list[Subset]] = [[] for _ in range(m)]
     for i in range(count):
         start = i * pitch
         if wrap is None:
@@ -183,8 +175,9 @@ def _slot_windows(values: np.ndarray, pitch: float, width: float, count: int,
         else:
             rel = np.mod(values - start, wrap)
             mask = rel <= width + eps
-        out.append(np.flatnonzero(mask))
-    return out
+        if mask.any():
+            colors[i % m].append(space.subset(np.flatnonzero(mask)))
+    return ColoredCovering(space, tuple(Family(space, tuple(c)) for c in colors))
 
 
 def _circle_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCovering:
@@ -201,13 +194,8 @@ def _circle_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCo
     k = m * per_color
     theta_p = 2.0 * math.pi / k
     theta_w = (m + 1) / 2.0 * theta_p
-    windows = _slot_windows(np.mod(angles, 2.0 * math.pi), theta_p, theta_w, k,
-                            wrap=2.0 * math.pi)
-    colors: list[list[Subset]] = [[] for _ in range(m)]
-    for i, idx in enumerate(windows):
-        if idx.size:
-            colors[i % m].append(space.subset(idx))
-    return ColoredCovering(space, tuple(Family(space, tuple(c)) for c in colors))
+    return _window_level(space, np.mod(angles, 2.0 * math.pi), theta_p, theta_w,
+                         k, m, wrap=2.0 * math.pi)
 
 
 def _interval_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCovering:
@@ -218,12 +206,7 @@ def _interval_windows(space: FiniteMetricSpace, scale: float, m: int) -> Colored
     k = max(m, math.ceil(length / p_target))
     p = length / k
     w = (m + 1) / 2.0 * p
-    windows = _slot_windows(coords - lo, p, w, k, wrap=None)
-    colors: list[list[Subset]] = [[] for _ in range(m)]
-    for i, idx in enumerate(windows):
-        if idx.size:
-            colors[i % m].append(space.subset(idx))
-    return ColoredCovering(space, tuple(Family(space, tuple(c)) for c in colors))
+    return _window_level(space, coords - lo, p, w, k, m, wrap=None)
 
 
 def _threshold_components(space: FiniteMetricSpace, t: float) -> list[np.ndarray]:
@@ -254,26 +237,20 @@ def _component_level(space: FiniteMetricSpace, scale: float, m: int) -> ColoredC
     iu = np.triu_indices(space.n, k=1)
     cand = np.unique(space.dist[iu])
     cand = cand[cand <= scale]
-    lo, hi = -1, len(cand) - 1
     # threshold 0 always works (singleton components); search the largest
     # candidate that still respects the mesh bound
     best = 0.0
-    lo = 0
+    lo, hi = 0, len(cand) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
         comps = _threshold_components(space, float(cand[mid]))
-        diam = 0.0
-        for idx in comps:
-            if idx.size > 1:
-                diam = max(diam, float(space.dist[np.ix_(idx, idx)].max()))
-        if diam <= scale:
+        if Family(space, tuple(space.subset(idx) for idx in comps)).mesh <= scale:
             best = float(cand[mid])
             lo = mid + 1
         else:
             hi = mid - 1
     comps = _threshold_components(space, best)
-    fam = Family(space, tuple(space.subset(idx) for idx in comps))
-    return ColoredCovering(space, tuple(fam for _ in range(m)))
+    return _shared_level(space, (space.subset(idx) for idx in comps), m)
 
 
 def _greedy_level(space: FiniteMetricSpace, scale: float, m: int,
@@ -289,12 +266,11 @@ def _greedy_level(space: FiniteMetricSpace, scale: float, m: int,
         centers.append(nxt)
         np.minimum(mind, d[nxt], out=mind)
     members = [space.subset(np.flatnonzero(d[c] <= 0.49 * scale)) for c in centers]
+    balls = Family(space, tuple(members))
+    close = balls.member_min(balls.dist_rows().T) < scale / 4
     color_of = []
     for i in range(len(centers)):
-        used = set()
-        for j in range(i):
-            if members[i].dist_sets(members[j]) < scale / 4:
-                used.add(color_of[j])
+        used = {color_of[j] for j in np.flatnonzero(close[i, :i])}
         c = 0
         while c in used:
             c += 1
@@ -354,9 +330,9 @@ def build_level(space: FiniteMetricSpace, scale: float, m: int,
         raise LadderConstructionError("cannot cover an empty space")
     resolved = _pick_strategy(space, strategy)
     if scale >= space.diameter:
-        cov = _whole_level(space, m)
+        cov = _shared_level(space, (space.whole(),), m)
     elif space.n == 1 or (m - 1) / (2 * (m + 1)) * scale <= space.min_gap:
-        cov = _singleton_level(space, m)
+        cov = _shared_level(space, (space.subset([i]) for i in range(space.n)), m)
     elif resolved == "circle_arcs":
         cov = _circle_windows(space, scale, m)
     elif resolved == "interval_blocks":
@@ -465,61 +441,24 @@ def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
 # separation margins
 
 
-def _member_dist_rows(space: FiniteMetricSpace, members: tuple[Subset, ...]) -> np.ndarray:
-    """(k, n): row i = distance from each point to member i."""
-    if all(len(u) == 1 for u in members):
-        idx = np.fromiter((next(iter(u.indices)) for u in members), dtype=int)
-        return space.dist[idx]
-    rows = np.empty((len(members), space.n))
-    for i, u in enumerate(members):
-        rows[i] = u.dist_to_points()
-    return rows
-
-
-def _pair_margins(space: FiniteMetricSpace, fine: tuple[Subset, ...],
-                  coarse: tuple[Subset, ...], same_level: bool) -> tuple[float, float]:
+def _pair_margins(fine: Family, coarse: Family,
+                  same_level: bool) -> tuple[float, float]:
     """Dichotomy margins between one fine and one coarse family, same color.
 
     For each pair the dichotomy (miss or sit inside) holds for every radius
-    up to max(M1, M2), where M1 is the containment margin and M2 the
-    avoidance margin.  Returns (min pair margin, min over coarse members of
-    the best containment margin of any fine member), the latter only
-    meaningful across distinct levels.
+    up to max(M1, M2), where M1 is the containment margin, the distance from
+    the fine member to the coarse member's complement, and M2 the avoidance
+    margin, the distance between the two members.  Returns (min pair
+    margin, min over coarse members of the best containment margin of any
+    fine member), the latter only meaningful across distinct levels.
     """
-    du = _member_dist_rows(space, fine)
-    n = space.n
-    if all(len(u) == 1 for u in coarse):
-        cols = np.fromiter((next(iter(u.indices)) for u in coarse), dtype=int)
-        m2 = du[:, cols]
-        if n == 1:
-            m1 = np.full_like(m2, np.inf)
-        else:
-            # min over the complement of one point: the row minimum, or the
-            # second smallest when that point is the unique argmin
-            part = np.partition(du, 1, axis=1)
-            rowmin, second = part[:, 0], part[:, 1]
-            argmin = du.argmin(axis=1)
-            m1 = np.where(cols[None, :] == argmin[:, None],
-                          second[:, None], rowmin[:, None])
-    else:
-        m1 = np.empty((len(fine), len(coarse)))
-        m2 = np.empty((len(fine), len(coarse)))
-        full = np.arange(n)
-        for k, up in enumerate(coarse):
-            inside = np.fromiter(up.indices, dtype=int, count=len(up.indices))
-            mask = np.ones(n, dtype=bool)
-            mask[inside] = False
-            outside = full[mask]
-            m2[:, k] = du[:, inside].min(axis=1)
-            m1[:, k] = du[:, outside].min(axis=1) if outside.size else np.inf
+    m1 = fine.member_min(coarse.depths.T)
+    m2 = fine.member_min(coarse.dist_rows().T)
     margins = np.maximum(m1, m2)
     if same_level:
         # identical members never compete with themselves
-        for i in range(min(len(fine), len(coarse))):
-            margins[i, i] = np.inf
-    pair_min = float(margins.min()) if margins.size else np.inf
-    desc_min = float(m1.max(axis=0).min()) if m1.size else np.inf
-    return pair_min, desc_min
+        np.fill_diagonal(margins, np.inf)
+    return float(margins.min()), float(m1.max(axis=0).min())
 
 
 def separation_margins(space: FiniteMetricSpace, levels: tuple[ColoredCovering, ...],
@@ -537,13 +476,12 @@ def separation_margins(space: FiniteMetricSpace, levels: tuple[ColoredCovering, 
         sf = r ** jf
         for jc in range(1, jf + 1):
             for a in range(n_colors):
-                fine = levels[jf - 1].colors[a].members
-                coarse = levels[jc - 1].colors[a].members
+                fine = levels[jf - 1].colors[a]
+                coarse = levels[jc - 1].colors[a]
                 if not fine or not coarse:
                     continue
-                pair_min, desc_min = _pair_margins(
-                    space, fine, coarse, same_level=jf == jc
-                )
+                pair_min, desc_min = _pair_margins(fine, coarse,
+                                                   same_level=jf == jc)
                 rec = {"color": a, "fine": jf, "coarse": jc,
                        "pair_margin": pair_min / sf}
                 gamma = min(gamma, pair_min / sf)
@@ -596,16 +534,14 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
             "standing assumptions violated: " + "; ".join(violations)
         )
     n_colors = base.n_colors
-    current: list[list[list[Subset]]] = [
-        [list(base.level(1).colors[a].members) for a in range(n_colors)]
-    ]
+    current: list[list[Family]] = [list(base.level(1).colors)]
     drops = 0
     moats = []
     cascade = []
     for k in range(2, base.depth + 1):
         s = r ** k / 2.0
         grow = delta_use * s
-        ghats = [base.level(k).colors[a] for a in range(n_colors)]
+        ghats = list(base.level(k).colors)
         for a in range(n_colors):
             ghat = ghats[a]
             mesh_hat = ghat.mesh
@@ -629,25 +565,15 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
             cascade.append(record)
             if identity:
                 continue
-            for level_members in current:
-                kept = []
-                for u in level_members[a]:
-                    core = u.neighborhood(-moat)
-                    if core.is_empty:
-                        drops += 1
-                        continue
-                    merged, _ = star_merge(core, ghat, grow)
-                    kept.append(merged)
-                level_members[a] = kept
-        current.append([list(ghats[a].members) for a in range(n_colors)])
+            for per_color in current:
+                cores = per_color[a].eroded_members(moat)
+                drops += len(per_color[a]) - len(cores)
+                per_color[a] = Family(base.space, tuple(
+                    star_merge(core, ghat, grow)[0] for core in cores))
+        current.append(ghats)
     try:
-        levels = tuple(
-            ColoredCovering(
-                base.space,
-                tuple(Family(base.space, tuple(ms)) for ms in per_color),
-            )
-            for per_color in current
-        )
+        levels = tuple(ColoredCovering(base.space, tuple(per_color))
+                       for per_color in current)
     except CoveringError as e:
         raise LadderConstructionError(f"cascade destroyed a level: {e}") from e
     delta_fin, lam_fin, stats = _measure(levels, r)
@@ -681,11 +607,9 @@ def _sequence_checks(seq, gamma: float | None) -> list[PropertyCheck]:
         st = _level_stats(cov, scale)
         checks.append(PropertyCheck(
             f"mesh[{j}]", st["mesh"] <= scale * (1 + tol), st["mesh"], scale))
-        union = frozenset()
-        for f in cov.colors:
-            union |= f.union_indices
+        covered = cov.pooled.union_size()
         checks.append(PropertyCheck(
-            f"covers[{j}]", len(union) == seq.space.n, len(union), seq.space.n))
+            f"covers[{j}]", covered == seq.space.n, covered, seq.space.n))
         bound = seq.delta * scale
         if st["mesh"] > 0:
             checks.append(PropertyCheck(

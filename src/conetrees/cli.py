@@ -1,10 +1,13 @@
 """Command line interface: generate spaces, profile capacities, run the
 pipeline, and re-verify written bundles.
 
-`verify` re-measures the stored ladder, then runs `harness.certify`, the
+`verify` checks the stored config against the stored ladder and space
+(r, depth and colors must match; the config's generator must reproduce
+`space.json`), re-measures the ladder, then runs `harness.certify`, the
 pipeline's own stage code, on it with the stored config.  It compares the
 replay with every certified file: each `tree_<a>.csv` and `embedding.csv`
-byte for byte, and each top-level section of `qireport.json` for equality.
+byte for byte, each top-level section of `qireport.json` for equality, and
+the last lines of `log.txt` with the replayed stage lines.
 
 Output locations default to the CONETREES_OUT environment variable when a
 flag is omitted.  Exit status is 0 on success, 1 on any failure.
@@ -18,6 +21,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as bundle_io
 from .char_seq import verify_char_seq
 from .harness import (
@@ -27,6 +32,7 @@ from .harness import (
     capacity_profile,
     certify,
     generate,
+    generator_params,
     run_pipeline,
 )
 
@@ -130,6 +136,17 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+def _regenerates(config: PipelineConfig, stored) -> tuple[bool, str]:
+    """Whether the config's generator and params reproduce the stored space."""
+    try:
+        space = generate(config.generator, **generator_params(config))
+    except (TypeError, ValueError) as e:
+        return False, f"config.json generates no space: {e}"
+    same = (np.array_equal(space.dist, stored.dist)
+            and bundle_io.space_fields(space) == bundle_io.space_fields(stored))
+    return same, "regenerated from config.json"
+
+
 def _cmd_verify(args) -> int:
     bundle = bundle_io.read_bundle(args.bundle)
     config = PipelineConfig.from_dict(bundle["config"])
@@ -142,11 +159,17 @@ def _cmd_verify(args) -> int:
             failures.append(name)
 
     seq = bundle["charseq"]
+    check("config", (config.r, config.depth, config.colors)
+          == (seq.r, seq.depth, seq.n_colors),
+          f"r={config.r} depth={config.depth} colors={config.colors}, "
+          f"ladder r={seq.r} depth={seq.depth} colors={seq.n_colors}")
+    check("space", *_regenerates(config, seq.space))
     rep = verify_char_seq(seq)
     check("charseq", rep.passed,
           "" if rep.passed else rep.summary().replace("\n", " | "))
+    log: list[str] = []
     try:
-        got = certify(seq, config.tree_delta_check, log=[])
+        got = certify(seq, config.tree_delta_check, log)
     except StageError as e:
         check(e.stage, False, str(e))
     else:
@@ -163,6 +186,8 @@ def _cmd_verify(args) -> int:
         stored = bundle["qireport"]
         for key in sorted(report.keys() | stored.keys()):
             check(key, report.get(key) == stored.get(key), "qireport.json")
+        check("log", bundle["log"][-len(log):] == log,
+              f"log.txt ends with the {len(log)} replayed stage lines")
     if failures:
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)
         return 1

@@ -1,14 +1,19 @@
 """Families of subsets, colored coverings, and their scale parameters.
 
-Mesh, multiplicity, Lebesgue number, and capacity quantify how a family of
-subsets covers its space.  Families support uniform erosion (shrink) and the
-absorb-and-grow merge used to push separated coverings down a scale ladder.
+A Family lists its members' points once, as CSR arrays: member i owns
+``indices[indptr[i]:indptr[i + 1]]``.  Two kernels answer every per-member
+distance question from them: `dist_rows()`, each point's distance to each
+member, and `depths`, each point's distance to each member's complement.
+Mesh, multiplicity, Lebesgue number, capacity, separation, uniform erosion
+(shrink) and the absorb-and-grow merge that pushes separated coverings down
+a scale ladder are array operations on those two (k, n) matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -21,22 +26,20 @@ class CoveringError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """An ordered family of subsets of one space.
+    """An ordered family of nonempty subsets of one space.
 
-    Empty members are rejected unless allow_empty is set; erosion-type
-    operations drop empties from their output instead.
+    Erosion-type operations drop the members they empty from their output.
     """
 
     space: FiniteMetricSpace
     members: tuple[Subset, ...]
-    allow_empty: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
         for u in self.members:
             if u.space is not self.space:
                 raise CoveringError("family member belongs to a different space")
-            if u.is_empty and not self.allow_empty:
+            if u.is_empty:
                 raise CoveringError("empty member in family")
 
     def __len__(self):
@@ -49,14 +52,65 @@ class Family:
         return self.members[i]
 
     @cached_property
-    def union_indices(self) -> frozenset:
-        out = frozenset()
-        for u in self.members:
-            out |= u.indices
+    def indptr(self) -> np.ndarray:
+        """(k+1,) offsets: member i owns indices[indptr[i]:indptr[i + 1]]."""
+        return np.cumsum([0] + [len(u) for u in self.members])
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """The members' points, member after member."""
+        return np.fromiter(chain.from_iterable(u.indices for u in self.members),
+                           dtype=np.intp, count=int(self.indptr[-1]))
+
+    def mask(self) -> np.ndarray:
+        """(k, n) bool: row i marks the points of member i."""
+        out = np.zeros((len(self), self.space.n), dtype=bool)
+        out[np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices] = True
         return out
 
+    def member_min(self, values: np.ndarray) -> np.ndarray:
+        """(k, m): row i is the minimum of the rows of the (n, m) array
+        ``values`` over the points of member i."""
+        if not self.members:
+            return np.empty((0, values.shape[1]))
+        return np.minimum.reduceat(values[self.indices], self.indptr[:-1], axis=0)
+
+    def dist_rows(self) -> np.ndarray:
+        """(k, n): row i = distance from each point to member i."""
+        # row y of dist.T is column y of dist: each point's distance to y
+        return self.member_min(self.space.dist.T)
+
+    @cached_property
+    def depths(self) -> np.ndarray:
+        """(k, n): row i = distance from each point to the complement of
+        member i, +inf when the member is the whole space.
+
+        Points outside a member are at 0.  For x inside member i it is the
+        distance to the first point of x's neighbor order that lies outside
+        member i; all such (member, point) pairs walk their orders together,
+        one rank at a time, until each has left its member.
+        """
+        inside = self.mask()
+        whole = inside.all(axis=1)
+        out = np.zeros(inside.shape)
+        out[whole] = np.inf
+        i, x = np.nonzero(inside & ~whole[:, None])
+        order = self.space.neighbor_order
+        rank = 0  # rank 0 is x itself, which lies inside
+        while i.size:
+            rank += 1
+            y = order[x, rank]
+            left = ~inside[i, y]
+            out[i[left], x[left]] = self.space.dist[x[left], y[left]]
+            i, x = i[~left], x[~left]
+        return out
+
+    def union_size(self) -> int:
+        """Number of points in some member."""
+        return int(np.count_nonzero(np.bincount(self.indices, minlength=self.space.n)))
+
     def covers(self) -> bool:
-        return len(self.union_indices) == self.space.n
+        return self.union_size() == self.space.n
 
     @cached_property
     def mesh(self) -> float:
@@ -64,54 +118,22 @@ class Family:
             return 0.0
         return max(u.diameter() for u in self.members)
 
-    @cached_property
-    def _membership(self) -> np.ndarray:
-        """(len(members), n) bool matrix, row i = indicator of member i."""
-        m = np.zeros((len(self.members), self.space.n), dtype=bool)
-        for i, u in enumerate(self.members):
-            if u.indices:
-                m[i, list(u.indices)] = True
-        return m
-
     def multiplicity(self) -> int:
-        if not self.members or self.space.n == 0:
-            return 0
-        return int(self._membership.sum(axis=0).max())
+        return int(np.bincount(self.indices, minlength=self.space.n).max())
 
     def r_multiplicity(self, r: float) -> int:
-        """Max over points of how many open r-neighborhoods of members hit it."""
-        if not self.members or self.space.n == 0:
-            return 0
+        """Max over points of how many open r-neighborhoods of members hit
+        it (signed radius, as in Subset.neighborhood)."""
         if r == 0:
             return self.multiplicity()
-        counts = np.zeros(self.space.n, dtype=int)
-        for u in self.members:
-            hood = u.neighborhood(r)
-            if hood.indices:
-                counts[list(hood.indices)] += 1
-        return int(counts.max())
-
-    @cached_property
-    def _depths(self) -> np.ndarray:
-        """(len(members), n): row i = distance from each point to the
-        complement of member i (+inf when the member is the whole space)."""
-        n = self.space.n
-        rows = np.zeros((len(self.members), n))
-        full = frozenset(range(n))
-        for i, u in enumerate(self.members):
-            comp = full - u.indices
-            if comp:
-                cols = np.fromiter(comp, dtype=int, count=len(comp))
-                rows[i] = self.space.dist[:, cols].min(axis=1)
-            else:
-                rows[i] = np.inf
-        return rows
+        hoods = self.dist_rows() < r if r > 0 else self.depths > -r
+        return int(hoods.sum(axis=0).max())
 
     def lebesgue(self) -> float:
         """min over points of min(best inscribed depth, mesh)."""
-        if self.space.n == 0 or not self.members:
+        if not self.members:
             return 0.0
-        best = self._depths.max(axis=0)
+        best = self.depths.max(axis=0)
         return float(min(best.min(), self.mesh))
 
     def capacity(self) -> float:
@@ -122,55 +144,33 @@ class Family:
 
     def inner_radii(self) -> np.ndarray:
         """Per member, the largest depth of any point inside it."""
-        if not self.members:
-            return np.zeros(0)
-        return self._depths.max(axis=1)
+        return self.depths.max(axis=1)
 
     def net_radius(self) -> float:
         """Max over space points of the distance to the union of members."""
-        if self.space.n == 0:
-            return 0.0
-        if not self.union_indices:
-            return np.inf
-        cols = np.fromiter(self.union_indices, dtype=int, count=len(self.union_indices))
-        return float(self.space.dist[:, cols].min(axis=1).max())
+        return float(self.dist_rows().min(axis=0, initial=np.inf).max())
 
     def min_separation(self) -> float:
-        """Min distance between distinct nonempty members; +inf if fewer than 2."""
-        live = [u for u in self.members if not u.is_empty]
-        if len(live) < 2:
-            return np.inf
-        if all(len(u) == 1 for u in live):
-            idx = np.fromiter((next(iter(u.indices)) for u in live), dtype=int)
-            sub = self.space.dist[np.ix_(idx, idx)]
-            iu = np.triu_indices(len(idx), k=1)
-            return float(sub[iu].min())
-        best = np.inf
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                best = min(best, live[i].dist_sets(live[j]))
-        return best
+        """Min distance between distinct members; +inf if fewer than 2."""
+        # entry [i, l]: min over x in member i of d(x, member l)
+        sep = self.member_min(self.dist_rows().T)
+        return float(sep[np.triu_indices(len(self), k=1)].min(initial=np.inf))
 
     def is_separated(self, s: float) -> bool:
-        """Pairwise distance between distinct nonempty members is >= s."""
-        live = [u for u in self.members if not u.is_empty]
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                if live[i].dist_sets(live[j]) < s:
-                    return False
-        return True
+        """Pairwise distance between distinct members is >= s."""
+        return self.min_separation() >= s
 
     def is_r_disjoint(self, r: float) -> bool:
-        """Open r-neighborhoods of distinct nonempty members are pairwise
-        disjoint.  Stronger than is_separated(r): no point may lie within r
-        of two members."""
-        if r <= 0:
-            return True
-        live = [u for u in self.members if not u.is_empty]
-        if len(live) < 2:
-            return True
-        near = np.stack([u.dist_to_points() < r for u in live])
-        return not np.any(near.sum(axis=0) > 1)
+        """Open r-neighborhoods of distinct members are pairwise disjoint.
+        Stronger than is_separated(r): no point may lie within r of two
+        members."""
+        return r <= 0 or self.r_multiplicity(r) <= 1
+
+    def eroded_members(self, s: float) -> tuple[Subset, ...]:
+        """Each member eroded by s > 0, i.e. its points farther than s from
+        its complement, in order; members the erosion empties are dropped."""
+        return tuple(Subset(self.space, frozenset(np.flatnonzero(keep).tolist()))
+                     for keep in self.depths > s if keep.any())
 
     def shrink(self, s: float) -> "Family":
         """Erode every member by s.  Requires 0 < s < Lebesgue number, which
@@ -181,8 +181,7 @@ class Family:
             raise CoveringError(
                 f"shrink step {s:.6g} exceeds Lebesgue number {leb:.6g}"
             )
-        out = [u.neighborhood(-s) for u in self.members]
-        return Family(self.space, tuple(u for u in out if not u.is_empty))
+        return Family(self.space, self.eroded_members(s))
 
     def __repr__(self):
         return f"Family(k={len(self.members)}, mesh={self.mesh:.6g})"
@@ -196,18 +195,13 @@ def star_merge(core: Subset, fam: Family, s: float) -> tuple[Subset, tuple[int, 
     """
     if s <= 0:
         raise CoveringError(f"merge radius must be positive, got {s}")
-    space = core.space
+    rows = fam.dist_rows()
     d_core = core.dist_to_points()
-    absorbed = []
-    merged = set(core.indices)
-    for i, w in enumerate(fam):
-        d_w = w.dist_to_points()
-        # open s-neighborhoods intersect iff some point is < s from both
-        if float(np.maximum(d_core, d_w).min()) < s:
-            absorbed.append(i)
-            merged |= w.indices
-    grown = Subset(space, frozenset(merged)).neighborhood(s)
-    return grown, tuple(absorbed)
+    # open s-neighborhoods intersect iff some point is < s from both
+    absorbed = np.maximum(rows, d_core).min(axis=1) < s
+    d_union = np.minimum(d_core, rows[absorbed].min(axis=0, initial=np.inf))
+    grown = Subset(core.space, frozenset(np.flatnonzero(d_union < s).tolist()))
+    return grown, tuple(np.flatnonzero(absorbed).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +218,7 @@ class ColoredCovering:
         for f in self.colors:
             if f.space is not self.space:
                 raise CoveringError("color family belongs to a different space")
-        union = frozenset()
-        for f in self.colors:
-            union |= f.union_indices
-        if len(union) != self.space.n:
+        if not self.pooled.covers():
             raise CoveringError("colored covering does not cover the space")
 
     @property
@@ -237,7 +228,7 @@ class ColoredCovering:
     @cached_property
     def pooled(self) -> Family:
         members = tuple(u for f in self.colors for u in f.members)
-        return Family(self.space, members, allow_empty=True)
+        return Family(self.space, members)
 
     @property
     def mesh(self) -> float:

@@ -224,6 +224,15 @@ class PipelineConfig:
         return cls(**d)
 
 
+def generator_params(config: PipelineConfig) -> dict:
+    """The keyword arguments `run_pipeline` passes to `generate`: the
+    config's params, with the config seed as random_circle's default."""
+    params = dict(config.params)
+    if config.generator == "random_circle":
+        params.setdefault("seed", config.seed)
+    return params
+
+
 class StageError(RuntimeError):
     """A pipeline stage failed; carries the stage name."""
 
@@ -326,11 +335,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every stage, revalidating as it goes; see module docstring."""
     t0 = time.perf_counter()
     log: list[str] = []
-    params = dict(config.params)
-    if config.generator == "random_circle":
-        params.setdefault("seed", config.seed)
     try:
-        space = generate(config.generator, **params)
+        space = generate(config.generator, **generator_params(config))
     except (ValueError, MetricError) as e:
         raise StageError("generate", str(e)) from e
     log.append(f"generate: kind={config.generator} n={space.n} "

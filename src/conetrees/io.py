@@ -27,7 +27,7 @@ def _plain(x):
     if isinstance(x, (set, frozenset)):
         return sorted(_plain(v) for v in x)
     if isinstance(x, np.ndarray):
-        return _plain(x.tolist())
+        return x.tolist()
     if isinstance(x, np.integer):
         return int(x)
     if isinstance(x, np.floating):
@@ -45,13 +45,18 @@ def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def write_space(path, space: FiniteMetricSpace) -> None:
-    _write_text(path, dumps_canonical({
-        "point_ids": list(space.point_ids),
-        "dist": space.dist,
+def space_fields(space: FiniteMetricSpace) -> dict:
+    """What space.json holds besides the distance matrix, as plain JSON
+    values."""
+    return _plain({
+        "point_ids": space.point_ids,
         "meta": space.meta,
         "rel_tol": space.rel_tol,
-    }))
+    })
+
+
+def write_space(path, space: FiniteMetricSpace) -> None:
+    _write_text(path, dumps_canonical({**space_fields(space), "dist": space.dist}))
 
 
 def read_space(path) -> FiniteMetricSpace:
@@ -185,7 +190,8 @@ def write_bundle(outdir, result) -> Path:
 
 def read_bundle(outdir) -> dict:
     """Load the parts of a bundle needed to re-verify it: config, ladder and
-    report parsed, the tree and embedding files as raw bytes."""
+    report parsed, the tree and embedding files as raw bytes, the log as
+    lines."""
     out = Path(outdir)
     charseq = read_charseq(out / "charseq.json", read_space(out / "space.json"))
     return {
@@ -195,4 +201,5 @@ def read_bundle(outdir) -> dict:
                        for a in range(charseq.n_colors)),
         "embedding": (out / "embedding.csv").read_bytes(),
         "qireport": read_qireport(out / "qireport.json"),
+        "log": (out / "log.txt").read_text(encoding="utf-8").splitlines(),
     }

@@ -91,6 +91,12 @@ class FiniteMetricSpace:
         iu = np.triu_indices(self.n, k=1)
         return float(self.dist[iu].min())
 
+    @cached_property
+    def neighbor_order(self) -> np.ndarray:
+        """(n, n) int32: row x lists the points by distance from x, ties by
+        index, so entry 0 is x itself (distinct points are at distance > 0)."""
+        return np.argsort(self.dist, axis=1, kind="stable").astype(np.int32)
+
     def subset(self, indices) -> "Subset":
         return Subset(self, frozenset(int(i) for i in indices))
 

@@ -188,13 +188,11 @@ def fit_qi(ds: np.ndarray, dt: np.ndarray,
     )
 
 
-def visual_metric_circle(n: int, base_at_center: bool = True) -> FiniteMetricSpace:
+def visual_metric_circle(n: int) -> FiniteMetricSpace:
     """The n-point circle with distances sin(angle/2): the visual metric on
     the boundary circle seen from the disk center, i.e. half the chord."""
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    if not base_at_center:
-        raise ValueError("only the disk-center base point is supported")
     angles = 2.0 * math.pi * np.arange(n) / n
     diff = np.abs(angles[:, None] - angles[None, :])
     diff = np.minimum(diff, 2.0 * math.pi - diff)

@@ -133,52 +133,43 @@ def build_tree(seq: CharSequence, color: int) -> RootedTree:
     if not 0 <= color < seq.n_colors:
         raise TreeError(f"color {color} outside 0..{seq.n_colors - 1}")
     space = seq.space
-    node_members: list[frozenset] = [frozenset(range(space.n))]
-    refs: list[tuple[int, int]] = [(0, -1)]
-    levels = [0]
-    level_nodes: dict[int, list[int]] = {0: [0]}
-    for j in range(1, seq.depth + 1):
-        fam = seq.level(j).colors[color]
-        ids = []
-        for i, u in enumerate(fam.members):
-            node_members.append(u.indices)
-            refs.append((j, i))
-            levels.append(j)
-            ids.append(len(node_members) - 1)
-        level_nodes[j] = ids
-    # per level, which nodes own each point, for fast candidate lookup
-    owners: dict[int, dict[int, list[int]]] = {}
-    for j in range(1, seq.depth + 1):
-        by_point: dict[int, list[int]] = {}
-        for nid in level_nodes[j]:
-            for p in node_members[nid]:
-                by_point.setdefault(p, []).append(nid)
-        owners[j] = by_point
-    parent = np.full(len(node_members), -1, dtype=np.int64)
-    for j in range(1, seq.depth + 1):
-        for nid in level_nodes[j]:
-            mem = node_members[nid]
-            probe = next(iter(mem))
-            chosen = -1
-            for jc in range(j - 1, 0, -1):
-                cands = [c for c in owners[jc].get(probe, ()) if mem <= node_members[c]]
-                if len(cands) > 1:
-                    raise TreeError(
-                        f"ambiguous containment at level {j} color {color}: "
-                        f"member {refs[nid][1]} fits {len(cands)} level-{jc} members"
-                    )
-                if cands:
-                    chosen = cands[0]
-                    break
-            parent[nid] = chosen if chosen != -1 else 0
+    fams = [seq.level(j).colors[color] for j in range(1, seq.depth + 1)]
+    sizes = [len(f) for f in fams]
+    # node ids: the root, then every level's members in order
+    first = np.cumsum([1] + sizes)
+    parent = np.zeros(first[-1], dtype=np.int64)
+    parent[0] = -1
+    for j in range(2, seq.depth + 1):
+        fine = fams[j - 1]
+        fit_count = np.zeros(len(fine), dtype=np.int64)
+        fit_level = np.zeros(len(fine), dtype=np.int64)
+        for jc in range(j - 1, 0, -1):
+            # fits[i, l]: every point of member i lies in level-jc member l
+            fits = fine.member_min(fams[jc - 1].mask().T)
+            new = (fit_count == 0) & fits.any(axis=1)
+            fit_count[new] = fits[new].sum(axis=1)
+            fit_level[new] = jc
+            parent[first[j - 1] + np.flatnonzero(new)] = (
+                first[jc - 1] + fits[new].argmax(axis=1))
+            if fit_count.all():
+                break
+        ambiguous = np.flatnonzero(fit_count > 1)
+        if ambiguous.size:
+            i = int(ambiguous[0])
+            raise TreeError(
+                f"ambiguous containment at level {j} color {color}: "
+                f"member {i} fits {fit_count[i]} level-{fit_level[i]} members"
+            )
     tree = RootedTree(
         space=space,
         color=color,
         depth=seq.depth,
-        level=np.asarray(levels, dtype=np.int64),
+        level=np.repeat(np.arange(seq.depth + 1), [1] + sizes),
         parent=parent,
-        members=tuple(node_members),
-        refs=tuple(refs),
+        members=(frozenset(range(space.n)),)
+        + tuple(u.indices for f in fams for u in f),
+        refs=((0, -1),) + tuple((j, i) for j, f in enumerate(fams, 1)
+                                for i in range(len(f))),
     )
     tree.validate()
     return tree
@@ -249,15 +240,10 @@ def embed_grid(seq: CharSequence, grid: ConeGrid,
     table = np.zeros((grid.n_points, len(trees)), dtype=np.int64)
     for a, tree in enumerate(trees):
         for j in range(1, grid.depth + 1):
-            ids = tree.nodes_at_level(j)
-            rows = np.empty((ids.size, seq.space.n))
-            for k, nid in enumerate(ids):
-                cols = np.fromiter(tree.members[nid], dtype=int,
-                                   count=len(tree.members[nid]))
-                rows[k] = seq.space.dist[:, cols].min(axis=1)
-            nearest = ids[rows.argmin(axis=0)]
+            # the tree's level-j nodes are this family's members, in order
+            rows = seq.level(j).colors[tree.color].dist_rows()
             lo = grid.index(j, 0)
-            table[lo: lo + seq.space.n, a] = nearest
+            table[lo: lo + seq.space.n, a] = tree.nodes_at_level(j)[rows.argmin(axis=0)]
     return ProductEmbedding(grid=grid, trees=trees, table=table)
 
 
@@ -274,21 +260,24 @@ def radial_check(emb: ProductEmbedding) -> dict:
     intermediate level.  Raises RadialCheckError on the first violation.
     """
     m = emb.n_trees
-    checks = 0
-    max_m = 0
-    for idx in range(1, emb.grid.n_points):
-        j = int(emb.grid.point_level[idx])
-        z = int(emb.grid.point_z[idx])
-        for i in range(j):
-            steps = max(
-                tree.steps_to_level(int(emb.table[idx, a]), i)
-                for a, tree in enumerate(emb.trees)
-            )
-            checks += 1
-            max_m = max(max_m, steps)
-            if m * (steps + 1) < j - i + 1:
-                raise RadialCheckError(
-                    f"grid point (z={z}, level={j}) reaches level {i} in "
-                    f"{steps} hops: {m}*({steps}+1) < {j - i + 1}"
-                )
-    return {"checks": checks, "max_steps": max_m, "failures": 0}
+    grid = emb.grid
+    # steps[idx, i]: the slowest tree's steps_to_level from grid point idx
+    # to level i, read off suffix counts of each tree's ancestor table
+    steps = np.zeros((grid.n_points, grid.depth + 1), dtype=np.int64)
+    for a, tree in enumerate(emb.trees):
+        present = tree.ancestors >= 0
+        above = present.sum(axis=1, keepdims=True) - present.cumsum(axis=1)
+        np.maximum(steps, above[emb.table[:, a]], out=steps)
+    target = np.arange(grid.depth + 1)[None, :]
+    level = grid.point_level[:, None]
+    valid = target < level
+    bad = valid & (m * (steps + 1) < level - target + 1)
+    if bad.any():
+        idx, i = (int(v) for v in np.argwhere(bad)[0])
+        j, hops = int(grid.point_level[idx]), int(steps[idx, i])
+        raise RadialCheckError(
+            f"grid point (z={int(grid.point_z[idx])}, level={j}) reaches "
+            f"level {i} in {hops} hops: {m}*({hops}+1) < {j - i + 1}"
+        )
+    return {"checks": int(np.count_nonzero(valid)),
+            "max_steps": int(steps.max(where=valid, initial=0)), "failures": 0}

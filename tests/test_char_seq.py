@@ -23,6 +23,7 @@ from conetrees import (
     verify_base,
     verify_char_seq,
 )
+from conetrees.char_seq import _pair_margins
 from conetrees.harness import generate
 
 
@@ -265,6 +266,65 @@ class TestSeparationMargins:
         ))
         gamma, _ = separation_margins(sp, (cov,), r=0.5)
         assert gamma == 0.0
+
+
+def brute_pair_margins(fine, coarse, same_level):
+    """Double loop over member pairs: containment margin d(F, complement of
+    C) and avoidance margin d(F, C)."""
+    sp = fine.space
+    m1 = np.empty((len(fine), len(coarse)))
+    m2 = np.empty_like(m1)
+    for i, f in enumerate(fine):
+        for k, c in enumerate(coarse):
+            m1[i, k] = f.dist_sets(sp.subset(set(range(sp.n)) - c.indices))
+            m2[i, k] = f.dist_sets(c)
+            r = max(m1[i, k], m2[i, k])
+            if 0 < r < np.inf:
+                # at the margin the open r-neighborhood sits inside or misses
+                hood = f.neighborhood(r).indices
+                assert hood <= c.indices or not hood & c.indices
+    margins = np.maximum(m1, m2)
+    if same_level:
+        for i in range(min(len(fine), len(coarse))):
+            margins[i, i] = np.inf
+    return float(margins.min()), float(m1.max(axis=0).min())
+
+
+def random_family(rng, sp, k):
+    members = [sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
+                                    replace=False)) for _ in range(k)]
+    if rng.random() < 0.3:
+        members.append(sp.whole())
+    return Family(sp, tuple(members))
+
+
+class TestPairMarginsOracle:
+    def test_random_families(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(1, 25))
+            x = rng.integers(0, 10, size=(n, 2)).astype(float)
+            x[:, 0] += np.arange(n) * 10  # distinct points, tied distances
+            d = np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
+            sp = FiniteMetricSpace(d, tuple(f"x{i}" for i in range(n)))
+            fine = random_family(rng, sp, int(rng.integers(1, 6)))
+            coarse = random_family(rng, sp, int(rng.integers(1, 6)))
+            for same in (False, True):
+                assert (_pair_margins(fine, coarse, same)
+                        == brute_pair_margins(fine, coarse, same))
+
+    def test_cascade_ladder(self):
+        sp = generate("random_circle", n=60, seed=0)
+        seq = separate(build_base(sp, r=0.25, depth=3, colors=2))
+        built = 0
+        for jf in range(1, 4):
+            for jc in range(1, jf + 1):
+                for a in range(2):
+                    fine, coarse = seq.level(jf).colors[a], seq.level(jc).colors[a]
+                    built += any(1 < len(u) < sp.n for u in coarse)
+                    assert (_pair_margins(fine, coarse, jf == jc)
+                            == brute_pair_margins(fine, coarse, jf == jc))
+        assert built  # some coarse family has members that are really built
 
 
 class TestVerification:

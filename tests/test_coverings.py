@@ -157,7 +157,7 @@ class TestStarMerge:
     def test_absorbs_nearby_member(self):
         sp = line_space(25)
         core = sp.subset([5])
-        fam = Family(sp, (sp.subset([7]), sp.subset([20])), allow_empty=False)
+        fam = Family(sp, (sp.subset([7]), sp.subset([20])))
         merged, absorbed = star_merge(core, fam, 3.0)
         assert absorbed == (0,)
         assert set(merged.indices) == set(range(3, 10))
@@ -191,3 +191,146 @@ class TestColoredCovering:
         c0 = Family(sp, (sp.subset(range(3)),))
         with pytest.raises(CoveringError, match="cover"):
             ColoredCovering(sp, (c0,))
+
+
+# ---------------------------------------------------------------------------
+# the two membership kernels against per-member loops
+
+
+def brute_depths(fam):
+    """Per-member loop: distance from each point to each member's complement."""
+    n = fam.space.n
+    rows = np.zeros((len(fam.members), n))
+    full = frozenset(range(n))
+    for i, u in enumerate(fam.members):
+        comp = full - u.indices
+        if comp:
+            cols = np.fromiter(comp, dtype=int, count=len(comp))
+            rows[i] = fam.space.dist[:, cols].min(axis=1)
+        else:
+            rows[i] = np.inf
+    return rows
+
+
+def brute_dist_rows(fam):
+    """Per-member loop: distance from each point to each member."""
+    rows = np.empty((len(fam.members), fam.space.n))
+    for i, u in enumerate(fam.members):
+        rows[i] = u.dist_to_points()
+    return rows
+
+
+def brute_star_merge(core, fam, s):
+    d_core = core.dist_to_points()
+    absorbed = []
+    merged = set(core.indices)
+    for i, w in enumerate(fam):
+        if float(np.maximum(d_core, w.dist_to_points()).min()) < s:
+            absorbed.append(i)
+            merged |= w.indices
+    return core.space.subset(merged).neighborhood(s), tuple(absorbed)
+
+
+def random_space(rng, n, integer):
+    """Points in the plane under the l1 metric; on an integer grid the
+    distances tie often, which exercises the neighbor order's tie rule."""
+    from conetrees import FiniteMetricSpace
+    if integer:
+        pts = rng.choice(12 * 12, size=n, replace=False)
+        x = np.stack([pts // 12, pts % 12], axis=1).astype(float)
+    else:
+        x = rng.random((n, 2))
+    d = np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
+    return FiniteMetricSpace(d, tuple(f"x{i}" for i in range(n)))
+
+
+def random_family(rng, sp, k, whole=False):
+    """k random members: singletons, small and large sets, overlapping, and
+    optionally one whole-space member at a random position."""
+    members = []
+    for _ in range(k):
+        size = int(rng.choice([1, 2, max(1, sp.n // 3), max(1, sp.n - 1)]))
+        members.append(sp.subset(rng.choice(sp.n, size=size, replace=False)))
+    if whole:
+        members.insert(int(rng.integers(0, k + 1)), sp.whole())
+    return Family(sp, tuple(members))
+
+
+def oracle_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for trial in range(24):
+        sp = random_space(rng, int(rng.integers(2, 30)), integer=trial % 2 == 0)
+        cases.append(random_family(rng, sp, int(rng.integers(1, 9)),
+                                   whole=trial % 3 == 0))
+    one = random_space(rng, 1, integer=False)
+    cases.append(Family(one, (one.whole(),)))
+    cases.append(Family(one, (one.whole(), one.whole())))
+    sp = line_space(9)
+    cases.append(Family(sp, tuple(sp.subset([i]) for i in range(9))))
+    cases.append(Family(sp, ()))
+    return cases
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("fam", oracle_cases())
+    def test_depths_and_dist_rows(self, fam):
+        assert fam.depths.shape == fam.dist_rows().shape == (len(fam), fam.space.n)
+        assert np.array_equal(fam.depths, brute_depths(fam))
+        assert np.array_equal(fam.dist_rows(), brute_dist_rows(fam))
+
+    @pytest.mark.parametrize("fam", oracle_cases())
+    def test_derived_quantities(self, fam):
+        sp, members = fam.space, fam.members
+        seps = [u.dist_sets(v) for i, u in enumerate(members)
+                for v in members[i + 1:]]
+        assert fam.min_separation() == min(seps, default=np.inf)
+        counts = np.zeros(sp.n, dtype=int)
+        for u in members:
+            counts[list(u.indices)] += 1
+        assert fam.multiplicity() == counts.max()
+        assert fam.union_size() == np.count_nonzero(counts)
+        for r in (0.05, 0.3, 1.0, -0.2):
+            hoods = np.zeros(sp.n, dtype=int)
+            for u in members:
+                hoods[list(u.neighborhood(r).indices)] += 1
+            assert fam.r_multiplicity(r) == hoods.max()
+            assert fam.is_r_disjoint(r) == (r <= 0 or hoods.max() <= 1)
+        union = sp.subset(set().union(*(u.indices for u in members)))
+        net = union.dist_to_points().max() if members else np.inf
+        assert fam.net_radius() == net
+
+    @pytest.mark.parametrize("fam", oracle_cases())
+    def test_erosion_and_merge(self, fam):
+        sp = fam.space
+        rng = np.random.default_rng(len(fam) + sp.n)
+        # on integer metrics s = 1 and 2 fall on distances, where < and <=
+        # part ways
+        for s in (0.01, 0.2, 0.7, 1.0, 2.0):
+            want = tuple(v for v in (u.neighborhood(-s) for u in fam)
+                         if not v.is_empty)
+            assert fam.eroded_members(s) == want
+            core = sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
+                                        replace=False))
+            assert star_merge(core, fam, s) == brute_star_merge(core, fam, s)
+
+    def test_shrink_matches_member_erosion(self, arc_cover):
+        _, fam = arc_cover
+        for s in (0.1, 0.35, 0.55):
+            want = [u.neighborhood(-s) for u in fam]
+            assert list(fam.shrink(s).members) == [u for u in want if not u.is_empty]
+
+    def test_empty_family_arrays(self):
+        sp = line_space(4)
+        fam = Family(sp, ())
+        assert fam.indices.shape == (0,)
+        assert fam.depths.shape == fam.dist_rows().shape == (0, 4)
+        assert fam.net_radius() == np.inf
+        assert not fam.covers()
+
+    def test_csr_layout(self):
+        sp = line_space(6)
+        fam = Family(sp, (sp.subset([4, 1]), sp.subset([0]), sp.whole()))
+        assert fam.indptr.tolist() == [0, 2, 3, 9]
+        for i, u in enumerate(fam):
+            assert set(fam.indices[fam.indptr[i]:fam.indptr[i + 1]]) == u.indices

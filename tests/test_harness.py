@@ -301,6 +301,15 @@ def _set_report(keys, value):
     return edit
 
 
+def _scale_dist(factor):
+    """Edit for space.json: scale every distance, which keeps it a metric."""
+    def edit(text):
+        data = json.loads(text)
+        data["dist"] = [[factor * x for x in row] for row in data["dist"]]
+        return json.dumps(data)
+    return edit
+
+
 class TestVerifyTamper:
     """verify replays the certification stages on the stored ladder and
     compares every certified file, so an edit to any of them must fail it."""
@@ -318,8 +327,8 @@ class TestVerifyTamper:
     def test_untouched_bundle_passes(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys)
         assert rc == 0
-        for name in ("trees", "embedding", "qi", "radial", "sphere",
-                     "tree_deltas"):
+        for name in ("config", "space", "trees", "embedding", "qi", "radial",
+                     "sphere", "tree_deltas", "log"):
             assert f"[PASS] {name}" in out.out
 
     def test_tree_parent(self, tmp_path, small_bundle, capsys):
@@ -354,8 +363,21 @@ class TestVerifyTamper:
          "[FAIL] sphere: qireport.json"),
         ("qireport.json", _set_report(("qi", "details", "dt_values"), 99),
          "[FAIL] qi: qireport.json"),
+        ("config.json", _set_report(("depth",), 7), "[FAIL] config"),
+        ("config.json", _set_report(("r",), 0.5), "[FAIL] config"),
+        ("config.json", _set_report(("colors",), 3), "[FAIL] config"),
+        ("config.json", _set_report(("params", "n"), 12),
+         "[FAIL] space: regenerated from config.json"),
+        ("config.json", _set_report(("params", "spacing"), 1.0),
+         "[FAIL] space: config.json generates no space"),
+        ("space.json", _scale_dist(2.0), "[FAIL] space: regenerated"),
+        ("log.txt", lambda text: "generate: kind=circle n=96\n", "[FAIL] log"),
+        ("log.txt", lambda text: text.replace("fit_qi: lam=", "fit_qi: lam=1"),
+         "[FAIL] log"),
     ], ids=["ref_member", "t", "point_id", "radial.checks", "sphere.max_ratio",
-            "qi.details"])
+            "qi.details", "config.depth", "config.r", "config.colors",
+            "config.params.n", "config.params.unknown", "space.dist", "log.one_line",
+            "log.fit_qi"])
     def test_certified_field(self, tmp_path, small_bundle, capsys, name, edit,
                              fail_line):
         rc, out = self._verify(tmp_path, small_bundle, capsys, name, edit)

@@ -93,6 +93,22 @@ class TestSpaceProperties:
         assert sub.diameter() == 4.0
 
 
+class TestNeighborOrder:
+    def test_rows_sorted_with_self_first(self):
+        sp = generate("circle", n=12)
+        order = sp.neighbor_order
+        assert order.dtype == np.int32
+        assert np.array_equal(order[:, 0], np.arange(12))
+        for x in range(12):
+            assert np.all(np.diff(sp.dist[x, order[x]]) >= 0)
+            assert sorted(order[x]) == list(range(12))
+
+    def test_ties_by_index(self):
+        # on a circle each point has two neighbors at every distance
+        sp = generate("circle", n=8)
+        assert sp.neighbor_order[3].tolist() == [3, 2, 4, 1, 5, 0, 6, 7]
+
+
 class TestNeighborhoods:
     def test_open_ball_strict(self):
         sp = line_space(11)

@@ -235,7 +235,3 @@ class TestVisualCircle:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError, match="at least 2"):
             visual_metric_circle(1)
-
-    def test_rejects_other_base(self):
-        with pytest.raises(ValueError, match="base"):
-            visual_metric_circle(8, base_at_center=False)

@@ -172,6 +172,78 @@ class TestAncestorTable:
                 assert tree.steps_to_level(u, i) == hops
 
 
+def scalar_parents(seq, color):
+    """The parent rule one node at a time: the member at the greatest lower
+    level that contains the node, the root if none does.  Returns the
+    parent list, or the ambiguity message of the first node that fits
+    several members at its level."""
+    nodes = [(0, frozenset(range(seq.space.n)))]
+    for j in range(1, seq.depth + 1):
+        nodes += [(j, u.indices) for u in seq.level(j).colors[color]]
+    parent = [-1]
+    for j, mem in nodes[1:]:
+        chosen = 0
+        for jc in range(j - 1, 0, -1):
+            cands = [c for c, (lc, m) in enumerate(nodes) if lc == jc and mem <= m]
+            if len(cands) > 1:
+                first = min(c for c, (lc, _) in enumerate(nodes) if lc == j)
+                return (f"ambiguous containment at level {j} color {color}: "
+                        f"member {len(parent) - first} fits {len(cands)} "
+                        f"level-{jc} members")
+            if cands:
+                chosen = cands[0]
+                break
+        parent.append(chosen)
+    return parent
+
+
+def built_parents(seq, color):
+    try:
+        return build_tree(seq, color).parent.tolist()
+    except TreeError as e:
+        return str(e)
+
+
+def line_ladder(*levels):
+    """Ladder on 10 line points: color 0 as given per level, color 1 all
+    singletons so that every level covers."""
+    coords = np.arange(10, dtype=float)
+    sp = FiniteMetricSpace(np.abs(coords[:, None] - coords[None, :]),
+                           tuple(f"x{i}" for i in range(10)))
+    singles = Family(sp, tuple(sp.subset([i]) for i in range(10)))
+    return CharSequence(sp, 0.5, tuple(
+        ColoredCovering(sp, (Family(sp, tuple(sp.subset(m) for m in members)),
+                             singles))
+        for members in levels), 0.1, 0.1, 0.0, {})
+
+
+class TestParentsAgainstScalar:
+    def test_built_ladders(self, small__seq):
+        cascade = separate(build_base(generate("random_circle", n=60, seed=0),
+                                      r=0.25, depth=3, colors=2))
+        greedy = separate(build_base(generate("interval", n=120), r=0.125,
+                                     depth=2, colors=5, strategy="generic_greedy",
+                                     allow_more_colors=True))
+        for seq in (small__seq, cascade, greedy):
+            for a in range(seq.n_colors):
+                assert built_parents(seq, a) == scalar_parents(seq, a)
+
+    def test_skipped_levels(self):
+        seq = line_ladder([[0, 1, 2, 3], [4, 5, 6]], [[0, 1], [7, 8]],
+                          [[0], [4], [8], [9]])
+        assert built_parents(seq, 0) == scalar_parents(seq, 0)
+
+    def test_first_ambiguous_node_is_reported(self):
+        # {4} at level 3 fits both level-1 members; {6}, a later node, fits
+        # both of its level-2 supersets, which a level-by-level scan meets first
+        seq = line_ladder([range(0, 5), range(4, 10)], [[0, 1], [5, 6], [6, 7]],
+                          [[4], [6]])
+        want = scalar_parents(seq, 0)
+        assert want == ("ambiguous containment at level 3 color 0: "
+                        "member 0 fits 2 level-1 members")
+        assert built_parents(seq, 0) == want
+
+
 class TestAmbiguity:
     def test_overlapping_parents_rejected(self):
         coords = np.arange(10, dtype=float)
@@ -262,6 +334,84 @@ class TestRadial:
         emb = ProductEmbedding(grid=grid, trees=small_trees, table=table)
         with pytest.raises(RadialCheckError, match=r"level=3\) reaches level 0"):
             radial_check(emb)
+
+
+def scalar_radial_check(emb):
+    """The climb test one (grid point, target level) at a time."""
+    m = emb.n_trees
+    checks, max_m = 0, 0
+    for idx in range(1, emb.grid.n_points):
+        j = int(emb.grid.point_level[idx])
+        z = int(emb.grid.point_z[idx])
+        for i in range(j):
+            steps = max(tree.steps_to_level(int(emb.table[idx, a]), i)
+                        for a, tree in enumerate(emb.trees))
+            checks += 1
+            max_m = max(max_m, steps)
+            if m * (steps + 1) < j - i + 1:
+                raise RadialCheckError(
+                    f"grid point (z={z}, level={j}) reaches level {i} in "
+                    f"{steps} hops: {m}*({steps}+1) < {j - i + 1}"
+                )
+    return {"checks": checks, "max_steps": max_m, "failures": 0}
+
+
+def outcome(check, emb):
+    try:
+        return check(emb)
+    except RadialCheckError as e:
+        return str(e)
+
+
+class TestRadialAgainstScalar:
+    def test_embedded_grid(self, small__seq, small_trees):
+        grid = build_grid(small__seq.space, 0.125, 3)
+        emb = embed_grid(small__seq, grid, small_trees)
+        assert radial_check(emb) == scalar_radial_check(emb)
+
+    def test_perturbed_tables(self, small__seq, small_trees):
+        grid = build_grid(small__seq.space, 0.125, 3)
+        base = embed_grid(small__seq, grid, small_trees).table
+        rng = np.random.default_rng(3)
+        failed = 0
+        for trial in range(30):
+            table = base.copy()
+            rows = rng.integers(1, grid.n_points, size=trial % 4)
+            for a, tree in enumerate(small_trees):
+                table[rows, a] = rng.integers(0, tree.n_nodes, size=rows.size)
+            emb = ProductEmbedding(grid=grid, trees=small_trees, table=table)
+            want = outcome(scalar_radial_check, emb)
+            assert outcome(radial_check, emb) == want
+            failed += isinstance(want, str)
+        assert 0 < failed < 30  # both outcomes are exercised
+
+    def test_deep_ladder(self):
+        sp = generate("circle", n=24)
+        seq = separate(build_base(sp, r=0.125, depth=6, colors=2))
+        trees = tuple(build_tree(seq, a) for a in (0, 1))
+        emb = embed_grid(seq, build_grid(sp, 0.125, 6), trees)
+        assert radial_check(emb) == scalar_radial_check(emb)
+
+
+class TestEmbedAgainstScalar:
+    def test_table_matches_embed_point(self, small__seq, small_trees):
+        grid = build_grid(small__seq.space, 0.125, 3)
+        emb = embed_grid(small__seq, grid, small_trees)
+        for idx in range(1, grid.n_points):
+            z, j = int(grid.point_z[idx]), int(grid.point_level[idx])
+            for a, tree in enumerate(small_trees):
+                assert emb.table[idx, a] == embed_point(tree, z, j)
+
+    def test_cascade_ladder(self):
+        sp = generate("random_circle", n=60, seed=0)
+        seq = separate(build_base(sp, r=0.25, depth=3, colors=2))
+        trees = tuple(build_tree(seq, a) for a in (0, 1))
+        grid = build_grid(sp, 0.25, 3)
+        table = embed_grid(seq, grid, trees).table
+        for idx in range(1, grid.n_points):
+            z, j = int(grid.point_z[idx]), int(grid.point_level[idx])
+            for a, tree in enumerate(trees):
+                assert table[idx, a] == embed_point(tree, z, j)
 
 
 class TestRoughTriangle:
