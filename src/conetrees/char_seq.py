@@ -4,14 +4,15 @@ A base sequence assigns to each level j = 1..depth a colored covering with
 mesh at most r**j, per-color disjointness, inner balls, and per-color nets,
 all at scale r**j.  The separation cascade then rewrites coarser levels so
 that every member either swallows or avoids each finer member, which is the
-property the tree construction needs.  All quality constants (delta, lam,
-gamma) are measured on the finished object, never assumed.
+property the tree construction needs.  Each ladder measures its quality
+constants (delta, lam, gamma) once, on its finished levels, never assumed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +34,10 @@ class PropertyCheck:
     passed: bool
     value: float
     bound: float
-    detail: str = ""
 
     def __repr__(self):
         tag = "[PASS]" if self.passed else "[FAIL]"
-        return f"{tag} {self.name}: value={self.value:.6g} bound={self.bound:.6g} {self.detail}"
+        return f"{tag} {self.name}: value={self.value:.6g} bound={self.bound:.6g}"
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,16 @@ class PropertyReport:
 @dataclass(frozen=True, eq=False)
 class CharSequence:
     """Levels j = 1..depth of colored coverings at scales r**j: the base
-    ladder, or the separated one, which adds a measured separation quality
-    gamma (None on a base ladder).  For same-color members U at level j
-    and U' at level j' <= j of a separated ladder, the open gamma*r**j
-    neighborhood of U either misses U' or sits inside it, and every U'
-    contains such a neighborhood of some level-j member."""
+    ladder, or the separated one, whose provenance records the cascade and
+    which adds a measured separation quality gamma (None on a base ladder).
+    For same-color members U at level j and U' at level j' <= j of a
+    separated ladder, the open gamma*r**j neighborhood of U either misses U'
+    or sits inside it, and every U' contains such a neighborhood of some
+    level-j member.  ``provenance`` holds the build records."""
 
     space: FiniteMetricSpace
     r: float
     levels: tuple[ColoredCovering, ...]
-    delta: float
-    lam: float
-    gamma: float | None = None
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -92,6 +90,15 @@ class CharSequence:
         if not 1 <= j <= self.depth:
             raise IndexError(f"level {j} outside 1..{self.depth}")
         return self.levels[j - 1]
+
+    @cached_property
+    def measurement(self) -> dict:
+        """The ladder's constants and the stats they come from; see `_measure`."""
+        return _measure(self)
+
+    delta = property(lambda self: self.measurement["delta"])
+    lam = property(lambda self: self.measurement["lam"])
+    gamma = property(lambda self: self.measurement["gamma"])
 
     def __repr__(self):
         gamma = "" if self.gamma is None else f", gamma={self.gamma:.4g}"
@@ -356,12 +363,14 @@ def _level_stats(cov: ColoredCovering, scale: float) -> dict:
     pooled = cov.pooled
     mesh = pooled.mesh
     leb = pooled.lebesgue()
-    sep = min(f.min_separation() for f in cov.colors)
+    # whole, singleton and component levels share one family among colors
+    fams = list({id(f): f for f in cov.colors}.values())
+    sep = min(f.min_separation() for f in fams)
     inner = min(
-        (float(f.inner_radii().min()) for f in cov.colors if len(f)),
+        (float(f.inner_radii().min()) for f in fams if len(f)),
         default=np.inf,
     )
-    net = max(f.net_radius() for f in cov.colors)
+    net = max(f.net_radius() for f in fams)
     return {
         "scale": scale,
         "members": [len(f) for f in cov.colors],
@@ -374,19 +383,21 @@ def _level_stats(cov: ColoredCovering, scale: float) -> dict:
     }
 
 
-def _measure(levels: tuple[ColoredCovering, ...], r: float) -> tuple[float, float, list[dict]]:
-    """Return (delta_hat, lam_hat, per-level stats).
+def _measure(seq: CharSequence) -> dict:
+    """Measure a ladder: delta, lam, gamma, the per-level stats ("levels")
+    and, on a separated ladder, the "gamma_records".
 
-    delta_hat is the min over levels of lebesgue, per-color separation, and
+    delta is the min over levels of lebesgue, per-color separation, and
     per-color inner radius, each in units of r**j; the lebesgue clause is
-    vacuous at mesh-0 levels.  lam_hat is the max over levels of per-color
-    net radius in the same units.
+    vacuous at mesh-0 levels.  lam is the max over levels of per-color net
+    radius in the same units.  gamma comes from `separation_margins` and is
+    None on a base ladder.
     """
     stats = []
     delta_hat = np.inf
     lam_hat = 0.0
-    for i, cov in enumerate(levels):
-        scale = r ** (i + 1)
+    for j, cov in enumerate(seq.levels, 1):
+        scale = seq.scale(j)
         st = _level_stats(cov, scale)
         stats.append(st)
         terms = [st["separation"], st["inner_radius"]]
@@ -398,13 +409,19 @@ def _measure(levels: tuple[ColoredCovering, ...], r: float) -> tuple[float, floa
         lam_hat = max(lam_hat, st["net_radius"] / scale)
     if not np.isfinite(delta_hat):
         delta_hat = 1.0
-    return float(delta_hat), float(lam_hat), stats
+    out = {"delta": float(delta_hat), "lam": float(lam_hat), "gamma": None,
+           "levels": stats}
+    if "cascade" in seq.provenance:  # a separated ladder
+        out["gamma"], out["gamma_records"] = separation_margins(
+            seq.space, seq.levels, seq.r)
+    return out
 
 
 def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
                delta_target: float | None = None, strategy: str = "auto",
                allow_more_colors: bool = False) -> CharSequence:
-    """Build levels j = 1..depth at scales r**j and measure their constants."""
+    """Build levels j = 1..depth at scales r**j; with delta_target set, the
+    measured delta must reach it."""
     if not 0 < r < 1:
         raise LadderConstructionError(f"ratio must be in (0, 1), got {r}")
     if depth < 1:
@@ -424,17 +441,15 @@ def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
                 fams = [cov.colors[a % cov.n_colors] for a in range(n_colors)]
                 fixed.append(ColoredCovering(space, tuple(fams)))
         levels = tuple(fixed)
-    delta_hat, lam_hat, stats = _measure(levels, r)
-    if delta_target is not None and delta_hat < delta_target:
-        raise LadderConstructionError(
-            f"measured delta {delta_hat:.6g} below target {delta_target:.6g}"
-        )
-    prov = {
+    seq = CharSequence(space, r, levels, {
         "strategy": _pick_strategy(space, strategy),
-        "levels": stats,
         "delta_target": delta_target,
-    }
-    return CharSequence(space, r, levels, delta_hat, lam_hat, provenance=prov)
+    })
+    if delta_target is not None and seq.delta < delta_target:
+        raise LadderConstructionError(
+            f"measured delta {seq.delta:.6g} below target {delta_target:.6g}"
+        )
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +528,7 @@ def standing_assumptions(r: float, delta: float, lam: float) -> list[str]:
 
 
 def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSequence:
-    """Run the merge cascade over a base sequence and measure the result.
+    """Run the merge cascade over a base sequence.
 
     Stage k folds base level k in: every coarser member is eroded by a moat,
     absorbs the fine members its grown core touches, and grows back by a
@@ -522,7 +537,7 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
 
     With enforce_assumptions the standing hypotheses guaranteeing the traced
     margins must hold, otherwise violations are recorded and the cascade
-    proceeds; the returned gamma is measured either way.
+    proceeds; the returned ladder's gamma is measured either way.
     """
     r = base.r
     delta_use = min(base.delta, 2 / 3)
@@ -576,9 +591,7 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
                        for per_color in current)
     except CoveringError as e:
         raise LadderConstructionError(f"cascade destroyed a level: {e}") from e
-    delta_fin, lam_fin, stats = _measure(levels, r)
-    gamma_hat, gamma_records = separation_margins(base.space, levels, r)
-    prov = {
+    return CharSequence(base.space, r, levels, {
         "base_delta": base.delta,
         "base_lam": base.lam,
         "delta_used": delta_use,
@@ -587,58 +600,22 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
         "cascade": cascade,
         "dropped_members": drops,
         "gamma_trace": margin_trace(r, delta_use, base.depth),
-        "gamma_records": gamma_records,
-        "levels": stats,
-        "base_provenance": base.provenance,
-    }
-    return CharSequence(base.space, r, levels, delta_fin, lam_fin, gamma_hat, prov)
+        "base_provenance": {**base.provenance,
+                            "levels": base.measurement["levels"]},
+    })
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def _sequence_checks(seq, gamma: float | None) -> list[PropertyCheck]:
-    checks = []
-    tol = 1e-9
-    for j in range(1, seq.depth + 1):
-        cov = seq.level(j)
-        scale = seq.scale(j)
-        st = _level_stats(cov, scale)
-        checks.append(PropertyCheck(
-            f"mesh[{j}]", st["mesh"] <= scale * (1 + tol), st["mesh"], scale))
-        covered = cov.pooled.union_size()
-        checks.append(PropertyCheck(
-            f"covers[{j}]", covered == seq.space.n, covered, seq.space.n))
-        bound = seq.delta * scale
-        if st["mesh"] > 0:
-            checks.append(PropertyCheck(
-                f"lebesgue[{j}]", st["lebesgue"] >= bound * (1 - tol),
-                st["lebesgue"], bound))
-        if np.isfinite(st["separation"]):
-            checks.append(PropertyCheck(
-                f"separation[{j}]", st["separation"] >= bound * (1 - tol),
-                st["separation"], bound))
-        if np.isfinite(st["inner_radius"]):
-            checks.append(PropertyCheck(
-                f"inner_radius[{j}]", st["inner_radius"] >= bound * (1 - tol),
-                st["inner_radius"], bound))
-        lam_bound = seq.lam * scale
-        checks.append(PropertyCheck(
-            f"net_radius[{j}]", st["net_radius"] <= lam_bound * (1 + tol) + 1e-300,
-            st["net_radius"], lam_bound))
-    if gamma is not None:
-        measured, _ = separation_margins(seq.space, seq.levels, seq.r)
-        checks.append(PropertyCheck(
-            "gamma", measured >= gamma * (1 - tol), measured, gamma))
-    return checks
-
-
-def verify_base(seq: CharSequence) -> PropertyReport:
-    """Re-measure a base sequence against its recorded constants."""
-    return PropertyReport(tuple(_sequence_checks(seq, gamma=None)))
-
-
 def verify_char_seq(seq: CharSequence) -> PropertyReport:
-    """Re-measure a separated sequence, including its dichotomy margins."""
-    return PropertyReport(tuple(_sequence_checks(seq, gamma=seq.gamma)))
+    """Check each level's measured mesh against r**j, which the cascade can
+    break; `ColoredCovering` enforces coverage on construction."""
+    return PropertyReport(tuple(
+        PropertyCheck(f"mesh[{j}]", st["mesh"] <= st["scale"] * (1 + 1e-9),
+                      st["mesh"], st["scale"])
+        for j, st in enumerate(seq.measurement["levels"], 1)))
+
+
+verify_base = verify_char_seq

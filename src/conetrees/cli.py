@@ -3,11 +3,12 @@ pipeline, and re-verify written bundles.
 
 `verify` checks the stored config against the stored ladder and space
 (r, depth and colors must match; the config's generator must reproduce
-`space.json`), re-measures the ladder, then runs `harness.certify`, the
-pipeline's own stage code, on it with the stored config.  It compares the
-replay with every certified file: each `tree_<a>.csv` and `embedding.csv`
-byte for byte, each top-level section of `qireport.json` for equality, and
-the last lines of `log.txt` with the replayed stage lines.
+`space.json`), measures the stored ladder once, checks its mesh and
+compares every measured entry of `charseq.json` with the measurement.  It
+runs `harness.certify`, the pipeline's own stage code, on the ladder with
+the stored config and compares the replay with every certified file: each
+`tree_<a>.csv` and `embedding.csv` byte for byte, each top-level section of
+`qireport.json` for equality, and `log.txt` from `separate:` on.
 
 Output locations default to the CONETREES_OUT environment variable when a
 flag is omitted.  Exit status is 0 on success, 1 on any failure.
@@ -34,6 +35,7 @@ from .harness import (
     generate,
     generator_params,
     run_pipeline,
+    separate_line,
 )
 
 # Not called here: bench/child.py's tracer wraps these names of this module.
@@ -167,7 +169,10 @@ def _cmd_verify(args) -> int:
     rep = verify_char_seq(seq)
     check("charseq", rep.passed,
           "" if rep.passed else rep.summary().replace("\n", " | "))
-    log: list[str] = []
+    for key, value in seq.measurement.items():
+        check(f"charseq.{key}", value == bundle["measured"][key],
+              "charseq.json")
+    log = [separate_line(seq)]
     try:
         got = certify(seq, config.tree_delta_check, log)
     except StageError as e:

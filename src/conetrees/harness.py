@@ -275,6 +275,12 @@ def sphere_ratio_check(grid: ConeGrid) -> dict:
     return {"min_ratio": lo, "max_ratio": hi, "bound": c_bound, "passed": passed}
 
 
+def separate_line(charseq: CharSequence) -> str:
+    """The `separate:` log line: the separated ladder's measured constants."""
+    return (f"separate: delta={charseq.delta:.6g} lam={charseq.lam:.6g} "
+            f"gamma={charseq.gamma:.6g}")
+
+
 def certify(charseq: CharSequence, tree_delta_check: bool,
             log: list[str]) -> dict:
     """The certification tail shared by `run_pipeline` and `conetrees
@@ -358,8 +364,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     rep = verify_char_seq(charseq)
     if not rep.passed:
         raise StageError("separate", rep.summary())
-    log.append(f"separate: delta={charseq.delta:.6g} lam={charseq.lam:.6g} "
-               f"gamma={charseq.gamma:.6g}")
+    log.append(separate_line(charseq))
     certified = certify(charseq, config.tree_delta_check, log)
     result = PipelineResult(
         config=config, space=space, base=base, charseq=charseq, **certified,

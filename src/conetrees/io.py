@@ -80,20 +80,27 @@ def _levels_payload(seq) -> list:
 
 
 def write_charseq(path, seq: CharSequence) -> None:
+    m = seq.measurement
     _write_text(path, dumps_canonical({
         "r": seq.r,
         "depth": seq.depth,
         "colors": seq.n_colors,
-        "delta": seq.delta,
-        "lam": seq.lam,
-        "gamma": seq.gamma,
+        "delta": m["delta"],
+        "lam": m["lam"],
+        "gamma": m["gamma"],
         "levels": _levels_payload(seq),
-        "provenance": seq.provenance,
+        "provenance": {**seq.provenance, **{
+            k: m[k] for k in ("levels", "gamma_records") if k in m}},
     }))
 
 
-def read_charseq(path, space: FiniteMetricSpace) -> CharSequence:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
+def stored_measurement(d: dict) -> dict:
+    """charseq.json's measured entries, keyed like `CharSequence.measurement`."""
+    return {**{k: d[k] for k in ("delta", "lam", "gamma")},
+            **{k: d["provenance"].get(k) for k in ("levels", "gamma_records")}}
+
+
+def _charseq(d: dict, space: FiniteMetricSpace) -> CharSequence:
     levels = []
     for per_color in d["levels"]:
         fams = tuple(
@@ -101,15 +108,17 @@ def read_charseq(path, space: FiniteMetricSpace) -> CharSequence:
             for members in per_color
         )
         levels.append(ColoredCovering(space, fams))
-    return CharSequence(
-        space=space,
-        r=float(d["r"]),
-        levels=tuple(levels),
-        delta=float(d["delta"]),
-        lam=float(d["lam"]),
-        gamma=float(d["gamma"]),
-        provenance=d.get("provenance", {}),
-    )
+    prov = {k: v for k, v in d["provenance"].items()
+            if k not in ("levels", "gamma_records")}
+    if "cascade" not in prov:
+        raise ValueError("charseq.json holds no separated ladder: its "
+                         "provenance has no cascade")
+    return CharSequence(space, float(d["r"]), tuple(levels), prov)
+
+
+def read_charseq(path, space: FiniteMetricSpace) -> CharSequence:
+    """The separated ladder at path: its levels and build records only."""
+    return _charseq(json.loads(Path(path).read_text(encoding="utf-8")), space)
 
 
 def render_tree(tree) -> str:
@@ -189,14 +198,16 @@ def write_bundle(outdir, result) -> Path:
 
 
 def read_bundle(outdir) -> dict:
-    """Load the parts of a bundle needed to re-verify it: config, ladder and
-    report parsed, the tree and embedding files as raw bytes, the log as
-    lines."""
+    """Load the parts of a bundle needed to re-verify it: config, ladder,
+    its stored measurement and report parsed, the tree and embedding files
+    as raw bytes, the log as lines."""
     out = Path(outdir)
-    charseq = read_charseq(out / "charseq.json", read_space(out / "space.json"))
+    stored = json.loads((out / "charseq.json").read_text(encoding="utf-8"))
+    charseq = _charseq(stored, read_space(out / "space.json"))
     return {
         "config": json.loads((out / "config.json").read_text(encoding="utf-8")),
         "charseq": charseq,
+        "measured": stored_measurement(stored),
         "trees": tuple((out / f"tree_{a}.csv").read_bytes()
                        for a in range(charseq.n_colors)),
         "embedding": (out / "embedding.csv").read_bytes(),

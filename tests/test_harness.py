@@ -13,6 +13,7 @@ from conetrees import (
     PipelineConfig,
     StageError,
     capacity_profile,
+    char_seq,
     generate,
     run_pipeline,
     sphere_ratio_check,
@@ -289,16 +290,22 @@ def _last_row_edit(column, change=lambda cell: str(int(cell) - 1)):
     return edit
 
 
-def _set_report(keys, value):
-    """Edit for qireport.json: set the entry at a path of keys."""
+def _edit_entry(keys, change):
+    """Edit for a JSON bundle file: replace the entry at a path of keys by
+    change(entry)."""
     def edit(text):
         data = json.loads(text)
         node = data
         for key in keys[:-1]:
             node = node[key]
-        node[keys[-1]] = value
+        node[keys[-1]] = change(node.get(keys[-1]))
         return json.dumps(data)
     return edit
+
+
+def _set_report(keys, value):
+    """Edit for a JSON bundle file: set the entry at a path of keys."""
+    return _edit_entry(keys, lambda _: value)
 
 
 def _scale_dist(factor):
@@ -327,8 +334,10 @@ class TestVerifyTamper:
     def test_untouched_bundle_passes(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys)
         assert rc == 0
-        for name in ("config", "space", "trees", "embedding", "qi", "radial",
-                     "sphere", "tree_deltas", "log"):
+        for name in ("config", "space", "charseq", "charseq.delta",
+                     "charseq.lam", "charseq.gamma", "charseq.levels",
+                     "charseq.gamma_records", "trees", "embedding", "qi",
+                     "radial", "sphere", "tree_deltas", "log"):
             assert f"[PASS] {name}" in out.out
 
     def test_tree_parent(self, tmp_path, small_bundle, capsys):
@@ -374,18 +383,69 @@ class TestVerifyTamper:
         ("log.txt", lambda text: "generate: kind=circle n=96\n", "[FAIL] log"),
         ("log.txt", lambda text: text.replace("fit_qi: lam=", "fit_qi: lam=1"),
          "[FAIL] log"),
+        ("log.txt", lambda text: text.replace(" gamma=", " gamma=1"),
+         "[FAIL] log"),
+        ("charseq.json", _edit_entry(("delta",), lambda x: x / 2),
+         "[FAIL] charseq.delta: charseq.json"),
+        ("charseq.json", _edit_entry(("gamma",), lambda x: x / 2),
+         "[FAIL] charseq.gamma: charseq.json"),
+        # every color of this ladder covers, so lam is 0 and doubling it
+        # would change nothing
+        ("charseq.json", _edit_entry(("lam",), lambda x: 2 * x + 1),
+         "[FAIL] charseq.lam: charseq.json"),
+        ("charseq.json", _edit_entry(("provenance", "levels", 0, "separation"),
+                                     lambda x: x * 2),
+         "[FAIL] charseq.levels: charseq.json"),
+        ("charseq.json", _set_report(("provenance", "gamma_records"), []),
+         "[FAIL] charseq.gamma_records: charseq.json"),
     ], ids=["ref_member", "t", "point_id", "radial.checks", "sphere.max_ratio",
             "qi.details", "config.depth", "config.r", "config.colors",
             "config.params.n", "config.params.unknown", "space.dist", "log.one_line",
-            "log.fit_qi"])
+            "log.fit_qi", "log.separate", "charseq.delta", "charseq.gamma",
+            "charseq.lam", "charseq.provenance.levels",
+            "charseq.provenance.gamma_records"])
     def test_certified_field(self, tmp_path, small_bundle, capsys, name, edit,
                              fail_line):
         rc, out = self._verify(tmp_path, small_bundle, capsys, name, edit)
         assert rc == 1
         assert fail_line in out.out
 
+    def test_ladder_without_cascade_refused(self, tmp_path, small_bundle,
+                                            capsys):
+        def drop_cascade(text):
+            data = json.loads(text)
+            del data["provenance"]["cascade"]
+            return json.dumps(data)
+        rc, out = self._verify(tmp_path, small_bundle, capsys, "charseq.json",
+                               drop_cascade)
+        assert rc == 1
+        assert "holds no separated ladder" in out.err
+
     def test_unknown_config_key_refused(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys, "config.json",
                                _set_report(("product_mode",), "l1"))
         assert rc == 1
         assert "unknown config keys: ['product_mode']" in out.err
+
+
+class TestOneMeasurement:
+    """A ladder measures its levels once: the pipeline's base and separated
+    ladders, and verify's re-read ladder."""
+
+    def test_measured_once_per_ladder(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        measure = char_seq._measure
+
+        def counting(seq):
+            calls.append("cascade" in seq.provenance)
+            return measure(seq)
+
+        monkeypatch.setattr(char_seq, "_measure", counting)
+        out = tmp_path / "bundle"
+        run_pipeline(PipelineConfig(generator="circle", params={"n": 48},
+                                    r=0.125, depth=2, colors=2,
+                                    outdir=str(out)))
+        assert calls == [False, True]
+        calls.clear()
+        assert cli_main(["verify", "--bundle", str(out)]) == 0
+        assert calls == [True]

@@ -132,7 +132,7 @@ def skipping_tree():
         level([0, 1, 2, 3], [4, 5, 6]),
         level([0, 1], [7, 8]),
         level([0], [4], [8], [9]),
-    ), 0.1, 0.1, 0.0, {})
+    ))
     return build_tree(seq, 0)
 
 
@@ -214,7 +214,7 @@ def line_ladder(*levels):
     return CharSequence(sp, 0.5, tuple(
         ColoredCovering(sp, (Family(sp, tuple(sp.subset(m) for m in members)),
                              singles))
-        for members in levels), 0.1, 0.1, 0.0, {})
+        for members in levels))
 
 
 class TestParentsAgainstScalar:
@@ -255,7 +255,7 @@ class TestAmbiguity:
         lvl2 = ColoredCovering(sp, (
             Family(sp, tuple(sp.subset([i]) for i in range(10))),
         ))
-        seq = CharSequence(sp, 0.5, (lvl1, lvl2), 0.1, 0.1, 0.0, {})
+        seq = CharSequence(sp, 0.5, (lvl1, lvl2))
         with pytest.raises(TreeError, match="ambiguous"):
             build_tree(seq, 0)
 
@@ -280,7 +280,7 @@ class TestEmbedding:
         lvl = ColoredCovering(sp, (
             Family(sp, (sp.subset([0, 1, 2]), sp.subset([2, 3, 4]))),
         ))
-        seq = CharSequence(sp, 0.5, (lvl,), 0.1, 0.1, 0.0, {})
+        seq = CharSequence(sp, 0.5, (lvl,))
         tree = build_tree(seq, 0)
         # point 2 sits in both members; the first node wins the argmin
         assert embed_point(tree, 2, 1) == min(
