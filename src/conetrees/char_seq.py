@@ -300,13 +300,9 @@ def _greedy_level(space: FiniteMetricSpace, scale: float, m: int,
     return ColoredCovering(space, tuple(Family(space, tuple(c)) for c in colors))
 
 
-_STRATEGIES = ("auto", "circle_arcs", "interval_blocks", "cantor_clopen",
-               "tree_boundary_cylinders", "generic_greedy")
-
-
-def _pick_strategy(space: FiniteMetricSpace, strategy: str) -> str:
-    if strategy != "auto":
-        return strategy
+def _pick_strategy(space: FiniteMetricSpace) -> str:
+    """The level builder for the space's ``meta["kind"]``; a space of no
+    stock kind gets ``generic_greedy``."""
     kind = space.meta.get("kind", "")
     if kind in ("circle", "random_circle", "visual_circle"):
         return "circle_arcs"
@@ -320,10 +316,12 @@ def _pick_strategy(space: FiniteMetricSpace, strategy: str) -> str:
 
 
 def build_level(space: FiniteMetricSpace, scale: float, m: int,
-                strategy: str = "auto", allow_more_colors: bool = False) -> ColoredCovering:
-    """One colored covering with mesh <= scale, by the resolved strategy.
+                allow_more_colors: bool = False) -> ColoredCovering:
+    """One colored covering with mesh <= scale, by the builder that
+    ``space.meta["kind"]`` selects; a space with no kind gets generic_greedy,
+    which with allow_more_colors adds colors rather than refuse.
 
-    Degenerate regimes apply to every strategy: the whole space when the
+    Degenerate regimes apply to every builder: the whole space when the
     scale dominates the diameter, all singletons in every color once the
     scale's depth target drops below the sampling resolution.
     """
@@ -331,11 +329,9 @@ def build_level(space: FiniteMetricSpace, scale: float, m: int,
         raise LadderConstructionError(f"scale must be positive, got {scale}")
     if m < 2:
         raise LadderConstructionError(f"need at least 2 colors, got {m}")
-    if strategy not in _STRATEGIES:
-        raise LadderConstructionError(f"unknown strategy {strategy!r}")
     if space.n == 0:
         raise LadderConstructionError("cannot cover an empty space")
-    resolved = _pick_strategy(space, strategy)
+    resolved = _pick_strategy(space)
     if scale >= space.diameter:
         cov = _shared_level(space, (space.whole(),), m)
     elif space.n == 1 or (m - 1) / (2 * (m + 1)) * scale <= space.min_gap:
@@ -418,31 +414,18 @@ def _measure(seq: CharSequence) -> dict:
 
 
 def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
-               delta_target: float | None = None, strategy: str = "auto",
-               allow_more_colors: bool = False) -> CharSequence:
-    """Build levels j = 1..depth at scales r**j; with delta_target set, the
-    measured delta must reach it."""
+               delta_target: float | None = None) -> CharSequence:
+    """Build levels j = 1..depth at scales r**j, `colors` colors each, by the
+    builder that ``space.meta["kind"]`` selects (generic_greedy for a space
+    with no kind); with delta_target set, the measured delta must reach it."""
     if not 0 < r < 1:
         raise LadderConstructionError(f"ratio must be in (0, 1), got {r}")
     if depth < 1:
         raise LadderConstructionError(f"depth must be >= 1, got {depth}")
-    levels = tuple(
-        build_level(space, r ** j, colors, strategy, allow_more_colors)
-        for j in range(1, depth + 1)
-    )
-    n_colors = max(cov.n_colors for cov in levels)
-    if any(cov.n_colors != n_colors for cov in levels):
-        # pad narrower levels by cycling their classes
-        fixed = []
-        for cov in levels:
-            if cov.n_colors == n_colors:
-                fixed.append(cov)
-            else:
-                fams = [cov.colors[a % cov.n_colors] for a in range(n_colors)]
-                fixed.append(ColoredCovering(space, tuple(fams)))
-        levels = tuple(fixed)
+    levels = tuple(build_level(space, r ** j, colors)
+                   for j in range(1, depth + 1))
     seq = CharSequence(space, r, levels, {
-        "strategy": _pick_strategy(space, strategy),
+        "strategy": _pick_strategy(space),
         "delta_target": delta_target,
     })
     if delta_target is not None and seq.delta < delta_target:
@@ -483,6 +466,7 @@ def separation_margins(space: FiniteMetricSpace, levels: tuple[ColoredCovering, 
     gamma is the largest value such that, with radius gamma * r**j at fine
     level j, every same-color pair at levels j' <= j satisfies the dichotomy
     and every coarser member contains such a neighborhood of a finer member.
+    Colors holding the same fine and coarse families share one computation.
     """
     gamma = np.inf
     records = []
@@ -490,13 +474,16 @@ def separation_margins(space: FiniteMetricSpace, levels: tuple[ColoredCovering, 
     for jf in range(1, len(levels) + 1):
         sf = r ** jf
         for jc in range(1, jf + 1):
+            margins = {}
             for a in range(n_colors):
                 fine = levels[jf - 1].colors[a]
                 coarse = levels[jc - 1].colors[a]
                 if not fine or not coarse:
                     continue
-                pair_min, desc_min = _pair_margins(fine, coarse,
-                                                   same_level=jf == jc)
+                if (fine, coarse) not in margins:
+                    margins[fine, coarse] = _pair_margins(fine, coarse,
+                                                          same_level=jf == jc)
+                pair_min, desc_min = margins[fine, coarse]
                 rec = {"color": a, "fine": jf, "coarse": jc,
                        "pair_margin": pair_min / sf}
                 gamma = min(gamma, pair_min / sf)

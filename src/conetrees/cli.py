@@ -60,9 +60,7 @@ def _gen_params(args) -> dict:
     params = json.loads(args.params) if args.params else {}
     if args.n is not None:
         params["n"] = args.n
-    if getattr(args, "seed", None) is not None and args.kind == "random_circle":
-        params.setdefault("seed", args.seed)
-    return params
+    return generator_params(args.kind, params, args.seed)
 
 
 def _cmd_generate(args) -> int:
@@ -141,7 +139,8 @@ def _cmd_pipeline(args) -> int:
 def _regenerates(config: PipelineConfig, stored) -> tuple[bool, str]:
     """Whether the config's generator and params reproduce the stored space."""
     try:
-        space = generate(config.generator, **generator_params(config))
+        space = generate(config.generator, **generator_params(
+            config.generator, config.params, config.seed))
     except (TypeError, ValueError) as e:
         return False, f"config.json generates no space: {e}"
     same = (np.array_equal(space.dist, stored.dist)
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write an example space")
     g.add_argument("--kind", required=True, choices=GENERATORS)
     g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--params", help="extra generator params as JSON")
     g.add_argument("--out")
     g.set_defaults(func=_cmd_generate)
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--kind", choices=GENERATORS)
     f.add_argument("--space", help="read a space file instead of generating")
     f.add_argument("--n", type=int)
-    f.add_argument("--seed", type=int)
+    f.add_argument("--seed", type=int, default=0)
     f.add_argument("--params", help="extra generator params as JSON")
     f.add_argument("--scales", help="comma-separated scales")
     f.add_argument("--r", type=float, default=0.125)

@@ -43,6 +43,8 @@ from .tree_embed import (
 
 GENERATORS = ("circle", "interval", "cantor", "tree_boundary",
               "random_circle", "visual_circle")
+# Most (scale, color count) evaluations one capacity profile may run.
+PROFILE_BUDGET = 256
 
 
 def _circle(n: int, circumference: float = 2.0 * math.pi) -> FiniteMetricSpace:
@@ -153,10 +155,10 @@ def generate(kind: str, **params) -> FiniteMetricSpace:
 
 
 def capacity_profile(space: FiniteMetricSpace, scales, colors=(2,),
-                     strategy: str = "auto", delta_gate: float = 0.1,
-                     budget: int = 256) -> dict:
-    """Capacity (Lebesgue number over mesh) of single built levels across
-    scales and color counts.
+                     delta_gate: float = 0.1) -> dict:
+    """Capacity (Lebesgue number over mesh) of single levels across scales
+    and color counts, built as `build_level` builds them for the space's
+    kind; a space with no kind gets generic_greedy, which may add colors.
 
     Rows whose mesh falls outside [delta_gate * scale, scale] are marked
     uninformative: the builder degenerated (singletons, or the whole space)
@@ -164,14 +166,13 @@ def capacity_profile(space: FiniteMetricSpace, scales, colors=(2,),
     """
     scales = [float(s) for s in scales]
     colors = [int(m) for m in colors]
-    if len(scales) * len(colors) > budget:
-        raise ValueError(
-            f"{len(scales) * len(colors)} evaluations exceed budget {budget}"
-        )
+    if len(scales) * len(colors) > PROFILE_BUDGET:
+        raise ValueError(f"{len(scales) * len(colors)} evaluations exceed "
+                         f"budget {PROFILE_BUDGET}")
     records = []
     for m in colors:
         for tau in scales:
-            cov = build_level(space, tau, m, strategy, allow_more_colors=True)
+            cov = build_level(space, tau, m, allow_more_colors=True)
             pooled = cov.pooled
             mesh = pooled.mesh
             rec = {
@@ -224,12 +225,12 @@ class PipelineConfig:
         return cls(**d)
 
 
-def generator_params(config: PipelineConfig) -> dict:
-    """The keyword arguments `run_pipeline` passes to `generate`: the
-    config's params, with the config seed as random_circle's default."""
-    params = dict(config.params)
-    if config.generator == "random_circle":
-        params.setdefault("seed", config.seed)
+def generator_params(generator: str, params: dict, seed: int) -> dict:
+    """The keyword arguments to pass to `generate`: params, with seed as
+    random_circle's default seed."""
+    params = dict(params)
+    if generator == "random_circle":
+        params.setdefault("seed", seed)
     return params
 
 
@@ -342,7 +343,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     t0 = time.perf_counter()
     log: list[str] = []
     try:
-        space = generate(config.generator, **generator_params(config))
+        space = generate(config.generator, **generator_params(
+            config.generator, config.params, config.seed))
     except (ValueError, MetricError) as e:
         raise StageError("generate", str(e)) from e
     log.append(f"generate: kind={config.generator} n={space.n} "

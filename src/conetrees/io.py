@@ -101,13 +101,27 @@ def stored_measurement(d: dict) -> dict:
 
 
 def _charseq(d: dict, space: FiniteMetricSpace) -> CharSequence:
+    """The ladder of a parsed charseq.json, which must hold exactly the keys
+    `write_charseq` writes and whose levels must agree with its `depth` and
+    `colors`.  Colors of a level with equal member lists share one
+    `Family`, as built levels do."""
+    keys = {"r", "depth", "colors", "delta", "lam", "gamma", "levels",
+            "provenance"}
+    if set(d) != keys:
+        raise ValueError(f"charseq.json has unknown keys {sorted(set(d) - keys)}"
+                         f" and lacks keys {sorted(keys - set(d))}")
+    if (len(d["levels"]) != d["depth"]
+            or any(len(per_color) != d["colors"] for per_color in d["levels"])):
+        raise ValueError(f"charseq.json's depth={d['depth']} and "
+                         f"colors={d['colors']} disagree with its levels")
     levels = []
     for per_color in d["levels"]:
-        fams = tuple(
-            Family(space, tuple(space.subset(m) for m in members))
-            for members in per_color
-        )
-        levels.append(ColoredCovering(space, fams))
+        fams = {}
+        for members in per_color:
+            if str(members) not in fams:
+                fams[str(members)] = Family(space, tuple(map(space.subset, members)))
+        levels.append(ColoredCovering(space, tuple(fams[str(m)]
+                                                   for m in per_color)))
     prov = {k: v for k, v in d["provenance"].items()
             if k not in ("levels", "gamma_records")}
     if "cascade" not in prov:

@@ -142,9 +142,8 @@ def _sigma_curve(ds_by_dt_min: dict, ds_by_dt_max: dict, lambdas: np.ndarray) ->
     return np.maximum(sig, 0.0)
 
 
-def fit_qi(ds: np.ndarray, dt: np.ndarray,
-           lambdas: np.ndarray | None = None) -> QIReport:
-    """Fit dt into [ds/lam - sigma, lam*ds + sigma] over a lambda grid.
+def fit_qi(ds: np.ndarray, dt: np.ndarray) -> QIReport:
+    """Fit dt into [ds/lam - sigma, lam*ds + sigma] over LAMBDA_GRID.
 
     ds are source distances, dt target distances, as flat aligned arrays.
     When dt takes few distinct values (integer tree metrics), only the
@@ -157,9 +156,6 @@ def fit_qi(ds: np.ndarray, dt: np.ndarray,
         raise ValueError("ds and dt must align")
     if ds.size == 0:
         raise ValueError("cannot fit an empty pair set")
-    if lambdas is None:
-        lambdas = LAMBDA_GRID
-    lambdas = np.asarray(lambdas, dtype=float)
     values, inverse = np.unique(np.asarray(dt, dtype=float), return_inverse=True)
     lo = np.full(len(values), np.inf)
     hi = np.full(len(values), -np.inf)
@@ -167,9 +163,9 @@ def fit_qi(ds: np.ndarray, dt: np.ndarray,
     np.maximum.at(hi, inverse, ds)
     by_min = {float(v): float(l) for v, l in zip(values, lo)}
     by_max = {float(v): float(h) for v, h in zip(values, hi)}
-    curve = _sigma_curve(by_min, by_max, lambdas)
+    curve = _sigma_curve(by_min, by_max, LAMBDA_GRID)
     best = int(curve.argmin())
-    lam = float(lambdas[best])
+    lam = float(LAMBDA_GRID[best])
     sigma = float(curve[best])
     dtf = dt.astype(float)
     tol = 1e-9 * (1.0 + sigma + lam)
@@ -180,7 +176,8 @@ def fit_qi(ds: np.ndarray, dt: np.ndarray,
         n_pairs=int(ds.size),
         violations=int(np.count_nonzero(bad)),
         details={
-            "lambda_grid": [float(lambdas[0]), float(lambdas[-1]), len(lambdas)],
+            "lambda_grid": [float(LAMBDA_GRID[0]), float(LAMBDA_GRID[-1]),
+                            len(LAMBDA_GRID)],
             "dt_values": len(values),
             "sigma_upper": float(np.max(dtf - lam * ds)),
             "sigma_lower": float(np.max(ds / lam - dtf)),

@@ -16,6 +16,7 @@ from conetrees import (
     ast_shrink,
     build_base,
     build_level,
+    char_seq,
     margin_trace,
     separate,
     separation_margins,
@@ -25,6 +26,12 @@ from conetrees import (
 )
 from conetrees.char_seq import _pair_margins
 from conetrees.harness import generate
+
+
+def without_kind(sp):
+    """The same points and distances with no meta, so no stock kind: the
+    level builder falls back to generic_greedy."""
+    return FiniteMetricSpace(sp.dist, sp.point_ids)
 
 
 def line_space(n=41, spacing=1.0):
@@ -159,16 +166,27 @@ class TestBuildLevel:
                 assert cov.mesh <= scale * sp.diameter * (1 + 1e-9)
 
     def test_greedy_depth_guarantee(self):
-        sp = generate("random_circle", n=120, seed=5)
+        sp = without_kind(generate("random_circle", n=120, seed=5))
         scale = 0.5
-        cov = build_level(sp, scale=scale, m=2, strategy="generic_greedy",
-                          allow_more_colors=True)
+        cov = build_level(sp, scale=scale, m=2, allow_more_colors=True)
         assert cov.lebesgue() >= 0.24 * scale
 
     def test_greedy_color_demand_is_reported(self):
-        sp = generate("interval", n=200)
+        sp = without_kind(generate("interval", n=200))
         with pytest.raises(LadderConstructionError, match="colors"):
-            build_level(sp, scale=0.125, m=2, strategy="generic_greedy")
+            build_level(sp, scale=0.125, m=2)
+
+    def test_builder_follows_kind(self):
+        for kind, params, builder in [
+                ("circle", {"n": 64}, "circle_arcs"),
+                ("random_circle", {"n": 64}, "circle_arcs"),
+                ("visual_circle", {"n": 64}, "circle_arcs"),
+                ("interval", {"n": 64}, "interval_blocks"),
+                ("cantor", {"depth": 5}, "cantor_clopen"),
+                ("tree_boundary", {"depth": 6}, "tree_boundary_cylinders")]:
+            base = build_base(generate(kind, **params), r=0.25, depth=2,
+                              colors=2)
+            assert base.provenance["strategy"] == builder
 
 
 class TestBuildBase:
@@ -204,9 +222,9 @@ class TestSeparate:
         assert verify_char_seq(seq).passed
 
     def test_real_cascade_on_greedy_ladder(self):
-        sp = generate("interval", n=400)
-        base = build_base(sp, r=0.125, depth=2, colors=5,
-                          strategy="generic_greedy", allow_more_colors=True)
+        sp = without_kind(generate("interval", n=400))
+        base = build_base(sp, r=0.125, depth=2, colors=5)
+        assert base.provenance["strategy"] == "generic_greedy"
         seq = separate(base)
         worked = [rec for rec in seq.provenance["cascade"]
                   if not rec["identity"]]
@@ -258,6 +276,23 @@ class TestSeparationMargins:
         assert gamma == pytest.approx(1.0)
         assert all(rec["pair_margin"] >= 0.5 for rec in records
                    if rec["fine"] == rec["coarse"] == 1)
+
+    def test_shared_families_computed_once(self, monkeypatch):
+        # level 1 is built, one family per color; level 2 is all singletons,
+        # one family in both colors: 5 distinct (fine, coarse) family pairs
+        # among 3 level pairs x 2 colors
+        seq = separate(build_base(generate("circle", n=320), r=0.125, depth=2,
+                                  colors=2))
+        calls = []
+
+        def counting(fine, coarse, same_level):
+            calls.append((id(fine), id(coarse), same_level))
+            return _pair_margins(fine, coarse, same_level)
+
+        monkeypatch.setattr(char_seq, "_pair_margins", counting)
+        _, records = separation_margins(seq.space, seq.levels, seq.r)
+        assert len(calls) == len(set(calls)) == 5
+        assert len(records) == 6
 
     def test_overlapping_same_color_has_zero_margin(self):
         sp = line_space(21, spacing=0.5)

@@ -1,5 +1,6 @@
 """Example generators, capacity profiles, the pipeline, and bundle io."""
 
+import dataclasses
 import json
 import math
 import shutil
@@ -10,6 +11,7 @@ import pytest
 import conetrees.io as bundle_io
 from conetrees import (
     CoveringError,
+    Family,
     PipelineConfig,
     StageError,
     capacity_profile,
@@ -421,6 +423,26 @@ class TestVerifyTamper:
         assert rc == 1
         assert "holds no separated ladder" in out.err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("depth", 7, "depth=7 and colors=2 disagree with its levels"),
+        ("colors", 9, "depth=3 and colors=9 disagree with its levels"),
+        ("bogus", 1, "has unknown keys ['bogus'] and lacks keys []"),
+        ("delta", None, "has unknown keys [] and lacks keys ['delta']"),
+    ], ids=["depth", "colors", "unknown_key", "missing_key"])
+    def test_charseq_shape_refused(self, tmp_path, small_bundle, capsys, key,
+                                   value, message):
+        def edit(text):
+            data = json.loads(text)
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+            return json.dumps(data)
+        rc, out = self._verify(tmp_path, small_bundle, capsys, "charseq.json",
+                               edit)
+        assert rc == 1
+        assert message in out.err
+
     def test_unknown_config_key_refused(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys, "config.json",
                                _set_report(("product_mode",), "l1"))
@@ -449,3 +471,25 @@ class TestOneMeasurement:
         calls.clear()
         assert cli_main(["verify", "--bundle", str(out)]) == 0
         assert calls == [True]
+
+    def test_reread_ladder_shares_families(self, tmp_path, monkeypatch, capsys):
+        # level 1 is built, one family per color; level 2 is all singletons,
+        # which the separated ladder holds as one family in both colors
+        out = tmp_path / "bundle"
+        result = run_pipeline(PipelineConfig(
+            generator="circle", params={"n": 320}, r=0.125, depth=2, colors=2,
+            tree_delta_check=False, outdir=str(out)))
+        calls = []
+        min_separation = Family.min_separation
+
+        def counting(fam):
+            calls.append(fam)
+            return min_separation(fam)
+
+        monkeypatch.setattr(Family, "min_separation", counting)
+        # a fresh copy of the pipeline's separated ladder, measured anew
+        dataclasses.replace(result.charseq).measurement
+        pipeline_calls = len(calls)
+        calls.clear()
+        assert cli_main(["verify", "--bundle", str(out)]) == 0
+        assert len(calls) == pipeline_calls == 3

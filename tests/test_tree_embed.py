@@ -221,9 +221,10 @@ class TestParentsAgainstScalar:
     def test_built_ladders(self, small__seq):
         cascade = separate(build_base(generate("random_circle", n=60, seed=0),
                                       r=0.25, depth=3, colors=2))
-        greedy = separate(build_base(generate("interval", n=120), r=0.125,
-                                     depth=2, colors=5, strategy="generic_greedy",
-                                     allow_more_colors=True))
+        # the generic_greedy builder needs 6 colors at level 1 here
+        sp = generate("interval", n=120)
+        greedy = separate(build_base(FiniteMetricSpace(sp.dist, sp.point_ids),
+                                     r=0.125, depth=2, colors=6))
         for seq in (small__seq, cascade, greedy):
             for a in range(seq.n_colors):
                 assert built_parents(seq, a) == scalar_parents(seq, a)
