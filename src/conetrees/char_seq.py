@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
-from .coverings import ColoredCovering, CoveringError, Family, star_merge
+from .coverings import ColoredCovering, CoveringError, Family, star_merges
 from .metric_core import FiniteMetricSpace, Subset
 
 
@@ -150,9 +151,8 @@ def ast_shrink(fam: Family, ghat: Family, s: float, delta: float) -> Family:
         raise SeparationPreconditionError(
             f"fine family is not {delta * s:.6g}-disjoint"
         )
-    cores = fam.eroded_members(4 * s)
-    return Family(fam.space, tuple(star_merge(core, ghat, delta * s)[0]
-                                   for core in cores))
+    merged = star_merges(fam.eroded_members(4 * s), ghat, delta * s)
+    return Family(fam.space, tuple(grown for grown, _ in merged))
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +172,33 @@ def _window_level(space: FiniteMetricSpace, values: np.ndarray, pitch: float,
     dealt to the m colors in turn; empty windows are skipped.
 
     With ``wrap`` set (the period), windows are taken modulo the period.
+    Each point first gets, from its value, the few windows that can hold
+    it, with a margin of one window on each side; the exact per-window
+    predicate, ``np.mod(values - i*pitch, wrap) <= width + eps`` or the
+    two-sided test without a wrap, then decides every candidate pair.
     """
     eps = 1e-12 * max(width, 1.0)
+    span = math.ceil(width / pitch) + 3
+    if wrap is not None:
+        span = min(span, count)  # count windows in a row are every window
+    first = np.floor((values - width) / pitch).astype(np.intp) - 1
+    win = (first[:, None] + np.arange(span)).ravel()  # point-major
+    pt = np.repeat(np.arange(len(values)), span)
+    if wrap is None:
+        inside = (win >= 0) & (win < count)
+        win, pt = win[inside], pt[inside]
+        start = win * pitch
+        keep = (values[pt] >= start - eps) & (values[pt] <= start + width + eps)
+    else:
+        win = np.mod(win, count)
+        keep = np.mod(values[pt] - win * pitch, wrap) <= width + eps
+    win, pt = win[keep], pt[keep]
+    order = np.argsort(win, kind="stable")  # points stay ascending per window
+    win, pt = win[order], pt[order]
+    heads = np.flatnonzero(np.diff(win, prepend=-1))  # each window's first pair
     colors: list[list[Subset]] = [[] for _ in range(m)]
-    for i in range(count):
-        start = i * pitch
-        if wrap is None:
-            mask = (values >= start - eps) & (values <= start + width + eps)
-        else:
-            rel = np.mod(values - start, wrap)
-            mask = rel <= width + eps
-        if mask.any():
-            colors[i % m].append(space.subset(np.flatnonzero(mask)))
+    for i, members in zip(win[heads], np.split(pt, heads[1:])):
+        colors[i % m].append(space.subset(members))
     return ColoredCovering(space, tuple(Family(space, tuple(c)) for c in colors))
 
 
@@ -567,11 +582,13 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
             cascade.append(record)
             if identity:
                 continue
-            for per_color in current:
-                cores = per_color[a].eroded_members(moat)
-                drops += len(per_color[a]) - len(cores)
-                per_color[a] = Family(base.space, tuple(
-                    star_merge(core, ghat, grow)[0] for core in cores))
+            # every coarser level's cores merge against ghat in one batch
+            cores = [per_color[a].eroded_members(moat) for per_color in current]
+            grown = (g for g, _ in star_merges(chain.from_iterable(cores),
+                                               ghat, grow))
+            for per_color, level in zip(current, cores):
+                drops += len(per_color[a]) - len(level)
+                per_color[a] = Family(base.space, tuple(islice(grown, len(level))))
         current.append(ghats)
     try:
         levels = tuple(ColoredCovering(base.space, tuple(per_color))

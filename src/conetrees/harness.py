@@ -320,9 +320,11 @@ def certify(charseq: CharSequence, tree_delta_check: bool,
         )
     log.append(f"sphere_ratio: min={sphere['min_ratio']:.6g} "
                f"max={sphere['max_ratio']:.6g} bound={sphere['bound']:.6g}")
-    iu = np.triu_indices(grid.n_points, k=1)
-    ds = grid.dist_matrix[iu]
-    dt = embedding.all_pairs_dist[iu]
+    # the pairs i < j in row-major order, as np.triu_indices gives them, from
+    # one byte per entry in place of two int64 index arrays over the pairs
+    upper = np.triu(np.ones((grid.n_points, grid.n_points), dtype=bool), k=1)
+    ds = grid.dist_matrix[upper]
+    dt = embedding.all_pairs_dist[upper]
     qi = fit_qi(ds, dt)
     if qi.violations:
         raise StageError("fit_qi", repr(qi))

@@ -24,7 +24,7 @@ from conetrees import (
     verify_base,
     verify_char_seq,
 )
-from conetrees.char_seq import _pair_margins
+from conetrees.char_seq import _pair_margins, _window_level
 from conetrees.harness import generate
 
 
@@ -189,6 +189,76 @@ class TestBuildLevel:
             assert base.provenance["strategy"] == builder
 
 
+def loop_window_level(space, values, pitch, width, count, m, wrap):
+    """One exact mask per window i = 0..count-1, empty windows skipped."""
+    eps = 1e-12 * max(width, 1.0)
+    colors = [[] for _ in range(m)]
+    for i in range(count):
+        start = i * pitch
+        if wrap is None:
+            mask = (values >= start - eps) & (values <= start + width + eps)
+        else:
+            mask = np.mod(values - start, wrap) <= width + eps
+        if mask.any():
+            colors[i % m].append(space.subset(np.flatnonzero(mask)))
+    return ColoredCovering(space, tuple(Family(space, tuple(c)) for c in colors))
+
+
+def member_lists(cov):
+    return [list(fam.members) for fam in cov.colors]
+
+
+class TestWindowLevelOracle:
+    def test_stock_builders(self, monkeypatch):
+        seen = []
+
+        def checked(space, values, pitch, width, count, m, wrap):
+            got = _window_level(space, values, pitch, width, count, m, wrap=wrap)
+            want = loop_window_level(space, values, pitch, width, count, m, wrap)
+            assert member_lists(got) == member_lists(want)
+            seen.append((space.meta["kind"], m, wrap is None))
+            return got
+
+        monkeypatch.setattr(char_seq, "_window_level", checked)
+        for kind, params in [("circle", {"n": 97}),
+                             ("random_circle", {"n": 160, "seed": 0}),
+                             ("random_circle", {"n": 120, "seed": 3}),
+                             ("visual_circle", {"n": 128}),
+                             ("interval", {"n": 101})]:
+            sp = generate(kind, **params)
+            for m in (2, 3):
+                for frac in (0.9, 0.5, 0.3, 0.125, 0.06, 0.125 ** 2, 0.125 ** 3):
+                    build_level(sp, frac * sp.diameter, m)
+        assert {kind for kind, _, _ in seen} == {
+            "circle", "random_circle", "visual_circle", "interval"}
+        assert {(m, plain) for _, m, plain in seen} == {
+            (2, True), (3, True), (2, False), (3, False)}
+
+    def test_random_windows(self):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            sp = line_space(n)
+            m = int(rng.integers(2, 4))
+            count = int(rng.integers(m, 30))
+            wrap = None if trial % 2 else float(rng.uniform(0.5, 10.0))
+            length = wrap if wrap is not None else float(rng.uniform(0.5, 10.0))
+            pitch = length / count
+            # at least one pitch wide, so the windows cover [0, length]
+            width = (m + 1) / 2.0 * pitch * float(rng.uniform(0.7, 1.5))
+            # half the values sit exactly on window edges, where the
+            # predicate's eps decides
+            edges = rng.integers(0, count, size=n) * pitch + (
+                rng.integers(0, 2, size=n) * width)
+            values = np.where(rng.random(n) < 0.5, edges,
+                              rng.uniform(0.0, length, size=n))
+            if wrap is not None:
+                values = np.mod(values, wrap)
+            args = (sp, values, pitch, width, count, m)
+            want = loop_window_level(*args, wrap)
+            assert member_lists(_window_level(*args, wrap=wrap)) == member_lists(want)
+
+
 class TestBuildBase:
     def test_flagship_constants(self):
         sp = generate("circle", n=512)
@@ -258,6 +328,28 @@ class TestSeparate:
         base = build_base(sp, r=0.125, depth=2, colors=2)
         seq = separate(base)
         assert len(seq.provenance["assumption_warnings"]) >= 1
+
+
+class TestSeparateWork:
+    def test_fine_rows_once_per_stage_and_color(self, monkeypatch):
+        # the cascade workload: every level built, 2 stages x 2 colors; each
+        # (stage, color) derives its fine family's rows once for the
+        # disjointness check and once for all merges
+        base = build_base(generate("random_circle", n=160, seed=0), r=0.125,
+                          depth=3, colors=2)
+        assert verify_base(base).passed  # measured before the cascade, as run
+        calls = []
+        dist_rows = Family.dist_rows
+
+        def counting(self):
+            calls.append(id(self))
+            return dist_rows(self)
+
+        monkeypatch.setattr(Family, "dist_rows", counting)
+        seq = separate(base)
+        assert not any(rec["identity"] for rec in seq.provenance["cascade"])
+        assert len(calls) <= 8
+        assert len(set(calls)) == 4
 
 
 class TestSeparationMargins:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conetrees import ColoredCovering, CoveringError, Family, star_merge
+from conetrees.coverings import star_merges
 from conetrees.harness import generate
 
 
@@ -313,6 +314,36 @@ class TestKernelOracles:
             core = sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
                                         replace=False))
             assert star_merge(core, fam, s) == brute_star_merge(core, fam, s)
+
+    @pytest.mark.parametrize("fam", oracle_cases())
+    def test_batched_merge(self, fam):
+        sp = fam.space
+        rng = np.random.default_rng(3 * len(fam) + sp.n)
+        cores = [sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
+                                      replace=False)) for _ in range(4)]
+        for s in (0.01, 0.2, 1.0, 2.0):
+            got = star_merges(cores, fam, s)
+            assert got == [star_merge(core, fam, s) for core in cores]
+            assert got == [brute_star_merge(core, fam, s) for core in cores]
+        assert star_merges((), fam, 1.0) == []
+        with pytest.raises(CoveringError, match="positive"):
+            star_merges(cores, fam, 0.0)
+
+    @pytest.mark.parametrize("fam", oracle_cases())
+    def test_singleton_member_min_is_reduceat(self, fam):
+        singles = Family(fam.space, tuple(fam.space.subset([int(x)])
+                                          for x in fam.indices))
+        if not singles:
+            return
+        rng = np.random.default_rng(singles.space.n)
+        for values in (rng.random((singles.space.n, 5)),
+                       rng.random((singles.space.n, 3)) < 0.5,
+                       singles.space.dist.T):
+            want = np.minimum.reduceat(values[singles.indices],
+                                       singles.indptr[:-1], axis=0)
+            got = singles.member_min(values)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_shrink_matches_member_erosion(self, arc_cover):
         _, fam = arc_cover
