@@ -17,7 +17,13 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .coverings import ColoredCovering, CoveringError, Family, star_merges
+from .coverings import (
+    ColoredCovering,
+    CoveringError,
+    Family,
+    hood_merges,
+    star_merges,
+)
 from .metric_core import FiniteMetricSpace, Subset
 
 
@@ -370,46 +376,62 @@ def build_level(space: FiniteMetricSpace, scale: float, m: int,
 # measurement
 
 
-def _level_stats(cov: ColoredCovering, scale: float) -> dict:
-    pooled = cov.pooled
-    mesh = pooled.mesh
-    leb = pooled.lebesgue()
-    # whole, singleton and component levels share one family among colors
-    fams = list({id(f): f for f in cov.colors}.values())
-    sep = min(f.min_separation() for f in fams)
-    inner = min(
-        (float(f.inner_radii().min()) for f in fams if len(f)),
-        default=np.inf,
-    )
-    net = max(f.net_radius() for f in fams)
-    return {
-        "scale": scale,
-        "members": [len(f) for f in cov.colors],
-        "mesh": mesh,
-        "lebesgue": leb,
-        "separation": sep,
-        "inner_radius": inner,
-        "net_radius": net,
-        "multiplicity": cov.multiplicity(),
-    }
+def _scan(levels: tuple[ColoredCovering, ...], margins: bool):
+    """Each level's distinct families (whole, singleton and component
+    levels share one among colors), each with its `dist_rows()` derived
+    once and dropped before the next: per level, the min separation and
+    max net radius over its families; with ``margins``, the
+    `_pair_margins` of every same-color (fine, coarse) family pair at levels
+    jf >= jc, keyed (jf, jc, fine, coarse)."""
+    extremes, pairs = [], {}
+    for jc, cov in enumerate(levels, 1):
+        seps, nets = [], []
+        for coarse in {id(f): f for f in cov.colors}.values():
+            rows = coarse.dist_rows()
+            # entry [i, l]: min over x in member i of d(x, member l)
+            sep = coarse.member_min(rows.T)[np.triu_indices(len(coarse), k=1)]
+            seps.append(float(sep.min(initial=np.inf)))
+            nets.append(float(rows.min(axis=0, initial=np.inf).max()))
+            for jf in range(jc, len(levels) + 1) if margins else ():
+                for a in range(cov.n_colors):
+                    fine = levels[jf - 1].colors[a]
+                    key = (jf, jc, fine, coarse)
+                    if (cov.colors[a] is coarse and fine and coarse
+                            and key not in pairs):
+                        pairs[key] = _pair_margins(fine, coarse, rows, jf == jc)
+            del rows
+        extremes.append((min(seps), max(nets)))
+    return extremes, pairs
 
 
 def _measure(seq: CharSequence) -> dict:
     """Measure a ladder: delta, lam, gamma, the per-level stats ("levels")
-    and, on a separated ladder, the "gamma_records".
+    and, on a separated ladder, the "gamma_records", in one `_scan`.
 
     delta is the min over levels of lebesgue, per-color separation, and
     per-color inner radius, each in units of r**j; the lebesgue clause is
     vacuous at mesh-0 levels.  lam is the max over levels of per-color net
-    radius in the same units.  gamma comes from `separation_margins` and is
-    None on a base ladder.
+    radius in the same units.  gamma is `separation_margins`'s and is None
+    on a base ladder.
     """
+    separated = "cascade" in seq.provenance
+    extremes, pairs = _scan(seq.levels, separated)
     stats = []
     delta_hat = np.inf
     lam_hat = 0.0
-    for j, cov in enumerate(seq.levels, 1):
+    for j, (cov, (sep, net)) in enumerate(zip(seq.levels, extremes), 1):
         scale = seq.scale(j)
-        st = _level_stats(cov, scale)
+        st = {
+            "scale": scale,
+            "members": [len(f) for f in cov.colors],
+            "mesh": cov.pooled.mesh,
+            "lebesgue": cov.pooled.lebesgue(),
+            "separation": sep,
+            "inner_radius": min((float(f.inner_radii().min())
+                                 for f in cov.colors if len(f)), default=np.inf),
+            "net_radius": net,
+            "multiplicity": cov.multiplicity(),
+        }
         stats.append(st)
         terms = [st["separation"], st["inner_radius"]]
         if st["mesh"] > 0:
@@ -422,9 +444,8 @@ def _measure(seq: CharSequence) -> dict:
         delta_hat = 1.0
     out = {"delta": float(delta_hat), "lam": float(lam_hat), "gamma": None,
            "levels": stats}
-    if "cascade" in seq.provenance:  # a separated ladder
-        out["gamma"], out["gamma_records"] = separation_margins(
-            seq.space, seq.levels, seq.r)
+    if separated:
+        out["gamma"], out["gamma_records"] = _gamma(seq.levels, seq.r, pairs)
     return out
 
 
@@ -454,9 +475,10 @@ def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
 # separation margins
 
 
-def _pair_margins(fine: Family, coarse: Family,
+def _pair_margins(fine: Family, coarse: Family, rows: np.ndarray,
                   same_level: bool) -> tuple[float, float]:
-    """Dichotomy margins between one fine and one coarse family, same color.
+    """Dichotomy margins between one fine and one coarse family, same color,
+    given the coarse family's `dist_rows()`.
 
     For each pair the dichotomy (miss or sit inside) holds for every radius
     up to max(M1, M2), where M1 is the containment margin, the distance from
@@ -466,12 +488,36 @@ def _pair_margins(fine: Family, coarse: Family,
     fine member), the latter only meaningful across distinct levels.
     """
     m1 = fine.member_min(coarse.depths.T)
-    m2 = fine.member_min(coarse.dist_rows().T)
+    m2 = fine.member_min(rows.T)
     margins = np.maximum(m1, m2)
     if same_level:
         # identical members never compete with themselves
         np.fill_diagonal(margins, np.inf)
     return float(margins.min()), float(m1.max(axis=0).min())
+
+
+def _gamma(levels: tuple[ColoredCovering, ...], r: float,
+           pairs: dict) -> tuple[float, list[dict]]:
+    """gamma and its per-color records from `_scan`'s family pair margins."""
+    gamma = np.inf
+    records = []
+    for jf in range(1, len(levels) + 1):
+        sf = r ** jf
+        for jc in range(1, jf + 1):
+            for a in range(levels[0].n_colors):
+                fine = levels[jf - 1].colors[a]
+                coarse = levels[jc - 1].colors[a]
+                if not fine or not coarse:
+                    continue
+                pair_min, desc_min = pairs[jf, jc, fine, coarse]
+                rec = {"color": a, "fine": jf, "coarse": jc,
+                       "pair_margin": pair_min / sf}
+                gamma = min(gamma, pair_min / sf)
+                if jc < jf:
+                    rec["descendant_margin"] = desc_min / sf
+                    gamma = min(gamma, desc_min / sf)
+                records.append(rec)
+    return float(gamma), records
 
 
 def separation_margins(space: FiniteMetricSpace, levels: tuple[ColoredCovering, ...],
@@ -483,30 +529,7 @@ def separation_margins(space: FiniteMetricSpace, levels: tuple[ColoredCovering, 
     and every coarser member contains such a neighborhood of a finer member.
     Colors holding the same fine and coarse families share one computation.
     """
-    gamma = np.inf
-    records = []
-    n_colors = levels[0].n_colors
-    for jf in range(1, len(levels) + 1):
-        sf = r ** jf
-        for jc in range(1, jf + 1):
-            margins = {}
-            for a in range(n_colors):
-                fine = levels[jf - 1].colors[a]
-                coarse = levels[jc - 1].colors[a]
-                if not fine or not coarse:
-                    continue
-                if (fine, coarse) not in margins:
-                    margins[fine, coarse] = _pair_margins(fine, coarse,
-                                                          same_level=jf == jc)
-                pair_min, desc_min = margins[fine, coarse]
-                rec = {"color": a, "fine": jf, "coarse": jc,
-                       "pair_margin": pair_min / sf}
-                gamma = min(gamma, pair_min / sf)
-                if jc < jf:
-                    rec["descendant_margin"] = desc_min / sf
-                    gamma = min(gamma, desc_min / sf)
-                records.append(rec)
-    return float(gamma), records
+    return _gamma(levels, r, _scan(levels, margins=True)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -572,20 +595,22 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
             )
             record = {"stage": k, "color": a, "moat": moat, "grow": grow,
                       "identity": identity}
-            if not identity:
-                record["ghat_disjoint"] = ghat.is_r_disjoint(grow)
-                if not record["ghat_disjoint"]:
-                    violations.append(
-                        f"stage {k} color {a}: fine family is not "
-                        f"{grow:.6g}-disjoint"
-                    )
             cascade.append(record)
             if identity:
                 continue
+            # ghat's open grow-neighborhoods, derived once for the
+            # disjointness check (`Family.is_r_disjoint`) and the merges
+            hoods = ghat.hoods(grow)
+            record["ghat_disjoint"] = bool(hoods.sum(axis=0).max() <= 1)
+            if not record["ghat_disjoint"]:
+                violations.append(
+                    f"stage {k} color {a}: fine family is not "
+                    f"{grow:.6g}-disjoint"
+                )
             # every coarser level's cores merge against ghat in one batch
             cores = [per_color[a].eroded_members(moat) for per_color in current]
-            grown = (g for g, _ in star_merges(chain.from_iterable(cores),
-                                               ghat, grow))
+            grown = (g for g, _ in hood_merges(chain.from_iterable(cores),
+                                               hoods, grow))
             for per_color, level in zip(current, cores):
                 drops += len(per_color[a]) - len(level)
                 per_color[a] = Family(base.space, tuple(islice(grown, len(level))))

@@ -1,14 +1,11 @@
 """Command line interface: generate spaces, profile capacities, run the
 pipeline, and re-verify written bundles.
 
-`verify` checks the stored config against the stored ladder and space
-(r, depth and colors must match; the config's generator must reproduce
-`space.json`), measures the stored ladder once, checks its mesh and
-compares every measured entry of `charseq.json` with the measurement.  It
-runs `harness.certify`, the pipeline's own stage code, on the ladder with
-the stored config and compares the replay with every certified file: each
-`tree_<a>.csv` and `embedding.csv` byte for byte, each top-level section of
-`qireport.json` for equality, and `log.txt` from `separate:` on.
+`verify` is a replay: it reads `config.json` strictly, reruns
+`run_pipeline` on it without writing, and compares every file of the
+replay's bundle (`io.bundle_files`) with the stored one, JSON files by
+parsed value and all others byte for byte.  A stage that fails on replay,
+or a file that differs, is missing or is extra, fails the bundle.
 
 Output locations default to the CONETREES_OUT environment variable when a
 flag is omitted.  Exit status is 0 on success, 1 on any failure.
@@ -20,25 +17,22 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import io as bundle_io
-from .char_seq import verify_char_seq
 from .harness import (
     GENERATORS,
     PipelineConfig,
     StageError,
     capacity_profile,
-    certify,
     generate,
     generator_params,
     run_pipeline,
-    separate_line,
 )
 
 # Not called here: bench/child.py's tracer wraps these names of this module.
+from .char_seq import verify_char_seq  # noqa: F401
 from .harness import sphere_ratio_check  # noqa: F401
 from .hyp_cone import build_grid  # noqa: F401
 from .qi_verify import fit_qi  # noqa: F401
@@ -56,8 +50,20 @@ def _default_out(flag_value: str | None, fallback_name: str) -> Path:
     return Path(root) / fallback_name
 
 
+def _object(value, what: str) -> dict:
+    """Generator params, which must be a JSON object; `generate` checks
+    their keys and value types."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _params_flag(args) -> dict:
+    return _object(json.loads(args.params) if args.params else {}, "--params")
+
+
 def _gen_params(args) -> dict:
-    params = json.loads(args.params) if args.params else {}
+    params = _params_flag(args)
     if args.n is not None:
         params["n"] = args.n
     return generator_params(args.kind, params, args.seed)
@@ -111,9 +117,8 @@ def _cmd_pipeline(args) -> int:
         if v is not None:
             cfg[k] = v
     if args.params or args.n is not None:
-        params = dict(cfg.get("params", {}))
-        if args.params:
-            params.update(json.loads(args.params))
+        params = {**_object(cfg.get("params", {}), "config params"),
+                  **_params_flag(args)}
         if args.n is not None:
             params["n"] = args.n
         cfg["params"] = params
@@ -136,62 +141,40 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _regenerates(config: PipelineConfig, stored) -> tuple[bool, str]:
-    """Whether the config's generator and params reproduce the stored space."""
+def _same(name: str, stored: bytes, replayed) -> bool:
+    """Whether a stored bundle file holds the replay's content: a JSON file
+    by parsed value (floats round-trip exactly), any other byte for byte."""
+    if not name.endswith(".json"):
+        return stored == replayed.encode("utf-8")
     try:
-        space = generate(config.generator, **generator_params(
-            config.generator, config.params, config.seed))
-    except (TypeError, ValueError) as e:
-        return False, f"config.json generates no space: {e}"
-    same = (np.array_equal(space.dist, stored.dist)
-            and bundle_io.space_fields(space) == bundle_io.space_fields(stored))
-    return same, "regenerated from config.json"
+        return json.loads(stored) == replayed
+    except ValueError:
+        return False
 
 
 def _cmd_verify(args) -> int:
-    bundle = bundle_io.read_bundle(args.bundle)
-    config = PipelineConfig.from_dict(bundle["config"])
+    config = PipelineConfig.from_dict(json.loads(
+        (Path(args.bundle) / "config.json").read_text(encoding="utf-8")))
+    try:
+        replayed = bundle_io.bundle_files(
+            run_pipeline(replace(config, outdir=None)))
+    except StageError as e:
+        print(f"[FAIL] {e.stage}")
+        print(f"verification failed: {e}", file=sys.stderr)
+        return 1
+    # read only now, so the stored bytes are not alive at the replay's peak
+    stored = bundle_io.read_bundle(args.bundle)
     failures = []
-
-    def check(name: str, ok: bool, detail: str = ""):
-        tag = "[PASS]" if ok else "[FAIL]"
-        print(f"{tag} {name}" + (f": {detail}" if detail else ""))
+    for name in sorted(replayed.keys() | stored.keys()):
+        if name not in stored:
+            ok, detail = False, ": missing from the bundle"
+        elif name not in replayed:
+            ok, detail = False, ": not written by the replay"
+        else:
+            ok, detail = _same(name, stored[name], replayed[name]), ""
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}{detail}")
         if not ok:
             failures.append(name)
-
-    seq = bundle["charseq"]
-    check("config", (config.r, config.depth, config.colors)
-          == (seq.r, seq.depth, seq.n_colors),
-          f"r={config.r} depth={config.depth} colors={config.colors}, "
-          f"ladder r={seq.r} depth={seq.depth} colors={seq.n_colors}")
-    check("space", *_regenerates(config, seq.space))
-    rep = verify_char_seq(seq)
-    check("charseq", rep.passed,
-          "" if rep.passed else rep.summary().replace("\n", " | "))
-    for key, value in seq.measurement.items():
-        check(f"charseq.{key}", value == bundle["measured"][key],
-              "charseq.json")
-    log = [separate_line(seq)]
-    try:
-        got = certify(seq, config.tree_delta_check, log)
-    except StageError as e:
-        check(e.stage, False, str(e))
-    else:
-        stale = [f"tree_{a}.csv" for a, (text, tree)
-                 in enumerate(zip(bundle["trees"], got["trees"]))
-                 if text != bundle_io.render_tree(tree).encode("utf-8")]
-        check("trees", not stale, f"{len(got['trees'])} trees rebuilt"
-                                  + "".join(f", {n} differs" for n in stale))
-        rendered = bundle_io.render_embedding(got["embedding"])
-        check("embedding", bundle["embedding"] == rendered.encode("utf-8"),
-              f"{got['grid'].n_points} points")
-        report = json.loads(bundle_io.render_qireport(
-            got["qi"], got["radial"], got["sphere"], got["tree_deltas"]))
-        stored = bundle["qireport"]
-        for key in sorted(report.keys() | stored.keys()):
-            check(key, report.get(key) == stored.get(key), "qireport.json")
-        check("log", bundle["log"][-len(log):] == log,
-              f"log.txt ends with the {len(log)} replayed stage lines")
     if failures:
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)
         return 1

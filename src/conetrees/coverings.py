@@ -12,10 +12,10 @@ a scale ladder are array operations on those two (k, n) matrices.
 minimum over each member's rows of an (n, m) array, which on a family of
 singletons is a plain gather of the members' rows.  The merge comes
 batched: `star_merges` takes every core that one fine family absorbs
-into, derives the family's (k, n) distance rows once, and merges each core
-against the members' open neighborhoods they give; `star_merge` is its
-one-core case.  The rows are not cached on the Family, since at n = 2048
-each table is 32 MB.
+into, derives the family's (k, n) distance rows once, and `hood_merges`
+merges all cores at once against the members' open neighborhoods they
+give; `star_merge` is the one-core case.  The rows are not cached on the
+Family, since at n = 2048 each table is 32 MB.
 """
 
 from __future__ import annotations
@@ -133,13 +133,17 @@ class Family:
     def multiplicity(self) -> int:
         return int(np.bincount(self.indices, minlength=self.space.n).max())
 
+    def hoods(self, r: float) -> np.ndarray:
+        """(k, n) bool: row i marks the open r-neighborhood of member i
+        (signed radius r != 0, as in Subset.neighborhood)."""
+        return self.dist_rows() < r if r > 0 else self.depths > -r
+
     def r_multiplicity(self, r: float) -> int:
         """Max over points of how many open r-neighborhoods of members hit
         it (signed radius, as in Subset.neighborhood)."""
         if r == 0:
             return self.multiplicity()
-        hoods = self.dist_rows() < r if r > 0 else self.depths > -r
-        return int(hoods.sum(axis=0).max())
+        return int(self.hoods(r).sum(axis=0).max())
 
     def lebesgue(self) -> float:
         """min over points of min(best inscribed depth, mesh)."""
@@ -205,19 +209,26 @@ def star_merges(cores: Iterable[Subset], fam: Family,
     in order; the family's distance rows are derived once for all cores."""
     if s <= 0:
         raise CoveringError(f"merge radius must be positive, got {s}")
+    return hood_merges(cores, fam.hoods(s), s)
+
+
+def hood_merges(cores: Iterable[Subset], hoods: np.ndarray,
+                s: float) -> list[tuple[Subset, tuple[int, ...]]]:
+    """`star_merges` against the family whose members' open s-neighborhoods
+    are the rows of the (k, n) bool ``hoods``, all cores at once: two
+    products of 0/1 tables, whose counts float32 holds exactly."""
     cores = tuple(cores)
     if not cores:
         return []
-    hoods = fam.dist_rows() < s  # row i: the open s-neighborhood of member i
-    out = []
-    for core in cores:
-        near = core.dist_to_points() < s
-        # open s-neighborhoods intersect iff some point is < s from both
-        absorbed = hoods[:, near].any(axis=1)
-        grown = near | hoods[absorbed].any(axis=0)
-        out.append((Subset(core.space, frozenset(np.flatnonzero(grown).tolist())),
-                    tuple(np.flatnonzero(absorbed).tolist())))
-    return out
+    near = np.array([core.dist_to_points() < s for core in cores],
+                    dtype=np.float32)
+    h = hoods.astype(np.float32)
+    # open s-neighborhoods intersect iff some point is < s from both
+    absorbed = near @ h.T > 0
+    grown = (near > 0) | (absorbed.astype(np.float32) @ h > 0)
+    return [(Subset(cores[0].space, frozenset(np.flatnonzero(g).tolist())),
+             tuple(np.flatnonzero(a).tolist()))
+            for g, a in zip(grown, absorbed)]
 
 
 def star_merge(core: Subset, fam: Family, s: float) -> tuple[Subset, tuple[int, ...]]:

@@ -3,17 +3,19 @@
 The pipeline runs generate -> base ladder -> separation cascade, then
 `certify`: trees -> cone grid -> product embedding -> checks (radial climb,
 sphere ratio, QI fit, tree hyperbolicity).  It revalidates each stage and
-fails loudly with the stage name on any violation.  `conetrees verify`
-runs the same `certify` on a bundle's stored ladder, so the pipeline and
-its re-verification share one copy of the stage code.  All stages are
+fails loudly with the stage name on any violation.  All stages are
 deterministic given the config, so a bundle written twice is
-byte-identical.
+byte-identical, and `conetrees verify` checks a bundle by rerunning
+`run_pipeline` on its `config.json` and comparing every file.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 import time
+import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,8 +43,6 @@ from .tree_embed import (
     radial_check,
 )
 
-GENERATORS = ("circle", "interval", "cantor", "tree_boundary",
-              "random_circle", "visual_circle")
 # Most (scale, color count) evaluations one capacity profile may run.
 PROFILE_BUDGET = 256
 
@@ -137,21 +137,36 @@ def _random_circle(n: int, seed: int = 0) -> FiniteMetricSpace:
     return FiniteMetricSpace(dist=d, point_ids=ids, meta=meta)
 
 
+_SPACES = {"circle": _circle, "interval": _interval, "cantor": _cantor,
+           "tree_boundary": _tree_boundary, "random_circle": _random_circle,
+           "visual_circle": visual_metric_circle}
+GENERATORS = tuple(_SPACES)
+
+
+def _fits(value, kind: type) -> bool:
+    """Whether value suits an int or float parameter; a bool does not."""
+    number = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, number) and not isinstance(value, bool)
+
+
 def generate(kind: str, **params) -> FiniteMetricSpace:
-    """Build one of the stock example spaces; see GENERATORS."""
-    if kind == "circle":
-        return _circle(**params)
-    if kind == "interval":
-        return _interval(**params)
-    if kind == "cantor":
-        return _cantor(**params)
-    if kind == "tree_boundary":
-        return _tree_boundary(**params)
-    if kind == "random_circle":
-        return _random_circle(**params)
-    if kind == "visual_circle":
-        return visual_metric_circle(**params)
-    raise ValueError(f"unknown generator {kind!r}; choose from {GENERATORS}")
+    """Build one of the stock example spaces; see GENERATORS.  Unknown,
+    missing or ill-typed parameters raise ValueError naming them."""
+    if kind not in _SPACES:
+        raise ValueError(f"unknown generator {kind!r}; choose from {GENERATORS}")
+    make = _SPACES[kind]
+    accepted = inspect.signature(make).parameters
+    types = typing.get_type_hints(make)
+    unknown = sorted(set(params) - set(accepted))
+    missing = [k for k, p in accepted.items()
+               if p.default is p.empty and k not in params]
+    ill = [f"{k}={v!r}" for k, v in params.items()
+           if k in accepted and not _fits(v, types[k])]
+    if unknown or missing or ill:
+        takes = ", ".join(f"{k}: {types[k].__name__}" for k in accepted)
+        raise ValueError(f"{kind} takes {takes}; got unknown {unknown}, "
+                         f"missing {missing}, ill-typed {ill}")
+    return make(**params)
 
 
 def capacity_profile(space: FiniteMetricSpace, scales, colors=(2,),
@@ -228,6 +243,9 @@ class PipelineConfig:
 def generator_params(generator: str, params: dict, seed: int) -> dict:
     """The keyword arguments to pass to `generate`: params, with seed as
     random_circle's default seed."""
+    if not isinstance(params, dict):
+        raise ValueError(f"generator params must be a JSON object, got "
+                         f"{params!r}")
     params = dict(params)
     if generator == "random_circle":
         params.setdefault("seed", seed)
@@ -276,20 +294,13 @@ def sphere_ratio_check(grid: ConeGrid) -> dict:
     return {"min_ratio": lo, "max_ratio": hi, "bound": c_bound, "passed": passed}
 
 
-def separate_line(charseq: CharSequence) -> str:
-    """The `separate:` log line: the separated ladder's measured constants."""
-    return (f"separate: delta={charseq.delta:.6g} lam={charseq.lam:.6g} "
-            f"gamma={charseq.gamma:.6g}")
-
-
 def certify(charseq: CharSequence, tree_delta_check: bool,
             log: list[str]) -> dict:
-    """The certification tail shared by `run_pipeline` and `conetrees
-    verify`: trees, cone grid (r and depth from the ladder), product
-    embedding, radial climb, sphere ratios, QI fit and, if asked, tree
-    hyperbolicity.  Appends one log line per stage and raises StageError
-    on the first failure.  Returns the outputs keyed by their
-    PipelineResult field names."""
+    """The certification tail of `run_pipeline`: trees, cone grid (r and
+    depth from the ladder), product embedding, radial climb, sphere ratios,
+    QI fit and, if asked, tree hyperbolicity.  Appends one log line per
+    stage and raises StageError on the first failure.  Returns the outputs
+    keyed by their PipelineResult field names."""
     try:
         trees = tuple(build_tree(charseq, a) for a in range(charseq.n_colors))
     except TreeError as e:
@@ -368,7 +379,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     rep = verify_char_seq(charseq)
     if not rep.passed:
         raise StageError("separate", rep.summary())
-    log.append(separate_line(charseq))
+    log.append(f"separate: delta={charseq.delta:.6g} lam={charseq.lam:.6g} "
+               f"gamma={charseq.gamma:.6g}")
     certified = certify(charseq, config.tree_delta_check, log)
     result = PipelineResult(
         config=config, space=space, base=base, charseq=charseq, **certified,

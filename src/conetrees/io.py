@@ -1,10 +1,10 @@
-"""Readers and writers for spaces, ladders, trees, embeddings, and bundles.
+"""Readers and writers for spaces, profiles, and bundles.
 
 Everything is written canonically: JSON with sorted keys and a fixed indent,
 CSV with fixed columns, no timestamps or absolute paths, so rerunning the
-same deterministic pipeline reproduces every file byte for byte.  The
-`render_*` functions produce the text of the certified files, for
-`write_bundle` and for `conetrees verify` to compare against.
+same deterministic pipeline reproduces every file byte for byte.
+`bundle_files` is the one description of a bundle: `write_bundle` writes
+it, and `conetrees verify` compares a replay's against the stored files.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .char_seq import CharSequence
-from .coverings import ColoredCovering, Family
 from .metric_core import FiniteMetricSpace
 
 
@@ -37,26 +35,26 @@ def _plain(x):
     return x
 
 
-def dumps_canonical(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+def _dumps(value) -> str:
+    """A plain JSON value as canonical text."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def space_fields(space: FiniteMetricSpace) -> dict:
-    """What space.json holds besides the distance matrix, as plain JSON
-    values."""
+def _space_json(space: FiniteMetricSpace) -> dict:
     return _plain({
         "point_ids": space.point_ids,
         "meta": space.meta,
         "rel_tol": space.rel_tol,
+        "dist": space.dist,
     })
 
 
 def write_space(path, space: FiniteMetricSpace) -> None:
-    _write_text(path, dumps_canonical({**space_fields(space), "dist": space.dist}))
+    _write_text(path, _dumps(_space_json(space)))
 
 
 def read_space(path) -> FiniteMetricSpace:
@@ -69,70 +67,12 @@ def read_space(path) -> FiniteMetricSpace:
     )
 
 
-def _levels_payload(seq) -> list:
-    levels = []
-    for j in range(1, seq.depth + 1):
-        cov = seq.level(j)
-        levels.append([
-            [sorted(u.indices) for u in fam.members] for fam in cov.colors
-        ])
-    return levels
+def write_profile(path, profile: dict) -> None:
+    _write_text(path, _dumps(_plain(profile)))
 
 
-def write_charseq(path, seq: CharSequence) -> None:
-    m = seq.measurement
-    _write_text(path, dumps_canonical({
-        "r": seq.r,
-        "depth": seq.depth,
-        "colors": seq.n_colors,
-        "delta": m["delta"],
-        "lam": m["lam"],
-        "gamma": m["gamma"],
-        "levels": _levels_payload(seq),
-        "provenance": {**seq.provenance, **{
-            k: m[k] for k in ("levels", "gamma_records") if k in m}},
-    }))
-
-
-def stored_measurement(d: dict) -> dict:
-    """charseq.json's measured entries, keyed like `CharSequence.measurement`."""
-    return {**{k: d[k] for k in ("delta", "lam", "gamma")},
-            **{k: d["provenance"].get(k) for k in ("levels", "gamma_records")}}
-
-
-def _charseq(d: dict, space: FiniteMetricSpace) -> CharSequence:
-    """The ladder of a parsed charseq.json, which must hold exactly the keys
-    `write_charseq` writes and whose levels must agree with its `depth` and
-    `colors`.  Colors of a level with equal member lists share one
-    `Family`, as built levels do."""
-    keys = {"r", "depth", "colors", "delta", "lam", "gamma", "levels",
-            "provenance"}
-    if set(d) != keys:
-        raise ValueError(f"charseq.json has unknown keys {sorted(set(d) - keys)}"
-                         f" and lacks keys {sorted(keys - set(d))}")
-    if (len(d["levels"]) != d["depth"]
-            or any(len(per_color) != d["colors"] for per_color in d["levels"])):
-        raise ValueError(f"charseq.json's depth={d['depth']} and "
-                         f"colors={d['colors']} disagree with its levels")
-    levels = []
-    for per_color in d["levels"]:
-        fams = {}
-        for members in per_color:
-            if str(members) not in fams:
-                fams[str(members)] = Family(space, tuple(map(space.subset, members)))
-        levels.append(ColoredCovering(space, tuple(fams[str(m)]
-                                                   for m in per_color)))
-    prov = {k: v for k, v in d["provenance"].items()
-            if k not in ("levels", "gamma_records")}
-    if "cascade" not in prov:
-        raise ValueError("charseq.json holds no separated ladder: its "
-                         "provenance has no cascade")
-    return CharSequence(space, float(d["r"]), tuple(levels), prov)
-
-
-def read_charseq(path, space: FiniteMetricSpace) -> CharSequence:
-    """The separated ladder at path: its levels and build records only."""
-    return _charseq(json.loads(Path(path).read_text(encoding="utf-8")), space)
+def read_profile(path) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def render_tree(tree) -> str:
@@ -160,71 +100,54 @@ def render_embedding(embedding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_qireport(qi, radial: dict, sphere: dict, tree_deltas) -> str:
-    return dumps_canonical({
-        "qi": {
-            "lam": qi.lam,
-            "sigma": qi.sigma,
-            "n_pairs": qi.n_pairs,
-            "violations": qi.violations,
-            "details": qi.details,
-        },
-        "radial": radial,
-        "sphere": sphere,
-        "tree_deltas": tree_deltas,
-    })
-
-
-def write_qireport(path, result) -> None:
-    _write_text(path, render_qireport(result.qi, result.radial, result.sphere,
-                                      result.tree_deltas))
-
-
-def read_qireport(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def write_profile(path, profile: dict) -> None:
-    _write_text(path, dumps_canonical(profile))
-
-
-def read_profile(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def write_config(path, config) -> None:
-    _write_text(path, dumps_canonical(config.echo()))
+def bundle_files(result) -> dict:
+    """Every file of a pipeline result's bundle, {file name: content}: the
+    text of each `tree_<a>.csv`, of `embedding.csv` and of `log.txt`, and
+    the plain JSON value of each JSON file."""
+    seq = result.charseq
+    m = seq.measurement
+    qi = result.qi
+    files = {
+        "config.json": _plain(result.config.echo()),
+        "space.json": _space_json(result.space),
+        "charseq.json": _plain({
+            "r": seq.r,
+            "depth": seq.depth,
+            "colors": seq.n_colors,
+            "delta": m["delta"],
+            "lam": m["lam"],
+            "gamma": m["gamma"],
+            "levels": [[[sorted(u.indices) for u in fam.members]
+                        for fam in cov.colors] for cov in seq.levels],
+            "provenance": {**seq.provenance, **{
+                k: m[k] for k in ("levels", "gamma_records") if k in m}},
+        }),
+        "embedding.csv": render_embedding(result.embedding),
+        "qireport.json": _plain({
+            "qi": {"lam": qi.lam, "sigma": qi.sigma, "n_pairs": qi.n_pairs,
+                   "violations": qi.violations, "details": qi.details},
+            "radial": result.radial,
+            "sphere": result.sphere,
+            "tree_deltas": result.tree_deltas,
+        }),
+        "log.txt": "\n".join(result.log) + "\n",
+    }
+    for a, tree in enumerate(result.trees):
+        files[f"tree_{a}.csv"] = render_tree(tree)
+    return files
 
 
 def write_bundle(outdir, result) -> Path:
     """Write a full pipeline bundle into outdir, creating it if needed."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    write_config(out / "config.json", result.config)
-    write_space(out / "space.json", result.space)
-    write_charseq(out / "charseq.json", result.charseq)
-    for a, tree in enumerate(result.trees):
-        _write_text(out / f"tree_{a}.csv", render_tree(tree))
-    _write_text(out / "embedding.csv", render_embedding(result.embedding))
-    write_qireport(out / "qireport.json", result)
-    _write_text(out / "log.txt", "\n".join(result.log) + "\n")
+    for name, content in bundle_files(result).items():
+        _write_text(out / name,
+                    content if isinstance(content, str) else _dumps(content))
     return out
 
 
 def read_bundle(outdir) -> dict:
-    """Load the parts of a bundle needed to re-verify it: config, ladder,
-    its stored measurement and report parsed, the tree and embedding files
-    as raw bytes, the log as lines."""
-    out = Path(outdir)
-    stored = json.loads((out / "charseq.json").read_text(encoding="utf-8"))
-    charseq = _charseq(stored, read_space(out / "space.json"))
-    return {
-        "config": json.loads((out / "config.json").read_text(encoding="utf-8")),
-        "charseq": charseq,
-        "measured": stored_measurement(stored),
-        "trees": tuple((out / f"tree_{a}.csv").read_bytes()
-                       for a in range(charseq.n_colors)),
-        "embedding": (out / "embedding.csv").read_bytes(),
-        "qireport": read_qireport(out / "qireport.json"),
-        "log": (out / "log.txt").read_text(encoding="utf-8").splitlines(),
-    }
+    """The bytes of every file in a bundle directory, by file name."""
+    return {p.name: p.read_bytes() for p in Path(outdir).iterdir()
+            if p.is_file()}

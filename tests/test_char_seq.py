@@ -333,8 +333,8 @@ class TestSeparate:
 class TestSeparateWork:
     def test_fine_rows_once_per_stage_and_color(self, monkeypatch):
         # the cascade workload: every level built, 2 stages x 2 colors; each
-        # (stage, color) derives its fine family's rows once for the
-        # disjointness check and once for all merges
+        # (stage, color) derives its fine family's rows once, for the
+        # disjointness check and all merges
         base = build_base(generate("random_circle", n=160, seed=0), r=0.125,
                           depth=3, colors=2)
         assert verify_base(base).passed  # measured before the cascade, as run
@@ -348,7 +348,7 @@ class TestSeparateWork:
         monkeypatch.setattr(Family, "dist_rows", counting)
         seq = separate(base)
         assert not any(rec["identity"] for rec in seq.provenance["cascade"])
-        assert len(calls) <= 8
+        assert len(calls) == 4
         assert len(set(calls)) == 4
 
 
@@ -377,9 +377,9 @@ class TestSeparationMargins:
                                   colors=2))
         calls = []
 
-        def counting(fine, coarse, same_level):
+        def counting(fine, coarse, rows, same_level):
             calls.append((id(fine), id(coarse), same_level))
-            return _pair_margins(fine, coarse, same_level)
+            return _pair_margins(fine, coarse, rows, same_level)
 
         monkeypatch.setattr(char_seq, "_pair_margins", counting)
         _, records = separation_margins(seq.space, seq.levels, seq.r)
@@ -437,7 +437,7 @@ class TestPairMarginsOracle:
             fine = random_family(rng, sp, int(rng.integers(1, 6)))
             coarse = random_family(rng, sp, int(rng.integers(1, 6)))
             for same in (False, True):
-                assert (_pair_margins(fine, coarse, same)
+                assert (_pair_margins(fine, coarse, coarse.dist_rows(), same)
                         == brute_pair_margins(fine, coarse, same))
 
     def test_cascade_ladder(self):
@@ -449,7 +449,8 @@ class TestPairMarginsOracle:
                 for a in range(2):
                     fine, coarse = seq.level(jf).colors[a], seq.level(jc).colors[a]
                     built += any(1 < len(u) < sp.n for u in coarse)
-                    assert (_pair_margins(fine, coarse, jf == jc)
+                    assert (_pair_margins(fine, coarse, coarse.dist_rows(),
+                                          jf == jc)
                             == brute_pair_margins(fine, coarse, jf == jc))
         assert built  # some coarse family has members that are really built
 

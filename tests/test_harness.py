@@ -1,6 +1,5 @@
 """Example generators, capacity profiles, the pipeline, and bundle io."""
 
-import dataclasses
 import json
 import math
 import shutil
@@ -10,14 +9,15 @@ import pytest
 
 import conetrees.io as bundle_io
 from conetrees import (
-    CoveringError,
     Family,
     PipelineConfig,
     StageError,
+    build_base,
     capacity_profile,
     char_seq,
     generate,
     run_pipeline,
+    separate,
     sphere_ratio_check,
 )
 from conetrees.cli import main as cli_main
@@ -151,24 +151,10 @@ class TestBundleIO:
         assert back.point_ids == sp.point_ids
         assert back.meta["kind"] == "cantor"
 
-    def test_charseq_round_trip(self, tmp_path, flagship_result):
-        seq = flagship_result.charseq
-        path = tmp_path / "charseq.json"
-        bundle_io.write_charseq(path, seq)
-        back = bundle_io.read_charseq(path, flagship_result.space)
-        assert back.r == seq.r
-        assert back.delta == seq.delta
-        assert back.gamma == seq.gamma
-        for j in range(1, 5):
-            for a in range(2):
-                got = [m.indices for m in back.level(j).colors[a].members]
-                want = [m.indices for m in seq.level(j).colors[a].members]
-                assert got == want
-
-    def test_qireport_round_trip(self, tmp_path, flagship_result):
-        path = tmp_path / "qi.json"
-        bundle_io.write_qireport(path, flagship_result)
-        back = bundle_io.read_qireport(path)
+    def test_qireport_round_trip(self, flagship_outdir, flagship_result):
+        back = json.loads((flagship_outdir / "qireport.json")
+                          .read_text(encoding="utf-8"))
+        assert back == bundle_io.bundle_files(flagship_result)["qireport.json"]
         assert back["qi"]["lam"] == flagship_result.qi.lam
         assert back["qi"]["sigma"] == flagship_result.qi.sigma
         assert back["tree_deltas"] == [0.0, 0.0]
@@ -186,17 +172,6 @@ class TestBundleIO:
         assert names == ["charseq.json", "config.json", "embedding.csv",
                          "log.txt", "qireport.json", "space.json",
                          "tree_0.csv", "tree_1.csv"]
-
-    def test_tampered_member_detected(self, tmp_path, flagship_result):
-        # deleting a point from a covering member breaks coverage, which the
-        # reader's reconstruction refuses
-        path = tmp_path / "charseq.json"
-        bundle_io.write_charseq(path, flagship_result.charseq)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        data["levels"][1][0][0] = data["levels"][1][0][0][1:]
-        path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(CoveringError):
-            bundle_io.read_charseq(path, flagship_result.space)
 
 
 class TestCLI:
@@ -249,6 +224,29 @@ class TestCLI:
                        "--enforce-assumptions"])
         assert rc == 1
         assert "separate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pipeline", "--generator", "circle", "--n", "48", "--depth", "2",
+          "--params", '{"spacing": 1}'],
+         "pipeline failed: [generate] circle takes n: int, circumference: "
+         "float; got unknown ['spacing'], missing [], ill-typed []"),
+        (["profile", "--kind", "circle", "--n", "48", "--depth", "2",
+          "--params", '{"circumference": "2"}'],
+         "error: circle takes n: int, circumference: float; got unknown [], "
+         """missing [], ill-typed ["circumference='2'"]"""),
+        (["generate", "--kind", "cantor", "--params", '{"depth": "3"}'],
+         "error: cantor takes depth: int; got unknown [], missing [], "
+         """ill-typed ["depth='3'"]"""),
+        (["generate", "--kind", "circle", "--params", "[1]"],
+         "error: --params must be a JSON object, got [1]"),
+    ], ids=["pipeline", "profile", "generate", "generate_list"])
+    def test_bad_generator_params_refused(self, tmp_path, capsys, argv,
+                                          message):
+        rc = cli_main(argv + ["--outdir" if argv[0] == "pipeline" else "--out",
+                              str(tmp_path / "out")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_command(self, flagship_outdir, capsys):
         rc = cli_main(["verify", "--bundle", str(flagship_outdir)])
@@ -310,6 +308,13 @@ def _set_report(keys, value):
     return _edit_entry(keys, lambda _: value)
 
 
+def _drop_first_point(levels):
+    """Edit for charseq.json's levels: drop the first point of the first
+    member of level 2, color 0."""
+    levels[1][0][0] = levels[1][0][0][1:]
+    return levels
+
+
 def _scale_dist(factor):
     """Edit for space.json: scale every distance, which keeps it a metric."""
     def edit(text):
@@ -320,8 +325,8 @@ def _scale_dist(factor):
 
 
 class TestVerifyTamper:
-    """verify replays the certification stages on the stored ladder and
-    compares every certified file, so an edit to any of them must fail it."""
+    """verify reruns the pipeline from config.json and compares every bundle
+    file with the replay's, so an edit to any of them must fail it."""
 
     def _verify(self, tmp_path, small_bundle, capsys, name=None, edit=None):
         bundle = tmp_path / "bundle"
@@ -336,17 +341,15 @@ class TestVerifyTamper:
     def test_untouched_bundle_passes(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys)
         assert rc == 0
-        for name in ("config", "space", "charseq", "charseq.delta",
-                     "charseq.lam", "charseq.gamma", "charseq.levels",
-                     "charseq.gamma_records", "trees", "embedding", "qi",
-                     "radial", "sphere", "tree_deltas", "log"):
-            assert f"[PASS] {name}" in out.out
+        names = sorted(p.name for p in small_bundle.iterdir())
+        assert out.out.splitlines() == [f"[PASS] {name}" for name in names] + [
+            "bundle verified"]
 
     def test_tree_parent(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys,
                                "tree_0.csv", _last_row_edit(2))
         assert rc == 1
-        assert "[FAIL] trees" in out.out
+        assert "[FAIL] tree_0.csv" in out.out
 
     def test_embedding_row(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys,
@@ -359,53 +362,83 @@ class TestVerifyTamper:
         rc, out = self._verify(tmp_path, small_bundle, capsys, "qireport.json",
                                _set_report(("tree_deltas",), value))
         assert rc == 1
-        assert "[FAIL] tree_deltas" in out.out
+        assert "[FAIL] qireport.json" in out.out
 
     @pytest.mark.parametrize("name, edit, fail_line", [
-        ("tree_0.csv", _last_row_edit(4),
-         "[FAIL] trees: 2 trees rebuilt, tree_0.csv differs"),
+        ("tree_0.csv", _last_row_edit(4), "[FAIL] tree_0.csv"),
         ("embedding.csv", _last_row_edit(2, lambda t: repr(float(t) * 2)),
-         "[FAIL] embedding"),
+         "[FAIL] embedding.csv"),
         ("embedding.csv", _last_row_edit(1, lambda pid: "p0000"),
-         "[FAIL] embedding"),
+         "[FAIL] embedding.csv"),
         ("qireport.json", _set_report(("radial", "checks"), 1),
-         "[FAIL] radial: qireport.json"),
+         "[FAIL] qireport.json"),
         ("qireport.json", _set_report(("sphere", "max_ratio"), 99.0),
-         "[FAIL] sphere: qireport.json"),
+         "[FAIL] qireport.json"),
         ("qireport.json", _set_report(("qi", "details", "dt_values"), 99),
-         "[FAIL] qi: qireport.json"),
-        ("config.json", _set_report(("depth",), 7), "[FAIL] config"),
-        ("config.json", _set_report(("r",), 0.5), "[FAIL] config"),
-        ("config.json", _set_report(("colors",), 3), "[FAIL] config"),
-        ("config.json", _set_report(("params", "n"), 12),
-         "[FAIL] space: regenerated from config.json"),
+         "[FAIL] qireport.json"),
+        ("config.json", _set_report(("depth",), 7), "[FAIL] charseq.json"),
+        ("config.json", _set_report(("r",), 0.5), "[FAIL] charseq.json"),
+        ("config.json", _set_report(("colors",), 3), "[FAIL] charseq.json"),
+        ("config.json", _set_report(("params", "n"), 12), "[FAIL] space.json"),
         ("config.json", _set_report(("params", "spacing"), 1.0),
-         "[FAIL] space: config.json generates no space"),
-        ("space.json", _scale_dist(2.0), "[FAIL] space: regenerated"),
-        ("log.txt", lambda text: "generate: kind=circle n=96\n", "[FAIL] log"),
+         "[FAIL] generate"),
+        ("space.json", _scale_dist(2.0), "[FAIL] space.json"),
+        ("log.txt", lambda text: "generate: kind=circle n=96\n", "[FAIL] log.txt"),
         ("log.txt", lambda text: text.replace("fit_qi: lam=", "fit_qi: lam=1"),
-         "[FAIL] log"),
+         "[FAIL] log.txt"),
         ("log.txt", lambda text: text.replace(" gamma=", " gamma=1"),
-         "[FAIL] log"),
+         "[FAIL] log.txt"),
         ("charseq.json", _edit_entry(("delta",), lambda x: x / 2),
-         "[FAIL] charseq.delta: charseq.json"),
+         "[FAIL] charseq.json"),
         ("charseq.json", _edit_entry(("gamma",), lambda x: x / 2),
-         "[FAIL] charseq.gamma: charseq.json"),
+         "[FAIL] charseq.json"),
         # every color of this ladder covers, so lam is 0 and doubling it
         # would change nothing
         ("charseq.json", _edit_entry(("lam",), lambda x: 2 * x + 1),
-         "[FAIL] charseq.lam: charseq.json"),
+         "[FAIL] charseq.json"),
         ("charseq.json", _edit_entry(("provenance", "levels", 0, "separation"),
                                      lambda x: x * 2),
-         "[FAIL] charseq.levels: charseq.json"),
+         "[FAIL] charseq.json"),
         ("charseq.json", _set_report(("provenance", "gamma_records"), []),
-         "[FAIL] charseq.gamma_records: charseq.json"),
+         "[FAIL] charseq.json"),
+        # the build records, which verify used to echo unchecked
+        ("charseq.json", _edit_entry(("provenance", "cascade", 0, "moat"),
+                                     lambda x: x * 2),
+         "[FAIL] charseq.json"),
+        ("charseq.json", _edit_entry(("provenance", "moats"),
+                                     lambda m: [2 * m[0]] + m[1:]),
+         "[FAIL] charseq.json"),
+        ("charseq.json", _edit_entry(("provenance", "dropped_members"),
+                                     lambda x: x + 1),
+         "[FAIL] charseq.json"),
+        ("charseq.json", _edit_entry(("provenance", "assumption_warnings"),
+                                     lambda x: x[1:]),
+         "[FAIL] charseq.json"),
+        ("charseq.json", _edit_entry(("provenance", "gamma_trace", "1"),
+                                     lambda x: x + 1),
+         "[FAIL] charseq.json"),
+        ("charseq.json", _edit_entry(("provenance", "base_delta"),
+                                     lambda x: x / 2),
+         "[FAIL] charseq.json"),
+        ("charseq.json", _edit_entry(("provenance", "base_provenance", "levels",
+                                      0, "separation"), lambda x: x * 2),
+         "[FAIL] charseq.json"),
+        ("charseq.json", _set_report(("provenance", "strategy"),
+                                     "generic_greedy"),
+         "[FAIL] charseq.json"),
+        ("charseq.json", _edit_entry(("levels",), _drop_first_point),
+         "[FAIL] charseq.json"),
     ], ids=["ref_member", "t", "point_id", "radial.checks", "sphere.max_ratio",
             "qi.details", "config.depth", "config.r", "config.colors",
             "config.params.n", "config.params.unknown", "space.dist", "log.one_line",
             "log.fit_qi", "log.separate", "charseq.delta", "charseq.gamma",
             "charseq.lam", "charseq.provenance.levels",
-            "charseq.provenance.gamma_records"])
+            "charseq.provenance.gamma_records", "charseq.provenance.cascade",
+            "charseq.provenance.moats", "charseq.provenance.dropped_members",
+            "charseq.provenance.assumption_warnings",
+            "charseq.provenance.gamma_trace", "charseq.provenance.base_delta",
+            "charseq.provenance.base_provenance.levels",
+            "charseq.provenance.strategy", "charseq.levels.member"])
     def test_certified_field(self, tmp_path, small_bundle, capsys, name, edit,
                              fail_line):
         rc, out = self._verify(tmp_path, small_bundle, capsys, name, edit)
@@ -421,16 +454,13 @@ class TestVerifyTamper:
         rc, out = self._verify(tmp_path, small_bundle, capsys, "charseq.json",
                                drop_cascade)
         assert rc == 1
-        assert "holds no separated ladder" in out.err
+        assert "[FAIL] charseq.json" in out.out
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("depth", 7, "depth=7 and colors=2 disagree with its levels"),
-        ("colors", 9, "depth=3 and colors=9 disagree with its levels"),
-        ("bogus", 1, "has unknown keys ['bogus'] and lacks keys []"),
-        ("delta", None, "has unknown keys [] and lacks keys ['delta']"),
+    @pytest.mark.parametrize("key, value", [
+        ("depth", 7), ("colors", 9), ("bogus", 1), ("delta", None),
     ], ids=["depth", "colors", "unknown_key", "missing_key"])
     def test_charseq_shape_refused(self, tmp_path, small_bundle, capsys, key,
-                                   value, message):
+                                   value):
         def edit(text):
             data = json.loads(text)
             if value is None:
@@ -441,7 +471,7 @@ class TestVerifyTamper:
         rc, out = self._verify(tmp_path, small_bundle, capsys, "charseq.json",
                                edit)
         assert rc == 1
-        assert message in out.err
+        assert "[FAIL] charseq.json" in out.out
 
     def test_unknown_config_key_refused(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys, "config.json",
@@ -449,10 +479,37 @@ class TestVerifyTamper:
         assert rc == 1
         assert "unknown config keys: ['product_mode']" in out.err
 
+    @pytest.mark.parametrize("edit", [
+        _set_report(("params", "n"), "96"), _set_report(("params",), [96]),
+        _set_report(("generator",), "klein_bottle"),
+    ], ids=["ill_typed", "not_an_object", "unknown_generator"])
+    def test_config_that_generates_no_space(self, tmp_path, small_bundle,
+                                            capsys, edit):
+        rc, out = self._verify(tmp_path, small_bundle, capsys, "config.json",
+                               edit)
+        assert rc == 1
+        assert out.out == "[FAIL] generate\n"
+        assert "verification failed: [generate]" in out.err
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_file_set_compared(self, tmp_path, small_bundle, capsys, change):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        if change == "missing":
+            (bundle / "tree_1.csv").unlink()
+        else:
+            shutil.copy(bundle / "tree_1.csv", bundle / "tree_2.csv")
+        rc = cli_main(["verify", "--bundle", str(bundle)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert {"missing": "[FAIL] tree_1.csv: missing from the bundle",
+                "extra": "[FAIL] tree_2.csv: not written by the replay"}[
+            change] in out
+
 
 class TestOneMeasurement:
-    """A ladder measures its levels once: the pipeline's base and separated
-    ladders, and verify's re-read ladder."""
+    """A ladder measures its levels once, and verify, a replay, measures
+    what the pipeline measures."""
 
     def test_measured_once_per_ladder(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -470,26 +527,42 @@ class TestOneMeasurement:
         assert calls == [False, True]
         calls.clear()
         assert cli_main(["verify", "--bundle", str(out)]) == 0
-        assert calls == [True]
+        assert calls == [False, True]
 
-    def test_reread_ladder_shares_families(self, tmp_path, monkeypatch, capsys):
+    def test_verify_measures_like_pipeline(self, tmp_path, monkeypatch,
+                                           capsys):
         # level 1 is built, one family per color; level 2 is all singletons,
         # which the separated ladder holds as one family in both colors
-        out = tmp_path / "bundle"
-        result = run_pipeline(PipelineConfig(
-            generator="circle", params={"n": 320}, r=0.125, depth=2, colors=2,
-            tree_delta_check=False, outdir=str(out)))
         calls = []
-        min_separation = Family.min_separation
+        dist_rows = Family.dist_rows
 
         def counting(fam):
             calls.append(fam)
-            return min_separation(fam)
+            return dist_rows(fam)
 
-        monkeypatch.setattr(Family, "min_separation", counting)
-        # a fresh copy of the pipeline's separated ladder, measured anew
-        dataclasses.replace(result.charseq).measurement
+        monkeypatch.setattr(Family, "dist_rows", counting)
+        out = tmp_path / "bundle"
+        run_pipeline(PipelineConfig(
+            generator="circle", params={"n": 320}, r=0.125, depth=2, colors=2,
+            tree_delta_check=False, outdir=str(out)))
         pipeline_calls = len(calls)
         calls.clear()
         assert cli_main(["verify", "--bundle", str(out)]) == 0
-        assert len(calls) == pipeline_calls == 3
+        assert len(calls) == pipeline_calls
+
+    def test_one_dist_rows_per_family(self, monkeypatch):
+        # the cascade workload's separated ladder: 3 built levels x 2 colors
+        seq = separate(build_base(generate("random_circle", n=160, seed=0),
+                                  r=0.125, depth=3, colors=2))
+        families = {id(f) for cov in seq.levels for f in cov.colors}
+        calls = []
+        dist_rows = Family.dist_rows
+
+        def counting(fam):
+            calls.append(id(fam))
+            return dist_rows(fam)
+
+        monkeypatch.setattr(Family, "dist_rows", counting)
+        seq.measurement
+        assert len(families) == 6
+        assert sorted(calls) == sorted(families)
