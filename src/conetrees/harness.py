@@ -143,10 +143,15 @@ _SPACES = {"circle": _circle, "interval": _interval, "cantor": _cantor,
 GENERATORS = tuple(_SPACES)
 
 
-def _fits(value, kind: type) -> bool:
-    """Whether value suits an int or float parameter; a bool does not."""
-    number = numbers.Integral if kind is int else numbers.Real
-    return isinstance(value, number) and not isinstance(value, bool)
+def _fits(value, kind) -> bool:
+    """Whether value suits a parameter annotated `kind`: a bool is no int or
+    float, an int is a float, and `X | None` also takes None."""
+    if typing.get_args(kind):
+        return any(_fits(value, k) for k in typing.get_args(kind))
+    if kind in (int, float):
+        number = numbers.Integral if kind is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
 def generate(kind: str, **params) -> FiniteMetricSpace:
@@ -225,6 +230,16 @@ class PipelineConfig:
     enforce_assumptions: bool = False
     tree_delta_check: bool = True
 
+    def __post_init__(self):
+        """Refuse a field of the wrong type; params are left to `generate`
+        (through `generator_params`), which fails the generate stage."""
+        for name, kind in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if name != "params" and not _fits(value, kind):
+                raise ValueError(f"config field {name} must be "
+                                 f"{getattr(kind, '__name__', kind)}, got "
+                                 f"{value!r}")
+
     def echo(self) -> dict:
         """Config as written into bundles: everything but the output path."""
         d = asdict(self)
@@ -237,6 +252,8 @@ class PipelineConfig:
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
+        if "generator" not in d:
+            raise ValueError("config needs a generator")
         return cls(**d)
 
 

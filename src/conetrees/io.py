@@ -2,7 +2,12 @@
 
 Everything is written canonically: JSON with sorted keys and a fixed indent,
 CSV with fixed columns, no timestamps or absolute paths, so rerunning the
-same deterministic pipeline reproduces every file byte for byte.
+same deterministic pipeline reproduces every file byte for byte.  The JSON
+text is exactly `json.dumps(value, sort_keys=True, indent=2) + "\n"`, but
+written by `_dumps`, not the stdlib: with an indent the stdlib takes its
+pure-Python encoder, which turns every float into text anew, while a bundle
+is mostly a distance matrix with few distinct values.  The tests and CI
+hold `_dumps` to the stdlib's bytes.
 `bundle_files` is the one description of a bundle: `write_bundle` writes
 it, and `conetrees verify` compares a replay's against the stored files.
 """
@@ -10,6 +15,8 @@ it, and `conetrees verify` compares a replay's against the stored files.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +42,64 @@ def _plain(x):
     return x
 
 
+class _FloatTexts(dict):
+    """float.__repr__ of each distinct finite nonzero float, computed on
+    first use.  Zeros are not kept, since 0.0 == -0.0 but their texts differ;
+    non-finite floats get the stdlib's NaN, Infinity and -Infinity."""
+
+    def __missing__(self, x: float) -> str:
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        text = float.__repr__(x)
+        if x:
+            self[x] = text
+        return text
+
+
+def _render(value, newline: str, floats: _FloatTexts) -> str:
+    if isinstance(value, float):
+        return floats[value]
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # floats inline: a distance matrix is almost all of a bundle's values
+        items = [floats[v] if type(v) is float else _render(v, inner, floats)
+                 for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("JSON object keys must be str")
+        items = [encode_basestring_ascii(k) + ": "
+                 + _render(value[k], inner, floats) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                    f"serializable")
+
+
 def _dumps(value) -> str:
-    """A plain JSON value as canonical text."""
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    """A plain JSON value (dict with str keys, list, tuple, str, int, float,
+    bool, None) as canonical text: exactly the bytes of
+    `json.dumps(value, sort_keys=True, indent=2) + "\n"`, with one repr
+    per distinct float (see the module docstring).  Anything else raises
+    TypeError."""
+    return _render(value, "\n", _FloatTexts()) + "\n"
 
 
 def _write_text(path, text: str) -> None:

@@ -1,7 +1,11 @@
 """Quasi-isometry fitting and hyperbolicity measurement.
 
 fit_qi searches a multiplicative constant over a fixed grid and reports the
-smallest additive defect.  delta_hyperbolicity measures the base-point
+smallest additive defect.  It reads only the least and greatest source
+distance per target value, which integer tree metrics make few, and groups
+integer targets without sorting the pairs; the pairs are passed over once
+more only if an extreme breaks the fitted band, to count the violations.
+delta_hyperbolicity measures the base-point
 four-point defect on the doubled Gromov products a, in exact integers
 whenever the input matrix is integral.  Inputs whose a takes at most
 THRESHOLD_MAX_VALUES distinct values, as tree metrics at the root do
@@ -133,22 +137,49 @@ class QIReport:
         )
 
 
-def _sigma_curve(ds_by_dt_min: dict, ds_by_dt_max: dict, lambdas: np.ndarray) -> np.ndarray:
+def _sigma_curve(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 lambdas: np.ndarray) -> np.ndarray:
     sig = np.zeros(len(lambdas))
-    for v, lo in ds_by_dt_min.items():
-        sig = np.maximum(sig, v - lambdas * lo)
-    for v, hi in ds_by_dt_max.items():
-        sig = np.maximum(sig, hi / lambdas - v)
-    return np.maximum(sig, 0.0)
+    for v, least, most in zip(values, lo, hi):
+        np.maximum(sig, v - lambdas * least, out=sig)
+        np.maximum(sig, most / lambdas - v, out=sig)
+    return sig
+
+
+def _extremes(ds: np.ndarray, dt: np.ndarray):
+    """The distinct values v of dt as floats, ascending, and the least and
+    greatest ds over the pairs with dt == v.  Integer dt whose range holds
+    at most one value per pair is grouped by offset from its minimum,
+    without sorting the pairs; any other dt by np.unique."""
+    if (np.issubdtype(dt.dtype, np.integer)
+            and int(dt.max()) - int(dt.min()) < dt.size):
+        base = int(dt.min())
+        codes = np.subtract(dt, base, dtype=np.intp)
+        present = np.flatnonzero(np.bincount(codes))
+        values = (present + base).astype(float)
+    else:
+        values, codes = np.unique(np.asarray(dt, dtype=float),
+                                  return_inverse=True)
+        present = np.arange(len(values))
+    lo = np.full(present[-1] + 1, np.inf)
+    hi = np.full(present[-1] + 1, -np.inf)
+    np.minimum.at(lo, codes, ds)
+    np.maximum.at(hi, codes, ds)
+    return values, lo[present], hi[present]
 
 
 def fit_qi(ds: np.ndarray, dt: np.ndarray) -> QIReport:
     """Fit dt into [ds/lam - sigma, lam*ds + sigma] over LAMBDA_GRID.
 
     ds are source distances, dt target distances, as flat aligned arrays.
-    When dt takes few distinct values (integer tree metrics), only the
-    extreme ds per dt value matter, which this uses losslessly.  Ties on
-    sigma pick the smallest lambda; every pair is re-checked at the winner.
+    Everything is read from the least and greatest ds per dt value, of which
+    there are few for integer tree metrics: sigma(lam) = max over values v of
+    v - lam*lo_v, hi_v/lam - v and 0, ties on sigma pick the smallest lam,
+    and sigma_upper and sigma_lower are the two maxima at the winner.  Each
+    bound at the winner is monotone in ds under rounding, so a value's pairs
+    all hold it exactly when its extreme does, and these numbers equal the
+    per-pair ones bit for bit.  Only when an extreme breaks a bound are the
+    pairs passed over, to count the violations exactly.
     """
     ds = np.asarray(ds, dtype=float).ravel()
     dt = np.asarray(dt).ravel()
@@ -156,31 +187,29 @@ def fit_qi(ds: np.ndarray, dt: np.ndarray) -> QIReport:
         raise ValueError("ds and dt must align")
     if ds.size == 0:
         raise ValueError("cannot fit an empty pair set")
-    values, inverse = np.unique(np.asarray(dt, dtype=float), return_inverse=True)
-    lo = np.full(len(values), np.inf)
-    hi = np.full(len(values), -np.inf)
-    np.minimum.at(lo, inverse, ds)
-    np.maximum.at(hi, inverse, ds)
-    by_min = {float(v): float(l) for v, l in zip(values, lo)}
-    by_max = {float(v): float(h) for v, h in zip(values, hi)}
-    curve = _sigma_curve(by_min, by_max, LAMBDA_GRID)
+    values, lo, hi = _extremes(ds, dt)
+    curve = _sigma_curve(values, lo, hi, LAMBDA_GRID)
     best = int(curve.argmin())
     lam = float(LAMBDA_GRID[best])
     sigma = float(curve[best])
-    dtf = dt.astype(float)
     tol = 1e-9 * (1.0 + sigma + lam)
-    bad = (dtf > lam * ds + sigma + tol) | (dtf < ds / lam - sigma - tol)
+    violations = 0
+    if np.any((values > lam * lo + sigma + tol)
+              | (values < hi / lam - sigma - tol)):
+        dtf = dt.astype(float)
+        violations = int(np.count_nonzero(
+            (dtf > lam * ds + sigma + tol) | (dtf < ds / lam - sigma - tol)))
     return QIReport(
         lam=lam,
         sigma=sigma,
         n_pairs=int(ds.size),
-        violations=int(np.count_nonzero(bad)),
+        violations=violations,
         details={
             "lambda_grid": [float(LAMBDA_GRID[0]), float(LAMBDA_GRID[-1]),
                             len(LAMBDA_GRID)],
             "dt_values": len(values),
-            "sigma_upper": float(np.max(dtf - lam * ds)),
-            "sigma_lower": float(np.max(ds / lam - dtf)),
+            "sigma_upper": float(np.max(values - lam * lo)),
+            "sigma_lower": float(np.max(hi / lam - values)),
         },
     )
 

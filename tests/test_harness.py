@@ -1,8 +1,10 @@
 """Example generators, capacity profiles, the pipeline, and bundle io."""
 
+import importlib.util
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,18 @@ from conetrees import (
     sphere_ratio_check,
 )
 from conetrees.cli import main as cli_main
+
+
+def _workload_configs() -> dict:
+    """The benchmark's workload configurations, from bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: w["config"] for name, w in module.WORKLOADS.items()}
+
+
+WORKLOAD_CONFIGS = _workload_configs()
 
 
 class TestGenerators:
@@ -120,6 +134,25 @@ class TestPipeline:
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_dict({"generator": "circle", "wat": 1})
 
+    @pytest.mark.parametrize("field, value", [
+        ("r", "0.125"), ("depth", "2"), ("tree_delta_check", 1),
+        ("depth", True), ("delta_target", "0.1"), ("generator", None),
+    ])
+    def test_ill_typed_config_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"config field {field} must be"):
+            PipelineConfig.from_dict({"generator": "circle", field: value})
+
+    def test_optional_fields_take_none(self):
+        cfg = PipelineConfig.from_dict({"generator": "circle", "r": 1 / 8,
+                                        "delta_target": None, "outdir": None})
+        assert cfg.delta_target is None and cfg.outdir is None
+        assert PipelineConfig.from_dict({"generator": "circle",
+                                         "delta_target": 1}).delta_target == 1
+
+    def test_config_without_generator_refused(self):
+        with pytest.raises(ValueError, match="needs a generator"):
+            PipelineConfig.from_dict({"depth": 2})
+
     def test_config_echo_drops_outdir(self):
         cfg = PipelineConfig(generator="circle", outdir="/tmp/somewhere")
         assert "outdir" not in cfg.echo()
@@ -174,6 +207,90 @@ class TestBundleIO:
                          "tree_0.csv", "tree_1.csv"]
 
 
+_STRING_POOL = ('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "a",
+                " ", "\u00e9", "\u20ac", "\U0001f600", "\ud800")
+_FLOAT_POOL = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-7, 1e300,
+               5e-324, 1.7976931348623157e308, 0.1, 1.0, -2.5, 1e16,
+               123456.789)
+_INT_POOL = (0, -1, 7, 2 ** 63, -(2 ** 63) - 1, 2 ** 100, -(10 ** 30))
+
+
+def _random_text(rng, most):
+    return "".join(_STRING_POOL[int(i)] for i in
+                   rng.integers(0, len(_STRING_POOL), rng.integers(0, most)))
+
+
+def _random_json(rng, depth=0):
+    """A random plain JSON value; containers thin out with depth."""
+    kind = int(rng.integers(0, 9 if depth < 4 else 6))
+    if kind == 0:
+        return _FLOAT_POOL[int(rng.integers(len(_FLOAT_POOL)))]
+    if kind == 1:
+        return float(rng.normal() * 10.0 ** rng.integers(-30, 30))
+    if kind == 2:
+        return _INT_POOL[int(rng.integers(len(_INT_POOL)))]
+    if kind == 3:
+        return bool(rng.integers(2))
+    if kind == 4:
+        return None
+    if kind == 5:
+        return _random_text(rng, 5)
+    size = int(rng.integers(0, 5))
+    if kind == 6:
+        return [_random_json(rng, depth + 1) for _ in range(size)]
+    if kind == 7:
+        return tuple(_random_json(rng, depth + 1) for _ in range(size))
+    return {_random_text(rng, 4): _random_json(rng, depth + 1)
+            for _ in range(size)}
+
+
+def _stdlib(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+class TestCanonicalJSON:
+    """io._dumps against the stdlib writer it replaces."""
+
+    def test_random_values(self):
+        rng = np.random.default_rng(9)
+        for _ in range(3000):
+            value = _random_json(rng)
+            assert bundle_io._dumps(value) == _stdlib(value)
+
+    def test_repeated_floats_and_signed_zeros(self):
+        row = [0.0, -0.0, 0.1, 0.0, -0.0, 0.1, math.nan, math.inf, -math.inf,
+               1, True, 0.1]
+        assert bundle_io._dumps([row, row, {"z": row}]) == _stdlib(
+            [row, row, {"z": row}])
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, b"bytes", np.int64(3), {1: "int key"}, [object()],
+    ], ids=["set", "bytes", "numpy_int", "int_key", "object"])
+    def test_refuses_values_that_are_not_plain(self, value):
+        with pytest.raises(TypeError):
+            bundle_io._dumps(value)
+
+    @pytest.mark.parametrize("name", ["flagship", "cascade", "long_ray"])
+    def test_workload_bundles(self, tmp_path, name):
+        cfg = WORKLOAD_CONFIGS[name]
+        result = run_pipeline(PipelineConfig(
+            **{**cfg, "params": dict(cfg["params"])}, outdir=str(tmp_path)))
+        files = bundle_io.bundle_files(result)
+        written = sorted(p.name for p in tmp_path.glob("*.json"))
+        assert written == sorted(k for k in files if k.endswith(".json"))
+        for file in written:
+            assert (tmp_path / file).read_text(encoding="utf-8") == _stdlib(
+                files[file])
+
+    def test_profile(self, tmp_path):
+        prof = capacity_profile(generate("random_circle", n=100),
+                                [0.5, 0.125, 0.02], colors=(2, 3))
+        path = tmp_path / "profile.json"
+        bundle_io.write_profile(path, prof)
+        assert path.read_text(encoding="utf-8") == _stdlib(
+            bundle_io._plain(prof))
+
+
 class TestCLI:
     def test_generate_command(self, tmp_path, capsys):
         out = tmp_path / "sp.json"
@@ -217,6 +334,18 @@ class TestCLI:
         assert "fit_qi" in text
         cfg = json.loads((outdir / "config.json").read_text(encoding="utf-8"))
         assert cfg["depth"] == 2
+
+    def test_pipeline_refuses_ill_typed_config(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "generator": "circle", "params": {"n": 48}, "depth": "2",
+        }), encoding="utf-8")
+        rc = cli_main(["pipeline", "--config", str(cfg_file),
+                       "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: config field depth must be int, got '2'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_failure_exit_code(self, tmp_path, capsys):
         rc = cli_main(["pipeline", "--generator", "circle", "--n", "48",
@@ -478,6 +607,17 @@ class TestVerifyTamper:
                                _set_report(("product_mode",), "l1"))
         assert rc == 1
         assert "unknown config keys: ['product_mode']" in out.err
+
+    @pytest.mark.parametrize("field, value", [
+        ("r", "0.125"), ("depth", "2"), ("tree_delta_check", 1),
+    ])
+    def test_ill_typed_config_refused(self, tmp_path, small_bundle, capsys,
+                                      field, value):
+        rc, out = self._verify(tmp_path, small_bundle, capsys, "config.json",
+                               _set_report((field,), value))
+        assert rc == 1
+        assert out.out == ""
+        assert out.err.startswith(f"error: config field {field} must be ")
 
     @pytest.mark.parametrize("edit", [
         _set_report(("params", "n"), "96"), _set_report(("params",), [96]),

@@ -155,6 +155,36 @@ class TestConeGrid:
         assert np.all(np.diagonal(m) == 0)
         assert m[0, grid.index(3, 0)] == pytest.approx(3 * grid.R)
 
+    @pytest.mark.parametrize("kind, params, depth", [
+        ("circle", {"n": 96}, 4),
+        ("random_circle", {"n": 160}, 3),
+        ("interval", {"n": 60}, 3),
+        ("visual_circle", {"n": 64}, 5),
+        ("circle", {"n": 40}, 1),
+        ("circle", {"n": 30}, 12),
+    ], ids=["circle", "random_circle", "interval", "visual_circle", "depth1",
+            "depth12"])
+    def test_dist_matrix_equals_cone_metric(self, kind, params, depth):
+        grid = build_grid(generate(kind, **params), r=0.125, depth=depth)
+        assert np.array_equal(grid.dist_matrix,
+                              cone_metric(grid.space, grid.points))
+
+    def test_dist_matrix_equals_cone_metric_on_asymmetric_base(self):
+        # a metric is accepted when asymmetric within rel_tol; every block
+        # must read its own entries, not its mirror's
+        from conetrees import FiniteMetricSpace
+        base = generate("random_circle", n=50, seed=3)
+        d = base.dist.copy()
+        rng = np.random.default_rng(5)
+        upper = np.triu_indices(50, k=1)
+        d[upper] *= 1 + 1e-11 * rng.uniform(size=len(upper[0]))
+        sp = FiniteMetricSpace(d, base.point_ids, meta=dict(base.meta))
+        assert not np.array_equal(sp.dist, sp.dist.T)
+        grid = build_grid(sp, r=0.125, depth=3)
+        assert np.array_equal(grid.dist_matrix,
+                              cone_metric(grid.space, grid.points))
+        assert not np.array_equal(grid.dist_matrix, grid.dist_matrix.T)
+
     def test_angle_map_tops_out_at_pi(self):
         sp = generate("circle", n=8)
         grid = build_grid(sp, r=0.25, depth=2)

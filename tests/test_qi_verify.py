@@ -220,6 +220,111 @@ class TestFitQI:
         assert "[PASS]" in repr(rep)
 
 
+def _reference_sigma_curve(by_min, by_max, lambdas):
+    sig = np.zeros(len(lambdas))
+    for v, lo in by_min.items():
+        sig = np.maximum(sig, v - lambdas * lo)
+    for v, hi in by_max.items():
+        sig = np.maximum(sig, hi / lambdas - v)
+    return np.maximum(sig, 0.0)
+
+
+def reference_fit_qi(ds, dt, sigma_curve=_reference_sigma_curve):
+    """fit_qi as it was before it read only per-value extremes: a float sort
+    to group the pairs, then every pair re-checked at the winner."""
+    grid = qi_verify.LAMBDA_GRID
+    ds = np.asarray(ds, dtype=float).ravel()
+    dt = np.asarray(dt).ravel()
+    values, inverse = np.unique(np.asarray(dt, dtype=float),
+                                return_inverse=True)
+    lo = np.full(len(values), np.inf)
+    hi = np.full(len(values), -np.inf)
+    np.minimum.at(lo, inverse, ds)
+    np.maximum.at(hi, inverse, ds)
+    by_min = {float(v): float(x) for v, x in zip(values, lo)}
+    by_max = {float(v): float(x) for v, x in zip(values, hi)}
+    curve = sigma_curve(by_min, by_max, grid)
+    best = int(curve.argmin())
+    lam = float(grid[best])
+    sigma = float(curve[best])
+    dtf = dt.astype(float)
+    tol = 1e-9 * (1.0 + sigma + lam)
+    bad = (dtf > lam * ds + sigma + tol) | (dtf < ds / lam - sigma - tol)
+    return qi_verify.QIReport(
+        lam=lam, sigma=sigma, n_pairs=int(ds.size),
+        violations=int(np.count_nonzero(bad)),
+        details={"lambda_grid": [float(grid[0]), float(grid[-1]), len(grid)],
+                 "dt_values": len(values),
+                 "sigma_upper": float(np.max(dtf - lam * ds)),
+                 "sigma_lower": float(np.max(ds / lam - dtf))},
+    )
+
+
+class TestFitQIOracle:
+    """fit_qi from per-value extremes against the per-pair reference: the
+    same QIReport, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_float_dt(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = rng.uniform(0.01, 5.0, 300)
+        dt = ds * rng.uniform(0.3, 4.0, 300) + rng.normal(0.0, 0.5, 300)
+        rep = fit_qi(ds, dt)
+        assert rep.details["dt_values"] == 300
+        assert rep == reference_fit_qi(ds, dt)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, float])
+    def test_integer_dt_with_ties(self, dtype):
+        rng = np.random.default_rng(11)
+        dt = rng.integers(0, 9, 2000)
+        ds = 0.5 * dt + rng.uniform(0.0, 1.5, 2000)
+        ds[:40] = ds[40:80]  # ties in ds as well
+        dt = dt.astype(dtype)
+        assert fit_qi(ds, dt) == reference_fit_qi(ds, dt)
+
+    @pytest.mark.parametrize("dt", [np.array([-7, 3, 3, 12, -7]),
+                                    np.array([0, 10**12, 5, 10**12, 0]),
+                                    np.array([2.5, 0.5, 2.5, 1e9, 0.5])],
+                             ids=["negative", "wide_range", "float"])
+    def test_sparse_and_negative_values(self, dt):
+        ds = np.array([1.0, 2.0, 0.5, 4.0, 3.0])
+        assert fit_qi(ds, dt) == reference_fit_qi(ds, dt)
+
+    @pytest.mark.parametrize("ds, dt", [(0.3, 2), (2.0, 0.5), (1.0, 0)])
+    def test_single_pair(self, ds, dt):
+        ds, dt = np.array([ds]), np.array([dt])
+        rep = fit_qi(ds, dt)
+        assert rep.n_pairs == 1 and rep.details["dt_values"] == 1
+        assert rep == reference_fit_qi(ds, dt)
+
+    @pytest.mark.parametrize("dtype", [np.int32, float])
+    @pytest.mark.parametrize("offsets", [(-1.0, 0.0), (0.0, 1.0),
+                                         (-1.0, 0.0, 0.0, 1.0)],
+                             ids=["over", "under", "both"])
+    def test_violations_counted_per_pair(self, monkeypatch, dtype, offsets):
+        # The fit covers every extreme, so it never violates on its own; an
+        # all-zero curve (lam = 1, sigma = 0) makes each pair with dt != ds
+        # a violation: dt above the band where ds < dt, below it where
+        # ds > dt.
+        rng = np.random.default_rng(3)
+        dt = rng.integers(0, 6, 500).astype(dtype)
+        ds = dt + rng.choice(offsets, 500)
+        zero = lambda *args: np.zeros(len(qi_verify.LAMBDA_GRID))
+        monkeypatch.setattr(qi_verify, "_sigma_curve", zero)
+        rep = fit_qi(ds, dt)
+        assert (rep.lam, rep.sigma) == (1.0, 0.0)
+        assert rep.violations == np.count_nonzero(dt != ds) > 0
+        assert rep == reference_fit_qi(ds, dt, sigma_curve=zero)
+
+    def test_pipeline_pairs(self, flagship_result):
+        res = flagship_result
+        upper = np.triu(np.ones((res.grid.n_points,) * 2, dtype=bool), k=1)
+        ds = res.grid.dist_matrix[upper]
+        dt = res.embedding.all_pairs_dist[upper]
+        assert res.qi == reference_fit_qi(ds, dt)
+
+
 class TestVisualCircle:
     def test_distances_are_half_chords(self):
         sp = visual_metric_circle(4)
