@@ -51,8 +51,8 @@ def _default_out(flag_value: str | None, fallback_name: str) -> Path:
 
 
 def _object(value, what: str) -> dict:
-    """Generator params, which must be a JSON object; `generate` checks
-    their keys and value types."""
+    """A config or its generator params, which must be a JSON object;
+    `PipelineConfig` and `generate` check their keys and value types."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {json.dumps(value)}")
     return value
@@ -101,7 +101,8 @@ def _cmd_profile(args) -> int:
 def _cmd_pipeline(args) -> int:
     cfg = {}
     if args.config:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg = _object(json.loads(Path(args.config).read_text(encoding="utf-8")),
+                      "config")
     overrides = {
         "generator": args.generator,
         "r": args.r,

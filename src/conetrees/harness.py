@@ -248,6 +248,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(d) - known
         if extra:

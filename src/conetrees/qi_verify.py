@@ -7,12 +7,17 @@ integer targets without sorting the pairs; the pairs are passed over once
 more only if an extreme breaks the fitted band, to count the violations.
 delta_hyperbolicity measures the base-point
 four-point defect on the doubled Gromov products a, in exact integers
-whenever the input matrix is integral.  Inputs whose a takes at most
+whenever the input matrix is integral.  It first runs an exact zero test:
+the defect is 0 exactly when every threshold relation [a >= v] is
+transitive, and a symmetric transitive relation is an equivalence relation,
+which one comparison with the partition by first row entry recognises in
+O(n**2) per distinct value.  Tree metrics, the pipeline's input, stop
+there.  Only inputs that fail it are measured.  Those whose a takes at most
 THRESHOLD_MAX_VALUES distinct values, as tree metrics at the root do
 (2*lca in {0, 2, ..., 2*depth}), take a threshold (max,min)-product: one
 float32 0/1 matrix product per value, in place of n passes over an n x n
 matrix.  Other inputs take the direct scan over the middle point, which
-also serves the tests as the reference.  Both compute the same number.
+also serves the tests as the reference.  All three agree on the number.
 """
 
 from __future__ import annotations
@@ -82,13 +87,51 @@ def _threshold_excess(a: np.ndarray, key: np.ndarray, values: np.ndarray) -> flo
     return float(worst)
 
 
+def _thresholds_transitive(a: np.ndarray, values: np.ndarray) -> bool:
+    """Whether min(a[x,y], a[y,w]) <= a[x,w] for all x, y, w: whether
+    every B_v = [a >= v] is transitive, v over the sorted distinct values.
+
+    The smallest value is skipped, since B_v is all ones there.  For the
+    others, label[x] is the first w with B_v[x,w], or x itself when row x
+    is empty, and L = [label[x] == label[w]] with the diagonal of the empty
+    rows cleared.  If B_v = L, B_v is transitive: equal labels are, and an
+    empty row of B_v relates to nothing, so its cleared diagonal ends no
+    chain.  Conversely a symmetric transitive B_v is an equivalence
+    relation on its non-empty rows (by symmetry, its non-empty columns),
+    and the first entry of a row names its class, so B_v = L.  L is
+    symmetric, so an asymmetric B_v fails even where it is transitive: a
+    False sends the input on to be measured, and only True is a verdict.
+    O(n**2) per value, in two reused n x n bool buffers.
+    """
+    n = a.shape[0]
+    b = np.empty((n, n), dtype=bool)
+    same = np.empty((n, n), dtype=bool)
+    rows = np.arange(n)
+    for v in values[1:]:
+        np.greater_equal(a, v, out=b)
+        label = b.argmax(axis=1).astype(np.min_scalar_type(n - 1))
+        empty = np.flatnonzero(~b[rows, label])
+        label[empty] = empty
+        np.equal(label[:, None], label[None, :], out=same)
+        same[empty, empty] = False
+        if not np.array_equal(b, same):
+            return False
+    return True
+
+
 def delta_hyperbolicity(d: np.ndarray, base: int = 0) -> float:
     """Base-point hyperbolicity: max over pairs of points x, w of
     max_y min((x|y), (y|w)) - (x|w), floored at 0.
 
     Works on the doubled products a = 2(.|.), which are exact integers for
-    integer input, so genuine tree metrics come out at exactly 0.0.  With
-    K distinct values in a, K <= THRESHOLD_MAX_VALUES selects the threshold
+    integer input, so genuine tree metrics come out at exactly 0.0.
+
+    The value is 0 exactly when min(a[x,y], a[y,w]) <= a[x,w] for all x,
+    y, w, which _thresholds_transitive decides in O(K n**2) for K distinct
+    values in a; it returns 0.0 when that test passes, which is then also
+    what both kernels below return.  A matrix that fails it (delta > 0, or
+    an asymmetric input), or whose a holds NaN, is measured by one of the
+    two kernels.  K <= THRESHOLD_MAX_VALUES selects the threshold
     (max,min)-product (Fournier, Ismail & Vigneron, IPL 2015): K - 1 float32
     0/1 matrix products, whose counts are exact below 2**24 points.  Larger
     K selects the direct scan over y.  Both paths only compare, select and
@@ -109,6 +152,8 @@ def delta_hyperbolicity(d: np.ndarray, base: int = 0) -> float:
     flat = np.sort(a, axis=None)
     values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     del flat
+    if not np.isnan(values[-1]) and _thresholds_transitive(a, values):
+        return 0.0
     if len(values) > THRESHOLD_MAX_VALUES:
         worst = _scan_excess(a)
     else:

@@ -89,12 +89,14 @@ class RootedTree:
         """(n_nodes, n_nodes) integer tree distances level[u] + level[v] -
         2*lca, where lca is the largest level l with ancestors[u, l] ==
         ancestors[v, l] >= 0: one equality pass per level above the root,
-        which every pair shares at level 0."""
+        which every pair shares at level 0.  Each column is compared in the
+        narrowest signed type that holds the node ids and -2."""
         anc = self.ancestors
+        ids = np.min_scalar_type(-self.n_nodes)
         lca = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int16)
         match = np.empty(lca.shape, dtype=bool)
         for lvl in range(1, self.depth + 1):
-            col = anc[:, lvl]
+            col = anc[:, lvl].astype(ids)
             # -1 on one side against -2 on the other: skipped levels never match
             np.equal(col[:, None], np.where(col < 0, -2, col)[None, :], out=match)
             np.copyto(lca, lvl, where=match)
@@ -215,13 +217,14 @@ class ProductEmbedding:
 
     @cached_property
     def all_pairs_dist(self) -> np.ndarray:
-        """(n_points, n_points) integer l1 product distances."""
+        """(n_points, n_points) integer l1 product distances.  Each tree's
+        int16 distances are gathered rows then columns and added into the
+        int32 sum, which casts in the add."""
         n = self.grid.n_points
         out = np.zeros((n, n), dtype=np.int32)
         for a, t in enumerate(self.trees):
-            td = t.all_pairs_dist
             col = self.table[:, a]
-            out += td[np.ix_(col, col)].astype(np.int32)
+            out += t.all_pairs_dist.take(col, axis=0).take(col, axis=1)
         return out
 
     def __repr__(self):

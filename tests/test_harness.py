@@ -149,6 +149,14 @@ class TestPipeline:
         assert PipelineConfig.from_dict({"generator": "circle",
                                          "delta_target": 1}).delta_target == 1
 
+    @pytest.mark.parametrize("value", [[1, 2], 5, None, "circle"],
+                             ids=["list", "number", "null", "string"])
+    def test_config_that_is_not_an_object_refused(self, value):
+        with pytest.raises(ValueError) as exc:
+            PipelineConfig.from_dict(value)
+        assert str(exc.value) == (
+            f"config must be a JSON object, got {value!r}")
+
     def test_config_without_generator_refused(self):
         with pytest.raises(ValueError, match="needs a generator"):
             PipelineConfig.from_dict({"depth": 2})
@@ -345,6 +353,19 @@ class TestCLI:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: config field depth must be int, got '2'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", '"circle"'],
+                             ids=["list", "number", "null", "string"])
+    def test_pipeline_refuses_config_that_is_not_an_object(
+            self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text, encoding="utf-8")
+        rc = cli_main(["pipeline", "--config", str(cfg_file), "--generator",
+                       "circle", "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config must be a JSON object, got {text}\n")
         assert not (tmp_path / "out").exists()
 
     def test_pipeline_failure_exit_code(self, tmp_path, capsys):
@@ -618,6 +639,18 @@ class TestVerifyTamper:
         assert rc == 1
         assert out.out == ""
         assert out.err.startswith(f"error: config field {field} must be ")
+
+    @pytest.mark.parametrize("text, shown", [
+        ("[1]", "[1]"), ("5", "5"), ("null", "None"),
+        ('"circle"', "'circle'"),
+    ], ids=["list", "number", "null", "string"])
+    def test_config_that_is_not_an_object_refused(
+            self, tmp_path, small_bundle, capsys, text, shown):
+        rc, out = self._verify(tmp_path, small_bundle, capsys, "config.json",
+                               lambda _: text)
+        assert rc == 1
+        assert out.out == ""
+        assert out.err == f"error: config must be a JSON object, got {shown}\n"
 
     @pytest.mark.parametrize("edit", [
         _set_report(("params", "n"), "96"), _set_report(("params",), [96]),

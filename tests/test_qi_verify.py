@@ -183,6 +183,159 @@ class TestDeltaHyperbolicity:
             assert delta_hyperbolicity(d, base=base) == pytest.approx(0.0)
 
 
+def tree_metric(n, rng):
+    """Path metric of a random tree on n nodes with edge weights 1..3."""
+    parent = [-1] + [int(rng.integers(0, i)) for i in range(1, n)]
+    weight = rng.integers(1, 4, n)
+    d = np.zeros((n, n), dtype=np.int64)
+    for i in range(1, n):
+        d[i, :i] = d[parent[i], :i] + weight[i]
+        d[:i, i] = d[i, :i]
+    return d
+
+
+def kernel_deltas(d, base=0):
+    """delta from _scan_excess and from _threshold_excess, called directly
+    on the doubled products a as delta_hyperbolicity forms them."""
+    d = np.asarray(d)
+    if np.issubdtype(d.dtype, np.integer):
+        row = d[base].astype(np.int32)
+        a = (row[:, None] + row[None, :] - d).astype(np.int32)
+    else:
+        a = d[base][:, None] + d[base][None, :] - d
+    key = np.maximum(a.max(axis=0), a.max(axis=1))
+    order = np.argsort(-key, kind="stable")
+    scan = qi_verify._scan_excess(a)
+    threshold = qi_verify._threshold_excess(
+        a[np.ix_(order, order)], key[order], np.unique(a))
+    return max(0.0, scan / 2.0), max(0.0, threshold / 2.0)
+
+
+def no_kernel(*args):
+    raise AssertionError("a delta kernel ran")
+
+
+class TestZeroTest:
+    """The exact zero test ahead of the kernels: it returns 0.0 exactly
+    where the kernels and the brute-force loop find no defect."""
+
+    def test_random_cases_match_brute_force_and_kernels(self):
+        rng = np.random.default_rng(41)
+        outcomes = {True: 0, False: 0}  # delta == 0 -> cases
+        for seed in range(36):
+            n = int(rng.integers(5, 11))
+            tree = tree_metric(n, rng)
+            keep = np.sort(rng.choice(n, int(rng.integers(3, n + 1)),
+                                      replace=False))
+            raised = tree.copy()
+            u, v = rng.choice(n, 2, replace=False)
+            raised[u, v] += int(rng.integers(1, 4))
+            raised[v, u] = raised[u, v]
+            pts = rng.integers(0, 3, size=(n, 2))
+            grid = np.abs(pts[:, None] - pts[None, :]).sum(-1)
+            asym = tree.copy()
+            asym[u, v] += int(rng.integers(1, 3))
+            for d in (tree, tree[np.ix_(keep, keep)], raised, grid, asym):
+                for m in (d, d.astype(float)):
+                    base = int(rng.integers(0, len(m)))
+                    got = delta_hyperbolicity(m, base=base)
+                    want = brute_delta(m.astype(float), base=base)
+                    assert got == want
+                    assert kernel_deltas(m, base=base) == (want, want)
+                    outcomes[got == 0.0] += 1
+        assert sum(outcomes.values()) >= 300
+        assert min(outcomes.values()) >= 100
+
+    def test_symmetric_verdicts_are_exact(self):
+        # on symmetric input the test itself decides delta == 0, with no
+        # false negatives to hand on to the kernels
+        rng = np.random.default_rng(43)
+        verdicts = set()
+        for trial in range(120):
+            n = int(rng.integers(2, 12))
+            if trial % 2:
+                d = tree_metric(n, rng)
+            else:
+                pts = rng.integers(0, 3, size=(n, 2))
+                d = np.abs(pts[:, None] - pts[None, :]).sum(-1)
+            a = d[0][:, None] + d[0][None, :] - d
+            zero = brute_delta(d.astype(float)) == 0.0
+            assert qi_verify._thresholds_transitive(a, np.unique(a)) == zero
+            verdicts.add(zero)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("a, want", [
+        # rows 0 and 2 of [a >= 3] are empty while column 0 is not: the
+        # relation is transitive but asymmetric, which the test hands on
+        ([[0, 0, 0], [3, 3, 0], [0, 0, 0]], 0.0),
+        # the same, with 2 -> 1 -> 0 and no 2 -> 0
+        ([[0, 0, 0], [3, 3, 0], [0, 3, 3]], 1.5),
+    ], ids=["transitive", "intransitive"])
+    def test_empty_row_with_entries_in_its_column(self, a, want):
+        # with row 0 of d all zero, base 0 gives a = -d
+        d = -np.array(a)
+        a = np.array(a)
+        assert not qi_verify._thresholds_transitive(a, np.unique(a))
+        assert delta_hyperbolicity(d) == want
+        assert brute_delta(d.astype(float)) == want
+        assert kernel_deltas(d) == (want, want)
+
+    @pytest.mark.parametrize("dtype", [np.int64, float])
+    def test_diagonal_below_row_maximum(self, dtype):
+        # d[2, 2] = 2 lowers a[2, 2] below a[2, 1]: [a >= v] then relates 2
+        # to 1 and 1 to 2 but not 2 to itself
+        d = np.array([[0, 2, 2, 1],
+                      [2, 0, 1, 1],
+                      [2, 1, 2, 1],
+                      [1, 1, 1, 0]], dtype=dtype)
+        a = d[0][:, None] + d[0][None, :] - d
+        assert a[2, 2] < a[2].max()
+        want = brute_delta(d.astype(float))
+        assert want > 0
+        assert delta_hyperbolicity(d) == want
+        assert kernel_deltas(d) == (want, want)
+
+    def test_nan_input_goes_to_the_kernels(self, monkeypatch):
+        # values the kernels returned on these inputs before the zero test
+        # existed; NaN hides defects from both, by different rules
+        c4 = np.array([[0, 1, 2, 1],
+                       [1, 0, 1, 2],
+                       [2, 1, 0, 1],
+                       [1, 2, 1, 0]], dtype=float)
+        pts = np.array([[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 2],
+                        [0, 2]])
+        l1 = np.abs(pts[:, None] - pts[None, :]).sum(-1).astype(float)
+        rng = np.random.default_rng(3)
+        p = rng.uniform(0, 1, size=(12, 2))
+        euclid = np.sqrt(((p[:, None] - p[None, :]) ** 2).sum(-1))
+        cases = []
+        for d, pairs, want in ((c4, [(1, 3), (3, 1)], 0.0),
+                               (l1, [(5, 6), (6, 5)], 1.0),
+                               (l1, [(2, 4)], 1.0),
+                               (l1, [(0, 3), (3, 0)], 0.0),
+                               (euclid, [(4, 7), (7, 4)], 0.0)):
+            d = d.copy()
+            for x, w in pairs:
+                d[x, w] = np.nan
+            cases.append((d, want))
+        monkeypatch.setattr(qi_verify, "_thresholds_transitive", no_kernel)
+        with np.errstate(invalid="ignore"):
+            for d, want in cases:
+                assert delta_hyperbolicity(d) == want
+
+    def test_pipeline_trees_never_reach_the_kernels(self, monkeypatch,
+                                                    flagship_result):
+        cascade = separate(build_base(
+            generate("random_circle", n=160, seed=0), r=0.125, depth=3,
+            colors=2))
+        trees = flagship_result.trees + tuple(
+            build_tree(cascade, a) for a in range(2))
+        monkeypatch.setattr(qi_verify, "_threshold_excess", no_kernel)
+        monkeypatch.setattr(qi_verify, "_scan_excess", no_kernel)
+        for tree in trees:
+            assert delta_hyperbolicity(tree.all_pairs_dist) == 0.0
+
+
 class TestFitQI:
     def test_identity_fit(self):
         ds = np.linspace(0.5, 10, 200)

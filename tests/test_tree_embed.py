@@ -415,6 +415,67 @@ class TestEmbedAgainstScalar:
                 assert table[idx, a] == embed_point(tree, z, j)
 
 
+def reference_tree_pairs(tree):
+    """RootedTree.all_pairs_dist as first written: int64 ancestor columns
+    and out-of-place arithmetic."""
+    anc = tree.ancestors
+    lca = np.zeros((tree.n_nodes, tree.n_nodes), dtype=np.int16)
+    match = np.empty(lca.shape, dtype=bool)
+    for lvl in range(1, tree.depth + 1):
+        col = anc[:, lvl]
+        np.equal(col[:, None], np.where(col < 0, -2, col)[None, :], out=match)
+        np.copyto(lca, lvl, where=match)
+    lv = tree.level.astype(np.int16)
+    return lv[:, None] + lv[None, :] - 2 * lca
+
+
+def reference_product_pairs(emb):
+    """ProductEmbedding.all_pairs_dist as first written: an np.ix_ gather
+    and an int32 copy per tree."""
+    n = emb.grid.n_points
+    out = np.zeros((n, n), dtype=np.int32)
+    for a, t in enumerate(emb.trees):
+        col = emb.table[:, a]
+        out += t.all_pairs_dist[np.ix_(col, col)].astype(np.int32)
+    return out
+
+
+class TestPairKernelsAgainstReference:
+    @pytest.mark.parametrize("generator, params, depth", [
+        ("circle", {"n": 32}, 3),       # under 128 nodes: int8 node ids
+        ("circle", {"n": 192}, 4),      # the flagship ladder: int16 ids
+        ("circle", {"n": 40}, 12),      # many levels
+        ("random_circle", {"n": 160, "seed": 0}, 3),  # every level built
+    ])
+    def test_pipeline_ladders(self, generator, params, depth):
+        seq = separate(build_base(generate(generator, **params), r=0.125,
+                                  depth=depth, colors=2))
+        trees = tuple(build_tree(seq, a) for a in range(2))
+        for tree in trees:
+            got = tree.all_pairs_dist
+            assert got.dtype == np.int16
+            assert np.array_equal(got, reference_tree_pairs(tree))
+        emb = embed_grid(seq, build_grid(seq.space, 0.125, depth), trees)
+        got = emb.all_pairs_dist
+        assert got.dtype == np.int32
+        assert np.array_equal(got, reference_product_pairs(emb))
+
+    def test_skipped_levels(self):
+        tree = skipping_tree()
+        assert np.array_equal(tree.all_pairs_dist, reference_tree_pairs(tree))
+
+    def test_perturbed_tables(self, small__seq, small_trees):
+        grid = build_grid(small__seq.space, 0.125, 3)
+        emb = embed_grid(small__seq, grid, small_trees)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            table = np.stack([rng.integers(0, t.n_nodes, grid.n_points)
+                              for t in small_trees], axis=1)
+            other = ProductEmbedding(grid=grid, trees=small_trees, table=table)
+            assert np.array_equal(other.all_pairs_dist,
+                                  reference_product_pairs(other))
+
+
 class TestRoughTriangle:
     def test_holds_on_tree_distances(self, small_trees):
         tree = small_trees[0]
