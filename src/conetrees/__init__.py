@@ -35,15 +35,12 @@ from .tree_embed import (
     TreeError,
     build_tree,
     embed_grid,
-    embed_point,
     radial_check,
-    rough_triangle_bound,
 )
 from .qi_verify import (
     QIReport,
     delta_hyperbolicity,
     fit_qi,
-    gromov_product,
     visual_metric_circle,
 )
 from .harness import (
@@ -71,9 +68,8 @@ __all__ = [
     "ConeError", "ConeGrid", "ConePoint", "build_grid", "cone_dist",
     "cone_metric", "sphere_dist",
     "ProductEmbedding", "RadialCheckError", "RootedTree", "TreeError",
-    "build_tree", "embed_grid", "embed_point", "radial_check",
-    "rough_triangle_bound",
-    "QIReport", "delta_hyperbolicity", "fit_qi", "gromov_product",
+    "build_tree", "embed_grid", "radial_check",
+    "QIReport", "delta_hyperbolicity", "fit_qi",
     "visual_metric_circle",
     "GENERATORS", "PipelineConfig", "PipelineResult", "StageError",
     "capacity_profile", "generate", "run_pipeline", "sphere_ratio_check",

@@ -313,13 +313,36 @@ def sphere_ratio_check(grid: ConeGrid) -> dict:
     return {"min_ratio": lo, "max_ratio": hi, "bound": c_bound, "passed": passed}
 
 
+@dataclass(frozen=True)
+class _LevelPairs:
+    """The grid pairs i < k, as fit_qi's re-iterable (ds, dt) blocks: one
+    block per level, from that level's `ConeGrid.level_rows` and the same
+    rows of the product matrix, in np.triu_indices's row-major order."""
+
+    grid: ConeGrid
+    product: np.ndarray
+
+    def __iter__(self):
+        cols = np.arange(self.grid.n_points)
+        for j in range(self.grid.depth + 1):
+            lo = self.grid.index(j, 0)
+            hi = lo + (self.grid.space.n if j else 1)
+            upper = cols[None, :] > cols[lo:hi, None]
+            # no name keeps the level's rows while the next block is made
+            yield self.grid.level_rows(j)[upper], self.product[lo:hi][upper]
+
+
 def certify(charseq: CharSequence, tree_delta_check: bool,
             log: list[str]) -> dict:
     """The certification tail of `run_pipeline`: trees, cone grid (r and
     depth from the ladder), product embedding, radial climb, sphere ratios,
     QI fit and, if asked, tree hyperbolicity.  Appends one log line per
     stage and raises StageError on the first failure.  Returns the outputs
-    keyed by their PipelineResult field names."""
+    keyed by their PipelineResult field names.
+
+    The QI fit streams the cone distances a grid level at a time, so the
+    cone side holds O(n * n_points) memory per block, never the whole cone
+    matrix; the product side is still one n_points x n_points matrix."""
     try:
         trees = tuple(build_tree(charseq, a) for a in range(charseq.n_colors))
     except TreeError as e:
@@ -350,12 +373,7 @@ def certify(charseq: CharSequence, tree_delta_check: bool,
         )
     log.append(f"sphere_ratio: min={sphere['min_ratio']:.6g} "
                f"max={sphere['max_ratio']:.6g} bound={sphere['bound']:.6g}")
-    # the pairs i < j in row-major order, as np.triu_indices gives them, from
-    # one byte per entry in place of two int64 index arrays over the pairs
-    upper = np.triu(np.ones((grid.n_points, grid.n_points), dtype=bool), k=1)
-    ds = grid.dist_matrix[upper]
-    dt = embedding.all_pairs_dist[upper]
-    qi = fit_qi(ds, dt)
+    qi = fit_qi(_LevelPairs(grid, embedding.all_pairs_dist))
     if qi.violations:
         raise StageError("fit_qi", repr(qi))
     log.append(f"fit_qi: lam={qi.lam:.6g} sigma={qi.sigma:.6g} "

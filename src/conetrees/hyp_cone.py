@@ -11,10 +11,13 @@ with a = mu * d_Z(z, z'), which stays accurate when a is tiny and the radii
 are large, where the textbook arccosh form loses every significant digit.
 
 On the radial grid the radii are the levels' j*R, so the distance of (j, z)
-and (j', z') depends only on (j, j', d_Z(z, z')): `ConeGrid.dist_matrix`
-takes sin(a/2)**2 once on the base and each (level, level) block from two
-numbers per level pair, with the same operations as `cone_metric`, which
-stays the general-points function and the tests' oracle.
+and (j', z') depends only on (j, j', d_Z(z, z')).  The one row kernel,
+`ConeGrid.level_rows`, gives the rows of one level from sin(a/2)**2, taken
+once on the base, and two numbers per level pair, with the same operations
+as `cone_metric`, which stays the general-points function and the tests'
+oracle.  Callers that read every pair stream these rows a level at a time,
+in O(n * n_points) memory; `ConeGrid.dist_matrix` stacks them into the
+whole matrix, for the tests.
 """
 
 from __future__ import annotations
@@ -155,36 +158,55 @@ class ConeGrid:
         return self.mu * float(self.space.dist[z1, z2])
 
     @cached_property
-    def dist_matrix(self) -> np.ndarray:
-        """`cone_metric` over `points`, bit for bit, by (level, level) blocks.
-
-        With S = sin(a/2)**2 taken once on the n x n base, the block of
-        levels j, j' is 2*asinh(sqrt(A + B*S)), where A = sinh((t_j -
-        t_j')/2)**2 and B = sinh(t_j)*sinh(t_j') are one number per level
-        pair; the apex is level 0 (t = 0) at base point 0.  The factors and
-        ufuncs are `cone_metric`'s, in its order, and every block is
-        computed rather than mirrored, so an asymmetric base gives the same
-        matrix there and here.  The rows of one level are finished while
-        they are in cache."""
-        n, d = self.space.n, self.depth
-        t = np.arange(d + 1) * self.R
+    def _level_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A = sinh((t_j - t_j')/2)**2 and B = sinh(t_j)*sinh(t_j') per level
+        pair, the apex being level 0 (t = 0), and S = sin(a/2)**2 on the
+        n x n base; see `level_rows`."""
+        t = np.arange(self.depth + 1) * self.R
         sh = np.sinh(t)
         a = np.sinh(0.5 * (t[:, None] - t[None, :])) ** 2
         b = np.outer(sh, sh)
         s = np.sin(0.5 * self.mu * self.space.dist) ** 2
-        lv, z = self.point_level, self.point_z
+        return a, b, s
+
+    def level_rows(self, j: int) -> np.ndarray:
+        """`cone_metric`'s rows for the grid points of level j, bit for bit:
+        a (rows, n_points) array with one row for the apex (j = 0) and n
+        for any other level.
+
+        The entry of (j, z) and (j', z') is 2*asinh(sqrt(A + B*S)), with A
+        and B at (j, j') and S at (z, z'); the apex sits at base point 0.
+        The factors and ufuncs are `cone_metric`'s, in its order, and every
+        entry is computed rather than mirrored, so an asymmetric base gives
+        the same rows there and here."""
+        if not 0 <= j <= self.depth:
+            raise ConeError(f"level {j} outside 0..{self.depth}")
+        n, d = self.space.n, self.depth
+        a, b, s = self._level_factors
+        if j == 0:
+            lv, z = self.point_level, self.point_z
+            rows = (a[0, lv] + b[0, lv] * s[0, z])[None, :]
+        else:
+            rows = np.empty((n, self.n_points))
+            rows[:, 0] = a[j, 0] + b[j, 0] * s[:, 0]
+            blocks = rows[:, 1:].reshape(n, d, n)  # a view: splits axis 1
+            np.multiply(b[j, 1:, None], s[:, None, :], out=blocks)
+            np.add(a[j, 1:, None], blocks, out=blocks)
+        np.sqrt(rows, out=rows)
+        np.arcsinh(rows, out=rows)
+        rows *= 2.0
+        return rows
+
+    @cached_property
+    def dist_matrix(self) -> np.ndarray:
+        """`cone_metric` over `points`: the `level_rows` of every level,
+        stacked.  The pipeline streams the rows instead; this whole matrix
+        is the tests' oracle."""
         out = np.empty((self.n_points, self.n_points))
-        out[0] = a[0, lv] + b[0, lv] * s[0, z]
-        out[1:, 0] = a[lv[1:], 0] + b[lv[1:], 0] * s[z[1:], 0]
-        for j in range(d + 1):  # j = 0 is the apex's row alone
-            rows = out[self.index(j, 0): self.index(j, n - 1) + 1]
-            if j:
-                blocks = rows[:, 1:].reshape(n, d, n)  # a view: splits axis 1
-                np.multiply(b[j, 1:, None], s[:, None, :], out=blocks)
-                np.add(a[j, 1:, None], blocks, out=blocks)
-            np.sqrt(rows, out=rows)
-            np.arcsinh(rows, out=rows)
-            rows *= 2.0
+        for j in range(self.depth + 1):
+            rows = self.level_rows(j)
+            lo = self.index(j, 0)
+            out[lo: lo + len(rows)] = rows
         return out
 
     def __repr__(self):

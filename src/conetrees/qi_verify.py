@@ -1,10 +1,11 @@
 """Quasi-isometry fitting and hyperbolicity measurement.
 
 fit_qi searches a multiplicative constant over a fixed grid and reports the
-smallest additive defect.  It reads only the least and greatest source
-distance per target value, which integer tree metrics make few, and groups
-integer targets without sorting the pairs; the pairs are passed over once
-more only if an extreme breaks the fitted band, to count the violations.
+smallest additive defect.  It takes the pairs as re-iterable blocks and
+reads only the least and greatest source distance per target value, which
+integer tree metrics make few, merged over the blocks; it groups integer
+targets without sorting the pairs.  The blocks are passed over once more
+only if an extreme breaks the fitted band, to count the violations.
 delta_hyperbolicity measures the base-point
 four-point defect on the doubled Gromov products a, in exact integers
 whenever the input matrix is integral.  It first runs an exact zero test:
@@ -39,11 +40,6 @@ LAMBDA_GRID = np.round(np.arange(1.0, 50.0 + 1e-9, 0.05), 2)
 THRESHOLD_MAX_VALUES = 32
 # Rows per threshold product; bounds its buffers at ROW_BLOCK x n.
 ROW_BLOCK = 128
-
-
-def gromov_product(d: np.ndarray, x: int, y: int, base: int) -> float:
-    """(x|y) with respect to the base point."""
-    return 0.5 * float(d[x, base] + d[y, base] - d[x, y])
 
 
 def _scan_excess(a: np.ndarray) -> float:
@@ -213,26 +209,54 @@ def _extremes(ds: np.ndarray, dt: np.ndarray):
     return values, lo[present], hi[present]
 
 
-def fit_qi(ds: np.ndarray, dt: np.ndarray) -> QIReport:
-    """Fit dt into [ds/lam - sigma, lam*ds + sigma] over LAMBDA_GRID.
-
-    ds are source distances, dt target distances, as flat aligned arrays.
-    Everything is read from the least and greatest ds per dt value, of which
-    there are few for integer tree metrics: sigma(lam) = max over values v of
-    v - lam*lo_v, hi_v/lam - v and 0, ties on sigma pick the smallest lam,
-    and sigma_upper and sigma_lower are the two maxima at the winner.  Each
-    bound at the winner is monotone in ds under rounding, so a value's pairs
-    all hold it exactly when its extreme does, and these numbers equal the
-    per-pair ones bit for bit.  Only when an extreme breaks a bound are the
-    pairs passed over, to count the violations exactly.
-    """
+def _aligned(block):
+    """One (ds, dt) block as flat aligned arrays, ds as floats."""
+    ds, dt = block
     ds = np.asarray(ds, dtype=float).ravel()
     dt = np.asarray(dt).ravel()
     if ds.shape != dt.shape:
         raise ValueError("ds and dt must align")
-    if ds.size == 0:
+    return ds, dt
+
+
+def _block_extremes(block):
+    """One block's pair count and `_extremes`, None for an empty block."""
+    ds, dt = _aligned(block)
+    return ds.size, _extremes(ds, dt) if ds.size else None
+
+
+def fit_qi(blocks) -> QIReport:
+    """Fit dt into [ds/lam - sigma, lam*ds + sigma] over LAMBDA_GRID.
+
+    blocks is a re-iterable of (ds, dt): source and target distances of
+    some of the pairs, as aligned arrays; arrays held in memory are passed
+    as [(ds, dt)].  Everything is read from the least and greatest ds per dt
+    value, of which there are few for integer tree metrics, taken per block
+    and merged: sigma(lam) = max over values v of v - lam*lo_v, hi_v/lam - v
+    and 0, ties on sigma pick the smallest lam, and sigma_upper and
+    sigma_lower are the two maxima at the winner.  Each bound at the winner
+    is monotone in ds under rounding, so a value's pairs all hold it exactly
+    when its extreme does, and these numbers equal the per-pair ones bit for
+    bit, however the pairs are split.  Only when an extreme breaks a bound
+    are the blocks iterated a second time, to count the violations exactly;
+    a one-shot iterator would come back empty then, so it is refused with
+    TypeError.
+    """
+    if iter(blocks) is blocks:
+        raise TypeError("fit_qi needs re-iterable blocks, such as a list, "
+                        "not a one-shot iterator")
+    # map binds no name to a block, so each is freed before the next is made
+    per_block = list(map(_block_extremes, blocks))
+    n_pairs = sum(size for size, _ in per_block)
+    parts = [ext for _, ext in per_block if ext is not None]
+    if not parts:
         raise ValueError("cannot fit an empty pair set")
-    values, lo, hi = _extremes(ds, dt)
+    # per value, the least of the blocks' least ds and the greatest of their
+    # greatest, which are the extremes over all the pairs
+    block_values = np.concatenate([p[0] for p in parts])
+    values, lo, _ = _extremes(np.concatenate([p[1] for p in parts]),
+                              block_values)
+    _, _, hi = _extremes(np.concatenate([p[2] for p in parts]), block_values)
     curve = _sigma_curve(values, lo, hi, LAMBDA_GRID)
     best = int(curve.argmin())
     lam = float(LAMBDA_GRID[best])
@@ -241,13 +265,17 @@ def fit_qi(ds: np.ndarray, dt: np.ndarray) -> QIReport:
     violations = 0
     if np.any((values > lam * lo + sigma + tol)
               | (values < hi / lam - sigma - tol)):
-        dtf = dt.astype(float)
-        violations = int(np.count_nonzero(
-            (dtf > lam * ds + sigma + tol) | (dtf < ds / lam - sigma - tol)))
+        def broken(block):
+            ds, dt = _aligned(block)
+            dtf = dt.astype(float)
+            return int(np.count_nonzero(
+                (dtf > lam * ds + sigma + tol) | (dtf < ds / lam - sigma - tol)))
+
+        violations = sum(map(broken, blocks))
     return QIReport(
         lam=lam,
         sigma=sigma,
-        n_pairs=int(ds.size),
+        n_pairs=n_pairs,
         violations=violations,
         details={
             "lambda_grid": [float(LAMBDA_GRID[0]), float(LAMBDA_GRID[-1]),

@@ -177,22 +177,6 @@ def build_tree(seq: CharSequence, color: int) -> RootedTree:
     return tree
 
 
-def embed_point(tree: RootedTree, z: int, j: int) -> int:
-    """Node at tree level j nearest to z; ties pick the smallest node id."""
-    if j == 0:
-        return 0
-    ids = tree.nodes_at_level(j)
-    if ids.size == 0:
-        raise TreeError(f"tree has no nodes at level {j}")
-    best, best_d = -1, np.inf
-    for nid in ids:
-        cols = np.fromiter(tree.members[nid], dtype=int, count=len(tree.members[nid]))
-        d = float(tree.space.dist[z, cols].min())
-        if d < best_d:
-            best, best_d = int(nid), d
-    return best
-
-
 @dataclass(frozen=True, eq=False)
 class ProductEmbedding:
     """Assignment of every grid point to one node per tree."""
@@ -248,12 +232,6 @@ def embed_grid(seq: CharSequence, grid: ConeGrid,
             lo = grid.index(j, 0)
             table[lo: lo + seq.space.n, a] = tree.nodes_at_level(j)[rows.argmin(axis=0)]
     return ProductEmbedding(grid=grid, trees=trees, table=table)
-
-
-def rough_triangle_bound(p: float, q: float, t: float) -> bool:
-    """Whether p + q <= 3t; holds for any metric triple with t >= p, since
-    q <= p + t <= 2t."""
-    return p + q <= 3 * t
 
 
 def radial_check(emb: ProductEmbedding) -> dict:

@@ -17,7 +17,9 @@ from conetrees import (
     build_base,
     capacity_profile,
     char_seq,
+    fit_qi,
     generate,
+    harness,
     run_pipeline,
     separate,
     sphere_ratio_check,
@@ -171,6 +173,30 @@ class TestPipeline:
         assert rep["bound"] == pytest.approx(c)
         assert rep["passed"]
         assert 1 / c <= rep["min_ratio"] <= rep["max_ratio"] <= c
+
+    @pytest.mark.parametrize("name", ["flagship", "cascade", "long_ray"])
+    def test_certify_streams_the_cone_pairs(self, monkeypatch, name):
+        # fit_qi gets one block per level whose concatenation is the upper
+        # triangle of both pair matrices, row-major, and the whole cone
+        # matrix is never built
+        seen = []
+
+        def fit(blocks):
+            seen.append(blocks)
+            return fit_qi(blocks)
+
+        monkeypatch.setattr(harness, "fit_qi", fit)
+        cfg = WORKLOAD_CONFIGS[name]
+        res = run_pipeline(PipelineConfig(**{**cfg,
+                                             "params": dict(cfg["params"])}))
+        assert "dist_matrix" not in res.grid.__dict__
+        [blocks] = seen
+        ds, dt = (np.concatenate(side) for side in zip(*blocks))
+        upper = np.triu_indices(res.grid.n_points, k=1)
+        assert len(list(blocks)) == res.grid.depth + 1
+        assert np.array_equal(ds, res.grid.dist_matrix[upper])
+        assert np.array_equal(dt, res.embedding.all_pairs_dist[upper])
+        assert res.qi == fit_qi([(ds, dt)])
 
     def test_result_fields(self, flagship_result):
         res = flagship_result

@@ -25,6 +25,11 @@ def hyperboloid_oracle(t1, t2, alpha):
     return math.acosh(max(q, 1.0))
 
 
+def stacked_level_rows(grid):
+    """Every level's rows, stacked in grid point order."""
+    return np.vstack([grid.level_rows(j) for j in range(grid.depth + 1)])
+
+
 @pytest.fixture(scope="module")
 def quarter_circle():
     # 4 points, arc distances pi/2; diameter pi so the angle map is identity
@@ -166,8 +171,9 @@ class TestConeGrid:
             "depth12"])
     def test_dist_matrix_equals_cone_metric(self, kind, params, depth):
         grid = build_grid(generate(kind, **params), r=0.125, depth=depth)
-        assert np.array_equal(grid.dist_matrix,
-                              cone_metric(grid.space, grid.points))
+        oracle = cone_metric(grid.space, grid.points)
+        assert np.array_equal(stacked_level_rows(grid), oracle)
+        assert np.array_equal(grid.dist_matrix, oracle)
 
     def test_dist_matrix_equals_cone_metric_on_asymmetric_base(self):
         # a metric is accepted when asymmetric within rel_tol; every block
@@ -181,9 +187,18 @@ class TestConeGrid:
         sp = FiniteMetricSpace(d, base.point_ids, meta=dict(base.meta))
         assert not np.array_equal(sp.dist, sp.dist.T)
         grid = build_grid(sp, r=0.125, depth=3)
-        assert np.array_equal(grid.dist_matrix,
-                              cone_metric(grid.space, grid.points))
+        oracle = cone_metric(grid.space, grid.points)
+        assert np.array_equal(stacked_level_rows(grid), oracle)
+        assert np.array_equal(grid.dist_matrix, oracle)
         assert not np.array_equal(grid.dist_matrix, grid.dist_matrix.T)
+
+    def test_level_rows_shapes_and_range(self):
+        grid = build_grid(generate("circle", n=8), r=0.25, depth=3)
+        assert grid.level_rows(0).shape == (1, 25)
+        assert grid.level_rows(3).shape == (8, 25)
+        for j in (-1, 4):
+            with pytest.raises(ConeError, match="outside"):
+                grid.level_rows(j)
 
     def test_angle_map_tops_out_at_pi(self):
         sp = generate("circle", n=8)

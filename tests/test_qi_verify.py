@@ -1,4 +1,4 @@
-"""Gromov products, hyperbolicity scans, and two-sided distance fitting."""
+"""Hyperbolicity scans and two-sided distance fitting."""
 
 import math
 
@@ -11,7 +11,6 @@ from conetrees import (
     build_tree,
     delta_hyperbolicity,
     fit_qi,
-    gromov_product,
     separate,
     visual_metric_circle,
 )
@@ -35,20 +34,6 @@ def brute_delta(d, base=0):
 def line_metric(coords):
     coords = np.asarray(coords, dtype=float)
     return np.abs(coords[:, None] - coords[None, :])
-
-
-class TestGromovProduct:
-    def test_through_base_is_zero(self):
-        d = line_metric([0.0, -3.0, 4.0])
-        assert gromov_product(d, 1, 2, base=0) == pytest.approx(0.0)
-
-    def test_collinear_same_side(self):
-        d = line_metric([0.0, 2.0, 5.0])
-        assert gromov_product(d, 1, 2, base=0) == pytest.approx(2.0)
-
-    def test_symmetric_in_arguments(self):
-        d = line_metric([0.0, 1.0, 7.0, 3.5])
-        assert gromov_product(d, 2, 3, base=1) == gromov_product(d, 3, 2, base=1)
 
 
 class TestDeltaHyperbolicity:
@@ -339,38 +324,55 @@ class TestZeroTest:
 class TestFitQI:
     def test_identity_fit(self):
         ds = np.linspace(0.5, 10, 200)
-        rep = fit_qi(ds, ds)
+        rep = fit_qi([(ds, ds)])
         assert rep.lam == 1.0
         assert rep.sigma == 0.0
         assert rep.violations == 0
 
     def test_double_scale_fit(self):
         ds = np.linspace(0.5, 10, 200)
-        rep = fit_qi(ds, 2 * ds)
+        rep = fit_qi([(ds, 2 * ds)])
         assert rep.lam == 2.0
         assert rep.sigma == pytest.approx(0.0, abs=1e-12)
 
     def test_additive_offset_absorbed(self):
         ds = np.linspace(0.5, 10.0, 200)
         dt = ds + 0.3
-        rep = fit_qi(ds, dt)
+        rep = fit_qi([(ds, dt)])
         assert rep.violations == 0
         assert rep.sigma <= 0.3 + 1e-12
 
     def test_pair_count_and_details(self):
         ds = np.array([1.0, 2.0, 3.0])
-        rep = fit_qi(ds, np.array([2.0, 4.0, 6.0]))
+        rep = fit_qi([(ds, np.array([2.0, 4.0, 6.0]))])
         assert rep.n_pairs == 3
         assert rep.details["lambda_grid"][0] == 1.0
         assert rep.details["lambda_grid"][1] == 50.0
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="align"):
-            fit_qi(np.ones(3), np.ones(4))
+            fit_qi([(np.ones(3), np.ones(4))])
 
     def test_report_repr(self):
-        rep = fit_qi(np.ones(5), np.ones(5))
+        rep = fit_qi([(np.ones(5), np.ones(5))])
         assert "[PASS]" in repr(rep)
+
+    def test_misaligned_later_block_rejected(self):
+        with pytest.raises(ValueError, match="align"):
+            fit_qi([(np.ones(3), np.ones(3)), (np.ones(2), np.ones(1))])
+
+    @pytest.mark.parametrize("blocks", [[], [(np.ones(0), np.ones(0))] * 3],
+                             ids=["no_blocks", "empty_blocks"])
+    def test_empty_pair_set_rejected(self, blocks):
+        with pytest.raises(ValueError, match="empty"):
+            fit_qi(blocks)
+
+    def test_one_shot_iterator_refused(self):
+        # a second pass, to count violations, would find it exhausted
+        ds = np.linspace(0.5, 10, 20)
+        for blocks in (iter([(ds, ds)]), ((ds, ds) for _ in range(2))):
+            with pytest.raises(TypeError, match="re-iterable"):
+                fit_qi(blocks)
 
 
 def _reference_sigma_curve(by_min, by_max, lambdas):
@@ -422,7 +424,7 @@ class TestFitQIOracle:
         rng = np.random.default_rng(seed)
         ds = rng.uniform(0.01, 5.0, 300)
         dt = ds * rng.uniform(0.3, 4.0, 300) + rng.normal(0.0, 0.5, 300)
-        rep = fit_qi(ds, dt)
+        rep = fit_qi([(ds, dt)])
         assert rep.details["dt_values"] == 300
         assert rep == reference_fit_qi(ds, dt)
 
@@ -434,7 +436,7 @@ class TestFitQIOracle:
         ds = 0.5 * dt + rng.uniform(0.0, 1.5, 2000)
         ds[:40] = ds[40:80]  # ties in ds as well
         dt = dt.astype(dtype)
-        assert fit_qi(ds, dt) == reference_fit_qi(ds, dt)
+        assert fit_qi([(ds, dt)]) == reference_fit_qi(ds, dt)
 
     @pytest.mark.parametrize("dt", [np.array([-7, 3, 3, 12, -7]),
                                     np.array([0, 10**12, 5, 10**12, 0]),
@@ -442,12 +444,12 @@ class TestFitQIOracle:
                              ids=["negative", "wide_range", "float"])
     def test_sparse_and_negative_values(self, dt):
         ds = np.array([1.0, 2.0, 0.5, 4.0, 3.0])
-        assert fit_qi(ds, dt) == reference_fit_qi(ds, dt)
+        assert fit_qi([(ds, dt)]) == reference_fit_qi(ds, dt)
 
     @pytest.mark.parametrize("ds, dt", [(0.3, 2), (2.0, 0.5), (1.0, 0)])
     def test_single_pair(self, ds, dt):
         ds, dt = np.array([ds]), np.array([dt])
-        rep = fit_qi(ds, dt)
+        rep = fit_qi([(ds, dt)])
         assert rep.n_pairs == 1 and rep.details["dt_values"] == 1
         assert rep == reference_fit_qi(ds, dt)
 
@@ -465,10 +467,35 @@ class TestFitQIOracle:
         ds = dt + rng.choice(offsets, 500)
         zero = lambda *args: np.zeros(len(qi_verify.LAMBDA_GRID))
         monkeypatch.setattr(qi_verify, "_sigma_curve", zero)
-        rep = fit_qi(ds, dt)
+        rep = fit_qi([(ds, dt)])
         assert (rep.lam, rep.sigma) == (1.0, 0.0)
         assert rep.violations == np.count_nonzero(dt != ds) > 0
         assert rep == reference_fit_qi(ds, dt, sigma_curve=zero)
+        blocks = [(ds[a:b], dt[a:b]) for a, b in ((0, 120), (120, 121),
+                                                  (121, 500))]
+        assert fit_qi(blocks) == rep
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_splits(self, seed):
+        # the pairs in a random order, cut into k blocks, some of them empty
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 400))
+        ds = rng.uniform(0.01, 5.0, size)
+        if seed % 2:
+            dt = (ds * rng.uniform(0.3, 4.0, size)).round().astype(
+                rng.choice([np.int16, np.int32, np.int64]))
+            if seed % 5 == 1:
+                dt[rng.integers(size)] = -30000  # a wide, negative range
+        else:
+            dt = ds * rng.uniform(0.3, 4.0, size) + rng.normal(0.0, 0.5, size)
+        order = rng.permutation(size)
+        k = int(rng.integers(1, 8))
+        cuts = np.sort(rng.integers(0, size + 1, k - 1))
+        blocks = [(ds[part], dt[part]) for part in np.split(order, cuts)]
+        if seed % 3 == 0:
+            blocks.insert(int(rng.integers(k + 1)), (ds[:0], dt[:0]))
+        whole = fit_qi([(ds, dt)])
+        assert fit_qi(blocks) == whole == reference_fit_qi(ds, dt)
 
     def test_pipeline_pairs(self, flagship_result):
         res = flagship_result

@@ -16,9 +16,7 @@ from conetrees import (
     build_grid,
     build_tree,
     embed_grid,
-    embed_point,
     radial_check,
-    rough_triangle_bound,
     separate,
 )
 from conetrees.harness import generate
@@ -33,6 +31,24 @@ def small__seq():
 @pytest.fixture(scope="module")
 def small_trees(small__seq):
     return tuple(build_tree(small__seq, a) for a in (0, 1))
+
+
+def embed_point(tree, z, j):
+    """embed_grid's node for one grid point, by a scan: the node at tree
+    level j nearest to z, ties to the smallest node id."""
+    if j == 0:
+        return 0
+    ids = tree.nodes_at_level(j)
+    if ids.size == 0:
+        raise TreeError(f"tree has no nodes at level {j}")
+    best, best_d = -1, np.inf
+    for nid in ids:
+        cols = np.fromiter(tree.members[nid], dtype=int,
+                           count=len(tree.members[nid]))
+        d = float(tree.space.dist[z, cols].min())
+        if d < best_d:
+            best, best_d = int(nid), d
+    return best
 
 
 def brute_tree_dist(tree, u, v):
@@ -474,15 +490,3 @@ class TestPairKernelsAgainstReference:
             other = ProductEmbedding(grid=grid, trees=small_trees, table=table)
             assert np.array_equal(other.all_pairs_dist,
                                   reference_product_pairs(other))
-
-
-class TestRoughTriangle:
-    def test_holds_on_tree_distances(self, small_trees):
-        tree = small_trees[0]
-        ap = tree.all_pairs_dist
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            u, v, w = rng.integers(0, tree.n_nodes, size=3)
-            p, q, t = int(ap[u, v]), int(ap[v, w]), int(ap[u, w])
-            if t >= max(p, q):
-                assert rough_triangle_bound(p, q, t)
