@@ -121,6 +121,12 @@ def write_space(path, space: FiniteMetricSpace) -> None:
 
 def read_space(path) -> FiniteMetricSpace:
     d = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(d, dict):
+        raise ValueError(
+            f"space file {path} must be a JSON object, got {type(d).__name__}")
+    missing = [key for key in ("dist", "point_ids") if key not in d]
+    if missing:
+        raise ValueError(f"space file {path} lacks {' and '.join(missing)}")
     return FiniteMetricSpace(
         dist=np.asarray(d["dist"], dtype=float),
         point_ids=tuple(d["point_ids"]),

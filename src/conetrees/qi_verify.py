@@ -6,19 +6,15 @@ reads only the least and greatest source distance per target value, which
 integer tree metrics make few, merged over the blocks; it groups integer
 targets without sorting the pairs.  The blocks are passed over once more
 only if an extreme breaks the fitted band, to count the violations.
-delta_hyperbolicity measures the base-point
-four-point defect on the doubled Gromov products a, in exact integers
-whenever the input matrix is integral.  It first runs an exact zero test:
-the defect is 0 exactly when every threshold relation [a >= v] is
-transitive, and a symmetric transitive relation is an equivalence relation,
-which one comparison with the partition by first row entry recognises in
-O(n**2) per distinct value.  Tree metrics, the pipeline's input, stop
-there.  Only inputs that fail it are measured.  Those whose a takes at most
-THRESHOLD_MAX_VALUES distinct values, as tree metrics at the root do
-(2*lca in {0, 2, ..., 2*depth}), take a threshold (max,min)-product: one
-float32 0/1 matrix product per value, in place of n passes over an n x n
-matrix.  Other inputs take the direct scan over the middle point, which
-also serves the tests as the reference.  All three agree on the number.
+
+delta_hyperbolicity measures the base-point four-point defect on the
+doubled Gromov products a, in exact integers whenever the input matrix is
+integral.  It first runs an exact zero test: the defect is 0 exactly when
+every threshold relation [a >= v] is transitive, and a symmetric
+transitive relation is an equivalence relation, which one comparison with
+the partition by first row entry recognises in O(n**2) per distinct value.
+Tree metrics, the pipeline's input, stop there.  Only inputs that fail it
+are measured, by the direct O(n**3) scan over the middle point.
 """
 
 from __future__ import annotations
@@ -32,15 +28,6 @@ from .metric_core import FiniteMetricSpace
 
 LAMBDA_GRID = np.round(np.arange(1.0, 50.0 + 1e-9, 0.05), 2)
 
-# Distinct doubled Gromov products up to which delta_hyperbolicity takes the
-# threshold product.  On a 2-vCPU x86-64 host with one BLAS thread, per n**3
-# the scan costs 1.0-1.3 ns and the product 0.010-0.017 ns per value on
-# random integer l1 metrics (n = 400 and 769), so break-even lies near
-# K = 70-120; 32 leaves room for a slower BLAS.
-THRESHOLD_MAX_VALUES = 32
-# Rows per threshold product; bounds its buffers at ROW_BLOCK x n.
-ROW_BLOCK = 128
-
 
 def _scan_excess(a: np.ndarray) -> float:
     """max over x, y, w of min(a[x,y], a[y,w]) - a[x,w], one y at a time:
@@ -50,37 +37,6 @@ def _scan_excess(a: np.ndarray) -> float:
         c = np.minimum(a[:, y][:, None], a[y][None, :]) - a
         worst = max(worst, float(c.max()))
     return worst
-
-
-def _threshold_excess(a: np.ndarray, key: np.ndarray, values: np.ndarray) -> float:
-    """The same maximum as _scan_excess, by thresholds.
-
-    With B_v = [a >= v], M[x,w] = max_y min(a[x,y], a[y,w]) is at least v
-    exactly when (B_v B_v)[x,w] > 0, so the maximum of M - a is the maximum
-    over values v of v - min{a[x,w] : (B_v B_v)[x,w] > 0}.  key[x] is the
-    largest entry in row or column x, and must be non-increasing: the rows
-    and columns of B_v that are not all zero then form a leading block.  The
-    smallest value is skipped, since B_v is all ones there and contributes
-    exactly 0.  Products run ROW_BLOCK rows at a time into reused buffers,
-    so M is never held.
-    """
-    n = a.shape[0]
-    buf_b = np.empty(n * n, dtype=np.float32)
-    buf_c = np.empty(min(n, ROW_BLOCK) * n, dtype=np.float32)
-    buf_m = np.empty(buf_c.size, dtype=bool)
-    worst = 0
-    for v in values[1:]:
-        k = int(np.count_nonzero(key >= v))
-        b = buf_b[:k * k].reshape(k, k)
-        np.greater_equal(a[:k, :k], v, out=b)
-        for lo in range(0, k, ROW_BLOCK):
-            hi = min(k, lo + ROW_BLOCK)
-            c = buf_c[:(hi - lo) * k].reshape(hi - lo, k)
-            reach = buf_m[:c.size].reshape(c.shape)
-            np.matmul(b[lo:hi], b, out=c)
-            np.greater(c, 0, out=reach)
-            worst = max(worst, v - np.min(a[lo:hi, :k], where=reach, initial=v))
-    return float(worst)
 
 
 def _thresholds_transitive(a: np.ndarray, values: np.ndarray) -> bool:
@@ -120,27 +76,33 @@ def delta_hyperbolicity(d: np.ndarray, base: int = 0) -> float:
     max_y min((x|y), (y|w)) - (x|w), floored at 0.
 
     Works on the doubled products a = 2(.|.), which are exact integers for
-    integer input, so genuine tree metrics come out at exactly 0.0.
+    integer input, so genuine tree metrics come out at exactly 0.0: int32
+    for input of at most 16 bits, such as the pipeline's trees, and int64
+    otherwise.  Entries too large for the int64 arithmetic, and NaN in a,
+    raise ValueError.
 
     The value is 0 exactly when min(a[x,y], a[y,w]) <= a[x,w] for all x,
     y, w, which _thresholds_transitive decides in O(K n**2) for K distinct
-    values in a; it returns 0.0 when that test passes, which is then also
-    what both kernels below return.  A matrix that fails it (delta > 0, or
-    an asymmetric input), or whose a holds NaN, is measured by one of the
-    two kernels.  K <= THRESHOLD_MAX_VALUES selects the threshold
-    (max,min)-product (Fournier, Ismail & Vigneron, IPL 2015): K - 1 float32
-    0/1 matrix products, whose counts are exact below 2**24 points.  Larger
-    K selects the direct scan over y.  Both paths only compare, select and
-    subtract entries of a, so they return the same number bit for bit, for
-    float input as well.
+    values in a.  A matrix that fails it (delta > 0, or an asymmetric
+    input) is measured by _scan_excess.
     """
     d = np.asarray(d)
     n = d.shape[0]
     if n == 0:
         return 0.0
     if np.issubdtype(d.dtype, np.integer):
-        row = d[base].astype(np.int32)  # sums of narrower types would wrap
-        a = (row[:, None] + row[None, :] - d).astype(np.int32, copy=False)
+        if d.dtype.itemsize <= 2:
+            row = d[base].astype(np.int32)  # sums of 16-bit entries fit
+        else:
+            # |a| <= 3 max|d|, and the scan's differences of a twice that
+            limit = np.iinfo(np.int64).max // 6
+            if max(-int(d.min()), int(d.max())) > limit:
+                raise ValueError(f"delta_hyperbolicity: entries beyond {limit} "
+                                 "in size would overflow int64")
+            d = d.astype(np.int64, copy=False)
+            row = d[base]
+        a = row[:, None] + row[None, :]
+        a -= d
     else:
         a = d[base][:, None] + d[base][None, :] - d
     # sorted distinct values; on int32 input np.unique takes several times
@@ -148,16 +110,12 @@ def delta_hyperbolicity(d: np.ndarray, base: int = 0) -> float:
     flat = np.sort(a, axis=None)
     values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     del flat
-    if not np.isnan(values[-1]) and _thresholds_transitive(a, values):
+    if np.isnan(values[-1]):  # NaN sorts last
+        raise ValueError("delta_hyperbolicity: the doubled Gromov products "
+                         "hold NaN")
+    if _thresholds_transitive(a, values):
         return 0.0
-    if len(values) > THRESHOLD_MAX_VALUES:
-        worst = _scan_excess(a)
-    else:
-        key = np.maximum(a.max(axis=0), a.max(axis=1))
-        order = np.argsort(-key, kind="stable")
-        a = a[np.ix_(order, order)]  # drops the unpermuted matrix
-        worst = _threshold_excess(a, key[order], values)
-    return max(0.0, worst / 2.0)
+    return max(0.0, _scan_excess(a) / 2.0)
 
 
 @dataclass(frozen=True)

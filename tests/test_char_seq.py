@@ -188,6 +188,24 @@ class TestBuildLevel:
                               colors=2)
             assert base.provenance["strategy"] == builder
 
+    def test_cantor_ladder_reaches_the_component_builder(self, monkeypatch):
+        # the configuration of the CI step that exercises _component_level
+        component_level = char_seq._component_level
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return component_level(*args)
+
+        monkeypatch.setattr(char_seq, "_component_level", counted)
+        sp = generate("cantor", depth=7)
+        base = build_base(sp, r=0.125, depth=4, colors=2)
+        assert calls
+        built = [cov for cov in base.levels
+                 if {len(u) for fam in cov.colors for u in fam.members}
+                 not in ({1}, {sp.n})]
+        assert built
+
 
 def loop_window_level(space, values, pitch, width, count, m, wrap):
     """One exact mask per window i = 0..count-1, empty windows skipped."""

@@ -394,6 +394,24 @@ class TestCLI:
             f"error: config must be a JSON object, got {text}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, problem", [
+        ("[[0, 1], [1, 0]]", "must be a JSON object, got list"),
+        ('{"point_ids": ["a", "b"]}', "lacks dist"),
+        ('{"dist": [[0, 1], [1, 0]]}', "lacks point_ids"),
+        ("{}", "lacks dist and point_ids"),
+    ], ids=["list", "no_dist", "no_point_ids", "empty"])
+    def test_profile_refuses_malformed_space_file(self, tmp_path, capsys,
+                                                  text, problem):
+        space_file = tmp_path / "space.json"
+        space_file.write_text(text, encoding="utf-8")
+        rc = cli_main(["profile", "--space", str(space_file),
+                       "--out", str(tmp_path / "profile.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: space file {space_file} {problem}\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "profile.json").exists()
+
     def test_pipeline_failure_exit_code(self, tmp_path, capsys):
         rc = cli_main(["pipeline", "--generator", "circle", "--n", "48",
                        "--r", "0.125", "--depth", "2",

@@ -51,14 +51,38 @@ class TestDeltaHyperbolicity:
         assert delta_hyperbolicity(d) == pytest.approx(
             brute_delta(d.astype(float)))
 
-    def test_narrow_integers_do_not_wrap(self, monkeypatch):
+    def test_narrow_integers_do_not_wrap(self):
         d = 10000 * np.array([[0, 1, 2, 1],
                               [1, 0, 1, 2],
                               [2, 1, 0, 1],
                               [1, 2, 1, 0]], dtype=np.int16)
         assert delta_hyperbolicity(d) == 10000.0
-        monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", 0)
-        assert delta_hyperbolicity(d) == 10000.0
+
+    @pytest.mark.parametrize("m, want", [
+        ([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], 1.0),
+        (np.abs(np.subtract.outer([0, 1, 3, 7], [0, 1, 3, 7])), 0.0),
+    ], ids=["four_cycle", "line_tree"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_wide_integers_do_not_wrap(self, m, want, dtype):
+        # the largest scale int32 holds, whose sums overflow int32, and in
+        # int64 also 10**9, beyond int32 for the line
+        m = np.array(m)
+        scales = [np.iinfo(np.int32).max // m.max()]
+        if dtype == np.int64:
+            scales.append(10 ** 9)
+        for scale in scales:
+            d = (scale * m).astype(dtype)
+            got = delta_hyperbolicity(d)
+            assert got == delta_hyperbolicity(d.astype(float))
+            assert got == want * scale
+
+    def test_int64_overflow_is_refused(self):
+        d = np.array([[0, 2 ** 61], [2 ** 61, 0]], dtype=np.int64)
+        with pytest.raises(ValueError, match="overflow"):
+            delta_hyperbolicity(d)
+        d = np.array([[0, 2 ** 63], [2 ** 63, 0]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="overflow"):
+            delta_hyperbolicity(d)
 
     def test_matches_brute_force_on_random(self):
         rng = np.random.default_rng(17)
@@ -86,34 +110,25 @@ class TestDeltaHyperbolicity:
         delta = delta_hyperbolicity(d)
         assert 0.0 <= delta <= 1.5
 
-    def test_integer_l1_metrics_match_brute_force_on_both_paths(
-            self, monkeypatch):
+    def test_integer_l1_metrics_match_brute_force(self):
         rng = np.random.default_rng(29)
-        sides = {True: [], False: []}  # threshold path selected -> deltas
+        sides = {4: [], 100: []}  # span -> deltas
         for trial in range(24):
             n = int(rng.integers(12, 21))
             span = (4, 100)[trial % 2]  # few distinct products, then many
             pts = rng.integers(0, span, size=(n, 2))
             d = np.abs(pts[:, None] - pts[None, :]).sum(-1)
             base = int(rng.integers(0, n))
-            a = d[base][:, None] + d[base][None, :] - d
             want = brute_delta(d.astype(float), base=base)
             got = delta_hyperbolicity(d, base=base)
             assert got == want
-            sides[len(np.unique(a)) <= qi_verify.THRESHOLD_MAX_VALUES].append(got)
-            # scan only, then threshold only, in products of 5 rows
-            for forced, block in ((0, 128), (n * n, 5)):
-                monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", forced)
-                monkeypatch.setattr(qi_verify, "ROW_BLOCK", block)
-                assert delta_hyperbolicity(d, base=base) == want
-            monkeypatch.undo()
+            sides[span].append(got)
         for deltas in sides.values():
-            assert len(deltas) >= 5
             assert max(deltas) > 0
 
-    def test_both_paths_match_brute_force_on_non_metrics(self, monkeypatch):
+    def test_non_metrics_match_brute_force(self):
         # a tampered certificate input need not satisfy the triangle
-        # inequality; the threshold path must still agree with the scan
+        # inequality; the scan must still agree with the brute-force loop
         rng = np.random.default_rng(37)
         cases = []
         for _ in range(20):
@@ -127,23 +142,12 @@ class TestDeltaHyperbolicity:
                                 [5, 0, 0, 0],
                                 [5, 4, 0, 0]]), 0))
         for d, base in cases:
-            n = len(d)
             want = brute_delta(d.astype(float), base=base)
-            for forced, block in ((0, 128), (n * n, 3)):
-                monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", forced)
-                monkeypatch.setattr(qi_verify, "ROW_BLOCK", block)
-                assert delta_hyperbolicity(d, base=base) == want
+            assert delta_hyperbolicity(d, base=base) == want
 
-    def test_threshold_matches_scan_bit_for_bit_on_floats(self, monkeypatch):
-        rng = np.random.default_rng(31)
-        pts = rng.uniform(0, 1, size=(40, 2))
-        d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
-        scan = delta_hyperbolicity(d, base=3)
-        monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", d.size)
-        assert delta_hyperbolicity(d, base=3) == scan
-        assert scan > 0
-
-    def test_raised_tree_distance_fails_through_threshold(self, monkeypatch):
+    def test_raised_tree_distance_fails_through_threshold(self):
+        # the zero test's threshold relations reject the raised pair, and
+        # the scan measures it
         sp = generate("circle", n=64)
         seq = separate(build_base(sp, r=0.125, depth=2, colors=2))
         d = build_tree(seq, 0).all_pairs_dist.copy()
@@ -151,16 +155,11 @@ class TestDeltaHyperbolicity:
         d[u, v] += 2
         d[v, u] += 2
         a = d[0][:, None] + d[0][None, :] - d
-        assert len(np.unique(a)) <= qi_verify.THRESHOLD_MAX_VALUES
-        monkeypatch.setattr(qi_verify, "THRESHOLD_MAX_VALUES", 0)
-        want = delta_hyperbolicity(d)
-        monkeypatch.undo()
-
-        def no_scan(a):
-            raise AssertionError("scan path taken")
-
-        monkeypatch.setattr(qi_verify, "_scan_excess", no_scan)
-        assert delta_hyperbolicity(d) == want > 0
+        assert not qi_verify._thresholds_transitive(a, np.unique(a))
+        want = brute_delta(d.astype(float))
+        assert want > 0
+        assert scan_delta(d) == want
+        assert delta_hyperbolicity(d) == want
 
     def test_base_point_choice(self):
         d = line_metric([0.0, 1.0, 2.0, 4.0])
@@ -179,30 +178,21 @@ def tree_metric(n, rng):
     return d
 
 
-def kernel_deltas(d, base=0):
-    """delta from _scan_excess and from _threshold_excess, called directly
-    on the doubled products a as delta_hyperbolicity forms them."""
+def scan_delta(d, base=0):
+    """delta from _scan_excess, called directly on the doubled products a,
+    past the zero test."""
     d = np.asarray(d)
-    if np.issubdtype(d.dtype, np.integer):
-        row = d[base].astype(np.int32)
-        a = (row[:, None] + row[None, :] - d).astype(np.int32)
-    else:
-        a = d[base][:, None] + d[base][None, :] - d
-    key = np.maximum(a.max(axis=0), a.max(axis=1))
-    order = np.argsort(-key, kind="stable")
-    scan = qi_verify._scan_excess(a)
-    threshold = qi_verify._threshold_excess(
-        a[np.ix_(order, order)], key[order], np.unique(a))
-    return max(0.0, scan / 2.0), max(0.0, threshold / 2.0)
+    a = d[base][:, None] + d[base][None, :] - d
+    return max(0.0, qi_verify._scan_excess(a) / 2.0)
 
 
 def no_kernel(*args):
-    raise AssertionError("a delta kernel ran")
+    raise AssertionError("the scan ran")
 
 
 class TestZeroTest:
-    """The exact zero test ahead of the kernels: it returns 0.0 exactly
-    where the kernels and the brute-force loop find no defect."""
+    """The exact zero test ahead of the scan: it returns 0.0 exactly
+    where the scan and the brute-force loop find no defect."""
 
     def test_random_cases_match_brute_force_and_kernels(self):
         rng = np.random.default_rng(41)
@@ -226,14 +216,14 @@ class TestZeroTest:
                     got = delta_hyperbolicity(m, base=base)
                     want = brute_delta(m.astype(float), base=base)
                     assert got == want
-                    assert kernel_deltas(m, base=base) == (want, want)
+                    assert scan_delta(m, base=base) == want
                     outcomes[got == 0.0] += 1
         assert sum(outcomes.values()) >= 300
         assert min(outcomes.values()) >= 100
 
     def test_symmetric_verdicts_are_exact(self):
         # on symmetric input the test itself decides delta == 0, with no
-        # false negatives to hand on to the kernels
+        # false negatives to hand on to the scan
         rng = np.random.default_rng(43)
         verdicts = set()
         for trial in range(120):
@@ -263,7 +253,7 @@ class TestZeroTest:
         assert not qi_verify._thresholds_transitive(a, np.unique(a))
         assert delta_hyperbolicity(d) == want
         assert brute_delta(d.astype(float)) == want
-        assert kernel_deltas(d) == (want, want)
+        assert scan_delta(d) == want
 
     @pytest.mark.parametrize("dtype", [np.int64, float])
     def test_diagonal_below_row_maximum(self, dtype):
@@ -278,11 +268,11 @@ class TestZeroTest:
         want = brute_delta(d.astype(float))
         assert want > 0
         assert delta_hyperbolicity(d) == want
-        assert kernel_deltas(d) == (want, want)
+        assert scan_delta(d) == want
 
-    def test_nan_input_goes_to_the_kernels(self, monkeypatch):
-        # values the kernels returned on these inputs before the zero test
-        # existed; NaN hides defects from both, by different rules
+    def test_nan_input_is_refused(self):
+        # every comparison with NaN is false, so a number would hide it; one
+        # NaN entry, or a symmetric pair, in a cycle, an l1 grid and a plane
         c4 = np.array([[0, 1, 2, 1],
                        [1, 0, 1, 2],
                        [2, 1, 0, 1],
@@ -293,20 +283,16 @@ class TestZeroTest:
         rng = np.random.default_rng(3)
         p = rng.uniform(0, 1, size=(12, 2))
         euclid = np.sqrt(((p[:, None] - p[None, :]) ** 2).sum(-1))
-        cases = []
-        for d, pairs, want in ((c4, [(1, 3), (3, 1)], 0.0),
-                               (l1, [(5, 6), (6, 5)], 1.0),
-                               (l1, [(2, 4)], 1.0),
-                               (l1, [(0, 3), (3, 0)], 0.0),
-                               (euclid, [(4, 7), (7, 4)], 0.0)):
+        for d, pairs in ((c4, [(1, 3), (3, 1)]),
+                         (l1, [(5, 6), (6, 5)]),
+                         (l1, [(2, 4)]),
+                         (l1, [(0, 3), (3, 0)]),
+                         (euclid, [(4, 7), (7, 4)])):
             d = d.copy()
             for x, w in pairs:
                 d[x, w] = np.nan
-            cases.append((d, want))
-        monkeypatch.setattr(qi_verify, "_thresholds_transitive", no_kernel)
-        with np.errstate(invalid="ignore"):
-            for d, want in cases:
-                assert delta_hyperbolicity(d) == want
+            with pytest.raises(ValueError, match="NaN"):
+                delta_hyperbolicity(d)
 
     def test_pipeline_trees_never_reach_the_kernels(self, monkeypatch,
                                                     flagship_result):
@@ -315,7 +301,6 @@ class TestZeroTest:
             colors=2))
         trees = flagship_result.trees + tuple(
             build_tree(cascade, a) for a in range(2))
-        monkeypatch.setattr(qi_verify, "_threshold_excess", no_kernel)
         monkeypatch.setattr(qi_verify, "_scan_excess", no_kernel)
         for tree in trees:
             assert delta_hyperbolicity(tree.all_pairs_dist) == 0.0
