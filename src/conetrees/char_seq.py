@@ -520,7 +520,7 @@ def _gamma(levels: tuple[ColoredCovering, ...], r: float,
     return float(gamma), records
 
 
-def separation_margins(space: FiniteMetricSpace, levels: tuple[ColoredCovering, ...],
+def separation_margins(levels: tuple[ColoredCovering, ...],
                        r: float) -> tuple[float, list[dict]]:
     """Measured separation quality gamma over all same-color level pairs.
 

@@ -3,9 +3,9 @@ pipeline, and re-verify written bundles.
 
 `verify` is a replay: it reads `config.json` strictly, reruns
 `run_pipeline` on it without writing, and compares every file of the
-replay's bundle (`io.bundle_files`) with the stored one, JSON files by
-parsed value and all others byte for byte.  A stage that fails on replay,
-or a file that differs, is missing or is extra, fails the bundle.
+replay's bundle (`io.bundle_files`) with the stored one byte for byte.  A
+stage that fails on replay, or a file that differs, is missing or is extra,
+fails the bundle.
 
 Output locations default to the CONETREES_OUT environment variable when a
 flag is omitted.  Exit status is 0 on success, 1 on any failure.
@@ -88,7 +88,7 @@ def _cmd_profile(args) -> int:
     else:
         scales = [args.r ** j for j in range(1, args.depth + 1)]
     colors = [int(c) for c in args.colors.split(",")]
-    profile = capacity_profile(space, scales, colors, delta_gate=args.delta_gate)
+    profile = capacity_profile(space, scales, colors)
     out = _default_out(args.out, "profile.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     bundle_io.write_profile(out, profile)
@@ -142,17 +142,6 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _same(name: str, stored: bytes, replayed) -> bool:
-    """Whether a stored bundle file holds the replay's content: a JSON file
-    by parsed value (floats round-trip exactly), any other byte for byte."""
-    if not name.endswith(".json"):
-        return stored == replayed.encode("utf-8")
-    try:
-        return json.loads(stored) == replayed
-    except ValueError:
-        return False
-
-
 def _cmd_verify(args) -> int:
     config = PipelineConfig.from_dict(json.loads(
         (Path(args.bundle) / "config.json").read_text(encoding="utf-8")))
@@ -172,7 +161,7 @@ def _cmd_verify(args) -> int:
         elif name not in replayed:
             ok, detail = False, ": not written by the replay"
         else:
-            ok, detail = _same(name, stored[name], replayed[name]), ""
+            ok, detail = stored[name] == replayed[name], ""
         print(f"[{'PASS' if ok else 'FAIL'}] {name}{detail}")
         if not ok:
             failures.append(name)
@@ -209,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--r", type=float, default=0.125)
     f.add_argument("--depth", type=int, default=4)
     f.add_argument("--colors", default="2")
-    f.add_argument("--delta-gate", type=float, default=0.1)
     f.add_argument("--out")
     f.set_defaults(func=_cmd_profile)
 

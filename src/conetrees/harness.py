@@ -45,6 +45,8 @@ from .tree_embed import (
 
 # Most (scale, color count) evaluations one capacity profile may run.
 PROFILE_BUDGET = 256
+# Least mesh, as a fraction of the scale, of an informative profile row.
+DELTA_GATE = 0.1
 
 
 def _circle(n: int, circumference: float = 2.0 * math.pi) -> FiniteMetricSpace:
@@ -174,13 +176,12 @@ def generate(kind: str, **params) -> FiniteMetricSpace:
     return make(**params)
 
 
-def capacity_profile(space: FiniteMetricSpace, scales, colors=(2,),
-                     delta_gate: float = 0.1) -> dict:
+def capacity_profile(space: FiniteMetricSpace, scales, colors=(2,)) -> dict:
     """Capacity (Lebesgue number over mesh) of single levels across scales
     and color counts, built as `build_level` builds them for the space's
     kind; a space with no kind gets generic_greedy, which may add colors.
 
-    Rows whose mesh falls outside [delta_gate * scale, scale] are marked
+    Rows whose mesh falls outside [DELTA_GATE * scale, scale] are marked
     uninformative: the builder degenerated (singletons, or the whole space)
     and the capacity says nothing about the scale in question.
     """
@@ -203,7 +204,7 @@ def capacity_profile(space: FiniteMetricSpace, scales, colors=(2,),
                 "capacity": pooled.capacity(),
                 "multiplicity": cov.multiplicity(),
                 "members": sum(len(f) for f in cov.colors),
-                "informative": bool(delta_gate * tau <= mesh <= tau),
+                "informative": bool(DELTA_GATE * tau <= mesh <= tau),
             }
             records.append(rec)
     return {

@@ -154,9 +154,6 @@ class ConeGrid:
             raise ConeError(f"point index {z} out of range")
         return 1 + (j - 1) * self.space.n + z
 
-    def angle(self, z1: int, z2: int) -> float:
-        return self.mu * float(self.space.dist[z1, z2])
-
     @cached_property
     def _level_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A = sinh((t_j - t_j')/2)**2 and B = sinh(t_j)*sinh(t_j') per level

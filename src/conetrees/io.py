@@ -6,10 +6,10 @@ same deterministic pipeline reproduces every file byte for byte.  The JSON
 text is exactly `json.dumps(value, sort_keys=True, indent=2) + "\n"`, but
 written by `_dumps`, not the stdlib: with an indent the stdlib takes its
 pure-Python encoder, which turns every float into text anew, while a bundle
-is mostly a distance matrix with few distinct values.  The tests and CI
-hold `_dumps` to the stdlib's bytes.
-`bundle_files` is the one description of a bundle: `write_bundle` writes
-it, and `conetrees verify` compares a replay's against the stored files.
+is mostly a symmetric distance matrix, whose distinct values `_dumps` turns
+into text once each.  The tests and CI hold `_dumps` to the stdlib's bytes.
+`bundle_files` is the one description of a bundle, as bytes: `write_bundle`
+writes them, and `conetrees verify` compares a replay's with the stored ones.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ def _plain(x):
         return [_plain(v) for v in x]
     if isinstance(x, (set, frozenset)):
         return sorted(_plain(v) for v in x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
     if isinstance(x, np.integer):
         return int(x)
     if isinstance(x, np.floating):
@@ -42,27 +40,34 @@ def _plain(x):
     return x
 
 
-class _FloatTexts(dict):
-    """float.__repr__ of each distinct finite nonzero float, computed on
-    first use.  Zeros are not kept, since 0.0 == -0.0 but their texts differ;
-    non-finite floats get the stdlib's NaN, Infinity and -Infinity."""
-
-    def __missing__(self, x: float) -> str:
-        if x != x:
-            return "NaN"
-        if x == math.inf:
-            return "Infinity"
-        if x == -math.inf:
-            return "-Infinity"
-        text = float.__repr__(x)
-        if x:
-            self[x] = text
-        return text
+def _float(x: float) -> str:
+    """A float as the stdlib writes it: repr, NaN, Infinity or -Infinity."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
 
 
-def _render(value, newline: str, floats: _FloatTexts) -> str:
+def _matrix(value: np.ndarray, newline: str) -> str:
+    """A 2-D float array as its list of rows, each distinct value turned
+    into text once.  np.unique merges 0.0 and -0.0, whose texts differ, so
+    an array holding -0.0, like any other array, is rendered as its list."""
+    if (value.dtype != np.float64 or value.ndim != 2 or not value.size
+            or np.signbit(value[value == 0]).any()):
+        return _render(value.tolist(), newline)
+    distinct, index = np.unique(value, return_inverse=True)
+    text = float.__repr__ if np.isfinite(distinct).all() else _float
+    texts = list(map(text, distinct.tolist()))
+    inner, cell = newline + "  ", newline + "    "
+    rows = ["[" + cell + ("," + cell).join(map(texts.__getitem__, row))
+            + inner + "]" for row in index.reshape(value.shape).tolist()]
+    return "[" + inner + ("," + inner).join(rows) + newline + "]"
+
+
+def _render(value, newline: str) -> str:
     if isinstance(value, float):
-        return floats[value]
+        return _float(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -73,21 +78,23 @@ def _render(value, newline: str, floats: _FloatTexts) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, np.ndarray):
+        return _matrix(value, newline)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # floats inline: a distance matrix is almost all of a bundle's values
-        items = [floats[v] if type(v) is float else _render(v, inner, floats)
-                 for v in value]
+        # scalars inline: member lists are most of a bundle's other values
+        items = [_float(v) if type(v) is float else int.__repr__(v)
+                 if type(v) is int else _render(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         if not all(isinstance(k, str) for k in value):
             raise TypeError("JSON object keys must be str")
-        items = [encode_basestring_ascii(k) + ": "
-                 + _render(value[k], inner, floats) for k in sorted(value)]
+        items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner)
+                 for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON "
                     f"serializable")
@@ -95,11 +102,10 @@ def _render(value, newline: str, floats: _FloatTexts) -> str:
 
 def _dumps(value) -> str:
     """A plain JSON value (dict with str keys, list, tuple, str, int, float,
-    bool, None) as canonical text: exactly the bytes of
-    `json.dumps(value, sort_keys=True, indent=2) + "\n"`, with one repr
-    per distinct float (see the module docstring).  Anything else raises
-    TypeError."""
-    return _render(value, "\n", _FloatTexts()) + "\n"
+    bool, None, or a numpy array, read as its list) as canonical text: the
+    bytes of `json.dumps(value, sort_keys=True, indent=2) + "\n"` for the
+    value with its arrays as lists.  Anything else raises TypeError."""
+    return _render(value, "\n") + "\n"
 
 
 def _write_text(path, text: str) -> None:
@@ -127,10 +133,17 @@ def read_space(path) -> FiniteMetricSpace:
     missing = [key for key in ("dist", "point_ids") if key not in d]
     if missing:
         raise ValueError(f"space file {path} lacks {' and '.join(missing)}")
+    ids, meta = d["point_ids"], d.get("meta", {})
+    if not (isinstance(ids, list) and all(isinstance(p, str) for p in ids)):
+        raise ValueError(f"space file {path} point_ids must be a list of "
+                         "strings")
+    if not isinstance(meta, dict):
+        raise ValueError(f"space file {path} meta must be a JSON object, "
+                         f"got {type(meta).__name__}")
     return FiniteMetricSpace(
         dist=np.asarray(d["dist"], dtype=float),
-        point_ids=tuple(d["point_ids"]),
-        meta=d.get("meta", {}),
+        point_ids=tuple(ids),
+        meta=meta,
         rel_tol=float(d.get("rel_tol", 1e-9)),
     )
 
@@ -168,17 +181,17 @@ def render_embedding(embedding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bundle_files(result) -> dict:
-    """Every file of a pipeline result's bundle, {file name: content}: the
-    text of each `tree_<a>.csv`, of `embedding.csv` and of `log.txt`, and
-    the plain JSON value of each JSON file."""
+def bundle_files(result) -> dict[str, bytes]:
+    """Every file of a pipeline result's bundle, {file name: bytes}: each
+    `tree_<a>.csv`, `embedding.csv` and `log.txt` as rendered, and each JSON
+    file as canonical text."""
     seq = result.charseq
     m = seq.measurement
     qi = result.qi
-    files = {
-        "config.json": _plain(result.config.echo()),
-        "space.json": _space_json(result.space),
-        "charseq.json": _plain({
+    texts = {
+        "config.json": _dumps(_plain(result.config.echo())),
+        "space.json": _dumps(_space_json(result.space)),
+        "charseq.json": _dumps(_plain({
             "r": seq.r,
             "depth": seq.depth,
             "colors": seq.n_colors,
@@ -189,20 +202,20 @@ def bundle_files(result) -> dict:
                         for fam in cov.colors] for cov in seq.levels],
             "provenance": {**seq.provenance, **{
                 k: m[k] for k in ("levels", "gamma_records") if k in m}},
-        }),
+        })),
         "embedding.csv": render_embedding(result.embedding),
-        "qireport.json": _plain({
+        "qireport.json": _dumps(_plain({
             "qi": {"lam": qi.lam, "sigma": qi.sigma, "n_pairs": qi.n_pairs,
                    "violations": qi.violations, "details": qi.details},
             "radial": result.radial,
             "sphere": result.sphere,
             "tree_deltas": result.tree_deltas,
-        }),
+        })),
         "log.txt": "\n".join(result.log) + "\n",
     }
     for a, tree in enumerate(result.trees):
-        files[f"tree_{a}.csv"] = render_tree(tree)
-    return files
+        texts[f"tree_{a}.csv"] = render_tree(tree)
+    return {name: text.encode("utf-8") for name, text in texts.items()}
 
 
 def write_bundle(outdir, result) -> Path:
@@ -210,8 +223,7 @@ def write_bundle(outdir, result) -> Path:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for name, content in bundle_files(result).items():
-        _write_text(out / name,
-                    content if isinstance(content, str) else _dumps(content))
+        (out / name).write_bytes(content)
     return out
 
 

@@ -381,7 +381,7 @@ class TestSeparationMargins:
             Family(sp, tuple(sp.subset([i]) for i in range(21))),
             Family(sp, tuple(sp.subset([i]) for i in range(21))),
         ))
-        gamma, records = separation_margins(sp, (blocks, singles), r=0.5)
+        gamma, records = separation_margins((blocks, singles), r=0.5)
         # binding pair: the two level-1 blocks at distance 0.5, over r^1
         assert gamma == pytest.approx(1.0)
         assert all(rec["pair_margin"] >= 0.5 for rec in records
@@ -400,7 +400,7 @@ class TestSeparationMargins:
             return _pair_margins(fine, coarse, rows, same_level)
 
         monkeypatch.setattr(char_seq, "_pair_margins", counting)
-        _, records = separation_margins(seq.space, seq.levels, seq.r)
+        _, records = separation_margins(seq.levels, seq.r)
         assert len(calls) == len(set(calls)) == 5
         assert len(records) == 6
 
@@ -409,7 +409,7 @@ class TestSeparationMargins:
         cov = ColoredCovering(sp, (
             Family(sp, (sp.subset(range(12)), sp.subset(range(9, 21)))),
         ))
-        gamma, _ = separation_margins(sp, (cov,), r=0.5)
+        gamma, _ = separation_margins((cov,), r=0.5)
         assert gamma == 0.0
 
 

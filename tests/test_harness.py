@@ -219,9 +219,9 @@ class TestBundleIO:
         assert back.meta["kind"] == "cantor"
 
     def test_qireport_round_trip(self, flagship_outdir, flagship_result):
-        back = json.loads((flagship_outdir / "qireport.json")
-                          .read_text(encoding="utf-8"))
-        assert back == bundle_io.bundle_files(flagship_result)["qireport.json"]
+        text = (flagship_outdir / "qireport.json").read_bytes()
+        assert text == bundle_io.bundle_files(flagship_result)["qireport.json"]
+        back = json.loads(text)
         assert back["qi"]["lam"] == flagship_result.qi.lam
         assert back["qi"]["sigma"] == flagship_result.qi.sigma
         assert back["tree_deltas"] == [0.0, 0.0]
@@ -297,6 +297,23 @@ class TestCanonicalJSON:
         assert bundle_io._dumps([row, row, {"z": row}]) == _stdlib(
             [row, row, {"z": row}])
 
+    def test_arrays_as_their_lists(self):
+        # the distance matrix's path (2-D float64) and every array it leaves
+        # to the list path: -0.0, empty, other shapes and dtypes
+        rng = np.random.default_rng(3)
+        pool = np.array(_FLOAT_POOL)
+        arrays = [np.zeros((0, 3)), np.zeros((2, 0)), np.arange(4.0),
+                  np.arange(6).reshape(2, 3), np.ones((2, 2, 2)),
+                  np.array([[0.5, 0.0], [0.0, 0.5]], dtype=np.float32)]
+        for _ in range(300):
+            shape = tuple(int(k) for k in rng.integers(1, 6, 2))
+            arrays.append(rng.choice(pool, size=shape))
+            arrays.append(rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30))
+        for a in arrays:
+            assert bundle_io._dumps(a) == _stdlib(a.tolist())
+            assert bundle_io._dumps({"m": [a, 1]}) == _stdlib(
+                {"m": [a.tolist(), 1]})
+
     @pytest.mark.parametrize("value", [
         {1, 2}, b"bytes", np.int64(3), {1: "int key"}, [object()],
     ], ids=["set", "bytes", "numpy_int", "int_key", "object"])
@@ -310,11 +327,12 @@ class TestCanonicalJSON:
         result = run_pipeline(PipelineConfig(
             **{**cfg, "params": dict(cfg["params"])}, outdir=str(tmp_path)))
         files = bundle_io.bundle_files(result)
-        written = sorted(p.name for p in tmp_path.glob("*.json"))
-        assert written == sorted(k for k in files if k.endswith(".json"))
-        for file in written:
-            assert (tmp_path / file).read_text(encoding="utf-8") == _stdlib(
-                files[file])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+        for file, content in files.items():
+            assert (tmp_path / file).read_bytes() == content
+            if file.endswith(".json"):
+                text = content.decode("utf-8")
+                assert _stdlib(json.loads(text)) == text
 
     def test_profile(self, tmp_path):
         prof = capacity_profile(generate("random_circle", n=100),
@@ -399,7 +417,12 @@ class TestCLI:
         ('{"point_ids": ["a", "b"]}', "lacks dist"),
         ('{"dist": [[0, 1], [1, 0]]}', "lacks point_ids"),
         ("{}", "lacks dist and point_ids"),
-    ], ids=["list", "no_dist", "no_point_ids", "empty"])
+        ('{"dist": [[0, 1], [1, 0]], "point_ids": 5}',
+         "point_ids must be a list of strings"),
+        ('{"dist": [[0, 1], [1, 0]], "point_ids": ["a", "b"], "meta": 3}',
+         "meta must be a JSON object, got int"),
+    ], ids=["list", "no_dist", "no_point_ids", "empty", "point_ids_number",
+            "meta_number"])
     def test_profile_refuses_malformed_space_file(self, tmp_path, capsys,
                                                   text, problem):
         space_file = tmp_path / "space.json"
@@ -458,7 +481,7 @@ class TestCLI:
         qip = bundle / "qireport.json"
         data = json.loads(qip.read_text(encoding="utf-8"))
         data["qi"]["sigma"] = 0.5
-        qip.write_text(json.dumps(data), encoding="utf-8")
+        qip.write_text(_stdlib(data), encoding="utf-8")
         rc = cli_main(["verify", "--bundle", str(bundle)])
         out = capsys.readouterr().out
         assert rc == 1
@@ -493,7 +516,7 @@ def _edit_entry(keys, change):
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = change(node.get(keys[-1]))
-        return json.dumps(data)
+        return _stdlib(data)
     return edit
 
 
@@ -514,7 +537,7 @@ def _scale_dist(factor):
     def edit(text):
         data = json.loads(text)
         data["dist"] = [[factor * x for x in row] for row in data["dist"]]
-        return json.dumps(data)
+        return _stdlib(data)
     return edit
 
 
@@ -538,6 +561,18 @@ class TestVerifyTamper:
         names = sorted(p.name for p in small_bundle.iterdir())
         assert out.out.splitlines() == [f"[PASS] {name}" for name in names] + [
             "bundle verified"]
+
+    @pytest.mark.parametrize("name", ["charseq.json", "config.json",
+                                      "qireport.json", "space.json"])
+    def test_canonical_rewrite_passes(self, tmp_path, small_bundle, capsys,
+                                      name):
+        # the JSON edits below rewrite a file this way, so each differs from
+        # the stored file in the edited value only
+        rc, out = self._verify(tmp_path, small_bundle, capsys, name,
+                               lambda text: _stdlib(json.loads(text)))
+        assert rc == 0
+        assert out.out.endswith("bundle verified\n")
+        assert "[FAIL]" not in out.out
 
     def test_tree_parent(self, tmp_path, small_bundle, capsys):
         rc, out = self._verify(tmp_path, small_bundle, capsys,
@@ -622,6 +657,15 @@ class TestVerifyTamper:
          "[FAIL] charseq.json"),
         ("charseq.json", _edit_entry(("levels",), _drop_first_point),
          "[FAIL] charseq.json"),
+        # equal in Python (0 == False, 1 == True, 2 == 2.0), not in the bytes
+        ("qireport.json", _set_report(("qi", "violations"), False),
+         "[FAIL] qireport.json"),
+        ("qireport.json", _set_report(("sphere", "passed"), 1),
+         "[FAIL] qireport.json"),
+        ("charseq.json", _set_report(("colors",), 2.0), "[FAIL] charseq.json"),
+        ("charseq.json", _set_report(("provenance", "cascade", 0, "identity"),
+                                     1),
+         "[FAIL] charseq.json"),
     ], ids=["ref_member", "t", "point_id", "radial.checks", "sphere.max_ratio",
             "qi.details", "config.depth", "config.r", "config.colors",
             "config.params.n", "config.params.unknown", "space.dist", "log.one_line",
@@ -632,7 +676,9 @@ class TestVerifyTamper:
             "charseq.provenance.assumption_warnings",
             "charseq.provenance.gamma_trace", "charseq.provenance.base_delta",
             "charseq.provenance.base_provenance.levels",
-            "charseq.provenance.strategy", "charseq.levels.member"])
+            "charseq.provenance.strategy", "charseq.levels.member",
+            "qi.violations.false", "sphere.passed.one", "charseq.colors.float",
+            "charseq.provenance.cascade.identity.one"])
     def test_certified_field(self, tmp_path, small_bundle, capsys, name, edit,
                              fail_line):
         rc, out = self._verify(tmp_path, small_bundle, capsys, name, edit)
@@ -644,7 +690,7 @@ class TestVerifyTamper:
         def drop_cascade(text):
             data = json.loads(text)
             del data["provenance"]["cascade"]
-            return json.dumps(data)
+            return _stdlib(data)
         rc, out = self._verify(tmp_path, small_bundle, capsys, "charseq.json",
                                drop_cascade)
         assert rc == 1
@@ -661,7 +707,7 @@ class TestVerifyTamper:
                 del data[key]
             else:
                 data[key] = value
-            return json.dumps(data)
+            return _stdlib(data)
         rc, out = self._verify(tmp_path, small_bundle, capsys, "charseq.json",
                                edit)
         assert rc == 1

@@ -203,7 +203,7 @@ class TestConeGrid:
     def test_angle_map_tops_out_at_pi(self):
         sp = generate("circle", n=8)
         grid = build_grid(sp, r=0.25, depth=2)
-        assert grid.angle(0, 4) == pytest.approx(math.pi)
+        assert grid.mu * sp.dist[0, 4] == pytest.approx(math.pi)
 
     def test_depth_cap(self):
         sp = generate("circle", n=8)
