@@ -57,8 +57,7 @@ def _matrix(value: np.ndarray, newline: str) -> str:
             or np.signbit(value[value == 0]).any()):
         return _render(value.tolist(), newline)
     distinct, index = np.unique(value, return_inverse=True)
-    text = float.__repr__ if np.isfinite(distinct).all() else _float
-    texts = list(map(text, distinct.tolist()))
+    texts = list(map(_float, distinct.tolist()))
     inner, cell = newline + "  ", newline + "    "
     rows = ["[" + cell + ("," + cell).join(map(texts.__getitem__, row))
             + inner + "]" for row in index.reshape(value.shape).tolist()]
@@ -84,9 +83,7 @@ def _render(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # scalars inline: member lists are most of a bundle's other values
-        items = [_float(v) if type(v) is float else int.__repr__(v)
-                 if type(v) is int else _render(v, inner) for v in value]
+        items = [_render(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
