@@ -65,7 +65,7 @@ def _circle(n: int, circumference: float = 2.0 * math.pi) -> FiniteMetricSpace:
         "circumference": circumference,
         "angles": (2.0 * math.pi * k / n).tolist(),
     }
-    return FiniteMetricSpace(dist=d.astype(float), point_ids=ids, meta=meta)
+    return FiniteMetricSpace(dist=d, point_ids=ids, meta=meta)
 
 
 def _interval(n: int, length: float = 1.0) -> FiniteMetricSpace:
@@ -116,7 +116,7 @@ def _tree_boundary(depth: int, branching: int = 2) -> FiniteMetricSpace:
     np.fill_diagonal(d, 0.0)
     ids = tuple("t" + "".join(str(c) for c in row) for row in digits)
     meta = {"kind": "tree_boundary", "depth": depth, "branching": branching}
-    return FiniteMetricSpace(dist=d.astype(float), point_ids=ids, meta=meta)
+    return FiniteMetricSpace(dist=d, point_ids=ids, meta=meta)
 
 
 def _random_circle(n: int, seed: int = 0) -> FiniteMetricSpace:

@@ -137,11 +137,21 @@ def read_space(path) -> FiniteMetricSpace:
     if not isinstance(meta, dict):
         raise ValueError(f"space file {path} meta must be a JSON object, "
                          f"got {type(meta).__name__}")
+    dist, rel_tol = d["dist"], d.get("rel_tol", 1e-9)
+    # exact types, since bool is an int subclass
+    if not (isinstance(dist, list) and all(
+            isinstance(row, list) and set(map(type, row)) <= {int, float}
+            for row in dist)):
+        raise ValueError(f"space file {path} dist must be a list of lists of "
+                         "numbers")
+    if type(rel_tol) not in (int, float):
+        raise ValueError(f"space file {path} rel_tol must be a number, got "
+                         f"{type(rel_tol).__name__}")
     return FiniteMetricSpace(
-        dist=np.asarray(d["dist"], dtype=float),
+        dist=np.asarray(dist, dtype=float),
         point_ids=tuple(ids),
         meta=meta,
-        rel_tol=float(d.get("rel_tol", 1e-9)),
+        rel_tol=float(rel_tol),
     )
 
 

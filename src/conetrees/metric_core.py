@@ -13,13 +13,52 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class MetricError(ValueError):
     """Raised when a distance matrix fails a metric axiom."""
 
 
+def _min_path_loop(d: np.ndarray) -> np.ndarray:
+    """best[i, k] = min_j (d[i, j] + d[j, k]), one pass per j, so memory
+    stays at O(n^2)."""
+    n = d.shape[0]
+    best = np.full((n, n), np.inf)
+    for j in range(n):
+        np.minimum(best, d[:, j, None] + d[None, j, :], out=best)
+    return best
+
+
+def _min_path(d: np.ndarray) -> np.ndarray:
+    """best[i, k] = min_j (d[i, j] + d[j, k]).  For a circulant d (see
+    `_validate_matrix`) it is a read-only view, over 2n floats, whose row i
+    is row 0 of the loop's result rolled right by i; otherwise it is
+    `_min_path_loop`'s."""
+    n = d.shape[0]
+
+    def rows(v):
+        return sliding_window_view(np.concatenate([v, v]), n)[n:0:-1]
+
+    if np.array_equal(d, rows(d[0])):
+        return rows((d[0][:, None] + d).min(axis=0))
+    return _min_path_loop(d)
+
+
 def _validate_matrix(d: np.ndarray, rel_tol: float) -> None:
+    """Check the metric axioms on d, raising MetricError at the first failure.
+
+    The triangle inequality is d[i, k] <= min_j (d[i, j] + d[j, k]) with
+    relative slack rel_tol * max(d[i, k], 1); a failure names the first
+    (i, k) in row-major order and its min path.
+
+    The minimum costs O(n^3) in general, but O(n^2) when d is circulant,
+    d[i, k] == g[(k - i) mod n] with g = d[0], as `circle` is exactly.  Then
+    j = i + t gives min_j (d[i, j] + d[j, k]) = min_t (g[t] + g[(k - i - t)
+    mod n]) = B[(k - i) mod n], where B = min_j (d[0, j] + d[j, :]) is row 0
+    of the general minimum.  Every candidate is the same float sum of the
+    same two entries, and a minimum rounds nothing, so the minimum, the
+    verdict and the message are those of the O(n^3) loop, bit for bit."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise MetricError(f"distance matrix must be square, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
@@ -36,11 +75,7 @@ def _validate_matrix(d: np.ndarray, rel_tol: float) -> None:
     if np.any(off == 0):
         i, k = np.argwhere(off == 0)[0]
         raise MetricError(f"zero distance between distinct points {i} and {k}")
-    # d[i,k] <= min_j (d[i,j] + d[j,k]) with relative slack.  One pass per j
-    # keeps memory at O(n^2).
-    best = np.full((n, n), np.inf)
-    for j in range(n):
-        np.minimum(best, d[:, j, None] + d[None, j, :], out=best)
+    best = _min_path(d)
     slack = rel_tol * np.maximum(d, 1.0)
     bad = d > best + slack
     if np.any(bad):

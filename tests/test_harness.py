@@ -421,8 +421,27 @@ class TestCLI:
          "point_ids must be a list of strings"),
         ('{"dist": [[0, 1], [1, 0]], "point_ids": ["a", "b"], "meta": 3}',
          "meta must be a JSON object, got int"),
+        ('{"dist": {"a": 1}, "point_ids": ["a", "b"]}',
+         "dist must be a list of lists of numbers"),
+        ('{"dist": [0, 1], "point_ids": ["a", "b"]}',
+         "dist must be a list of lists of numbers"),
+        ('{"dist": [[0, {"a": 1}], [1, 0]], "point_ids": ["a", "b"]}',
+         "dist must be a list of lists of numbers"),
+        ('{"dist": [[0, true], [true, 0]], "point_ids": ["a", "b"]}',
+         "dist must be a list of lists of numbers"),
+        ('{"dist": [[0, "1"], ["1", 0]], "point_ids": ["a", "b"]}',
+         "dist must be a list of lists of numbers"),
+        ('{"dist": [[0, 1], [1, 0]], "point_ids": ["a", "b"], "rel_tol": [1]}',
+         "rel_tol must be a number, got list"),
+        ('{"dist": [[0, 1], [1, 0]], "point_ids": ["a", "b"], "rel_tol": true}',
+         "rel_tol must be a number, got bool"),
+        ('{"dist": [[0, 1], [1, 0]], "point_ids": ["a", "b"], '
+         '"rel_tol": "1e-9"}',
+         "rel_tol must be a number, got str"),
     ], ids=["list", "no_dist", "no_point_ids", "empty", "point_ids_number",
-            "meta_number"])
+            "meta_number", "dist_object", "dist_flat", "dist_object_entry",
+            "dist_bool_entry", "dist_string_entry", "rel_tol_list",
+            "rel_tol_bool", "rel_tol_string"])
     def test_profile_refuses_malformed_space_file(self, tmp_path, capsys,
                                                   text, problem):
         space_file = tmp_path / "space.json"

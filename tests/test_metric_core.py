@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conetrees import FiniteMetricSpace, MetricError, Subset
+import conetrees.io as bundle_io
+from conetrees import FiniteMetricSpace, MetricError, Subset, metric_core
 from conetrees.harness import generate
 
 
@@ -70,6 +71,121 @@ class TestValidation:
         sp = FiniteMetricSpace(np.zeros((1, 1)), ("a",))
         assert sp.diameter == 0.0
         assert sp.min_gap == 0.0
+
+
+def loop_min_path(d):
+    """The O(n^3) min-plus loop: best[i, k] = min_j (d[i, j] + d[j, k])."""
+    n = d.shape[0]
+    best = np.full((n, n), np.inf)
+    for j in range(n):
+        np.minimum(best, d[:, j, None] + d[None, j, :], out=best)
+    return best
+
+
+def loop_triangle_message(d, rel_tol=1e-9):
+    """The triangle error the loop gives for d, or None if d passes."""
+    best = loop_min_path(d)
+    bad = d > best + rel_tol * np.maximum(d, 1.0)
+    if not bad.any():
+        return None
+    i, k = np.argwhere(bad)[0]
+    return (f"triangle inequality fails at ({i},{k}): "
+            f"d={d[i, k]:.6g} > min path {best[i, k]:.6g}")
+
+
+def seeded_circulant(seed):
+    """A symmetric circulant matrix, row i = g rolled right by i, with n in
+    1..60 and values in [1, 2]: quarter-integers for even seed // 60, floats
+    for odd.  Three in four raise one symmetric pair of g by 0 (a tie),
+    1e-10 (inside the slack), 1, 2 or 3, which often breaks the triangle
+    inequality."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 60
+    if seed // 60 % 2:
+        g = rng.uniform(1.0, 2.0, n)
+    else:
+        g = rng.integers(4, 9, n) / 4.0
+    if n > 2 and rng.random() < 0.75:
+        t = int(rng.integers(1, n))
+        g[t] = g[n - t] = g[t] + rng.choice([0.0, 1e-10, 1.0, 2.0, 3.0])
+    g = np.minimum(g, g[-np.arange(n) % n])
+    g[0] = 0.0
+    return np.array([np.roll(g, i) for i in range(n)])
+
+
+SEEDS = range(120)
+
+
+def _refuse_loop(d):
+    raise AssertionError("the O(n^3) loop ran on a circulant matrix")
+
+
+class TestCirculantMinPath:
+    """`_min_path` against the loop, which stays the oracle."""
+
+    def test_best_equals_loop(self):
+        violating = 0
+        for seed in SEEDS:
+            d = seeded_circulant(seed)
+            best = loop_min_path(d)
+            assert np.array_equal(metric_core._min_path(d), best), seed
+            violating += loop_triangle_message(d) is not None
+        assert 40 <= violating <= 80
+
+    def test_verdict_and_message_equal_loop(self):
+        for seed in SEEDS:
+            d = seeded_circulant(seed)
+            ids = tuple(f"x{i}" for i in range(d.shape[0]))
+            expected = loop_triangle_message(d)
+            if expected is None:
+                FiniteMetricSpace(d, ids)
+                continue
+            with pytest.raises(MetricError) as err:
+                FiniteMetricSpace(d, ids)
+            assert str(err.value) == expected, seed
+
+    def test_circle(self):
+        d = generate("circle", n=192).dist
+        assert np.array_equal(metric_core._min_path(d), loop_min_path(d))
+
+    def test_circle_read_back_from_space_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "space.json"
+        bundle_io.write_space(path, generate("circle", n=96))
+        monkeypatch.setattr(metric_core, "_min_path_loop", _refuse_loop)
+        d = bundle_io.read_space(path).dist
+        assert np.array_equal(metric_core._min_path(d), loop_min_path(d))
+
+    def test_circle_never_runs_the_loop(self, monkeypatch):
+        monkeypatch.setattr(metric_core, "_min_path_loop", _refuse_loop)
+        assert generate("circle", n=1024).n == 1024
+
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        """The size of each matrix the loop runs on."""
+        calls = []
+
+        def counted(d):
+            calls.append(d.shape[0])
+            return loop_min_path(d)
+
+        monkeypatch.setattr(metric_core, "_min_path_loop", counted)
+        return calls
+
+    def test_random_circle_runs_the_loop(self, loop_calls):
+        generate("random_circle", n=40)
+        assert loop_calls == [40]
+
+    def test_raised_circle_pair_runs_the_loop_and_is_refused(self,
+                                                              loop_calls):
+        d = generate("circle", n=48).dist.copy()
+        d[3, 10] += 1e-3
+        d[10, 3] += 1e-3
+        with pytest.raises(MetricError) as err:
+            FiniteMetricSpace(d, tuple(f"p{i}" for i in range(48)))
+        assert loop_calls == [48]
+        assert str(err.value) == loop_triangle_message(d)
+        assert str(err.value) == ("triangle inequality fails at (3,10): "
+                                  "d=0.917298 > min path 0.916298")
 
 
 class TestSpaceProperties:
