@@ -378,29 +378,31 @@ def build_level(space: FiniteMetricSpace, scale: float, m: int,
 
 def _scan(levels: tuple[ColoredCovering, ...], margins: bool):
     """Each level's distinct families (whole, singleton and component
-    levels share one among colors), each with its `dist_rows()` derived
-    once and dropped before the next: per level, the min separation and
-    max net radius over its families; with ``margins``, the
-    `_pair_margins` of every same-color (fine, coarse) family pair at levels
-    jf >= jc, keyed (jf, jc, fine, coarse)."""
+    levels share one among colors), each with its `dist_rows()` and
+    `depths` derived once and dropped before the next: per level, the min
+    separation, max net radius and min inner radius over its families; with
+    ``margins``, the `_pair_margins` of every same-color (fine, coarse)
+    family pair at levels jf >= jc, keyed (jf, jc, fine, coarse)."""
     extremes, pairs = [], {}
     for jc, cov in enumerate(levels, 1):
-        seps, nets = [], []
+        seps, nets, inners = [], [], []
         for coarse in {id(f): f for f in cov.colors}.values():
-            rows = coarse.dist_rows()
+            rows, depths = coarse.dist_rows(), coarse.depths
             # entry [i, l]: min over x in member i of d(x, member l)
             sep = coarse.member_min(rows.T)[np.triu_indices(len(coarse), k=1)]
             seps.append(float(sep.min(initial=np.inf)))
             nets.append(float(rows.min(axis=0, initial=np.inf).max()))
+            # per member, the largest depth of any point inside it
+            inners.append(float(depths.max(axis=1).min(initial=np.inf)))
             for jf in range(jc, len(levels) + 1) if margins else ():
                 for a in range(cov.n_colors):
                     fine = levels[jf - 1].colors[a]
                     key = (jf, jc, fine, coarse)
                     if (cov.colors[a] is coarse and fine and coarse
                             and key not in pairs):
-                        pairs[key] = _pair_margins(fine, coarse, rows, jf == jc)
-            del rows
-        extremes.append((min(seps), max(nets)))
+                        pairs[key] = _pair_margins(fine, rows, depths, jf == jc)
+            del rows, depths
+        extremes.append((min(seps), max(nets), min(inners)))
     return extremes, pairs
 
 
@@ -419,7 +421,7 @@ def _measure(seq: CharSequence) -> dict:
     stats = []
     delta_hat = np.inf
     lam_hat = 0.0
-    for j, (cov, (sep, net)) in enumerate(zip(seq.levels, extremes), 1):
+    for j, (cov, (sep, net, inner)) in enumerate(zip(seq.levels, extremes), 1):
         scale = seq.scale(j)
         st = {
             "scale": scale,
@@ -427,8 +429,7 @@ def _measure(seq: CharSequence) -> dict:
             "mesh": cov.pooled.mesh,
             "lebesgue": cov.pooled.lebesgue(),
             "separation": sep,
-            "inner_radius": min((float(f.inner_radii().min())
-                                 for f in cov.colors if len(f)), default=np.inf),
+            "inner_radius": inner,
             "net_radius": net,
             "multiplicity": cov.multiplicity(),
         }
@@ -475,10 +476,10 @@ def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
 # separation margins
 
 
-def _pair_margins(fine: Family, coarse: Family, rows: np.ndarray,
+def _pair_margins(fine: Family, rows: np.ndarray, depths: np.ndarray,
                   same_level: bool) -> tuple[float, float]:
     """Dichotomy margins between one fine and one coarse family, same color,
-    given the coarse family's `dist_rows()`.
+    given the coarse family's `dist_rows()` and `depths`.
 
     For each pair the dichotomy (miss or sit inside) holds for every radius
     up to max(M1, M2), where M1 is the containment margin, the distance from
@@ -487,7 +488,7 @@ def _pair_margins(fine: Family, coarse: Family, rows: np.ndarray,
     margin, min over coarse members of the best containment margin of any
     fine member), the latter only meaningful across distinct levels.
     """
-    m1 = fine.member_min(coarse.depths.T)
+    m1 = fine.member_min(depths.T)
     m2 = fine.member_min(rows.T)
     margins = np.maximum(m1, m2)
     if same_level:

@@ -14,8 +14,9 @@ singletons is a plain gather of the members' rows.  The merge comes
 batched: `star_merges` takes every core that one fine family absorbs
 into, derives the family's (k, n) distance rows once, and `hood_merges`
 merges all cores at once against the members' open neighborhoods they
-give; `star_merge` is the one-core case.  The rows are not cached on the
-Family, since at n = 2048 each table is 32 MB.
+give; `star_merge` is the one-core case.  Neither table is cached on the
+Family: both are derived per call, since at n = 2048 each is 32 MB, and a
+caller that needs one twice derives it once and passes it on.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class Family:
         # row y of dist.T is column y of dist: each point's distance to y
         return self.member_min(self.space.dist.T)
 
-    @cached_property
+    @property
     def depths(self) -> np.ndarray:
         """(k, n): row i = distance from each point to the complement of
         member i, +inf when the member is the whole space.
@@ -157,10 +158,6 @@ class Family:
         if self.mesh == 0:
             return 1.0
         return self.lebesgue() / self.mesh
-
-    def inner_radii(self) -> np.ndarray:
-        """Per member, the largest depth of any point inside it."""
-        return self.depths.max(axis=1)
 
     def net_radius(self) -> float:
         """Max over space points of the distance to the union of members."""

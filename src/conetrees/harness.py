@@ -33,7 +33,7 @@ from .char_seq import (
 )
 from .coverings import CoveringError
 from .hyp_cone import ConeError, ConeGrid, build_grid
-from .metric_core import FiniteMetricSpace, MetricError
+from .metric_core import FiniteMetricSpace, MetricError, circulant
 from .qi_verify import QIReport, delta_hyperbolicity, fit_qi, visual_metric_circle
 from .tree_embed import (
     RadialCheckError,
@@ -55,9 +55,7 @@ def _circle(n: int, circumference: float = 2.0 * math.pi) -> FiniteMetricSpace:
     if circumference <= 0:
         raise ValueError("circumference must be positive")
     k = np.arange(n)
-    steps = np.abs(k[:, None] - k[None, :])
-    steps = np.minimum(steps, n - steps)
-    d = (circumference / n) * steps
+    d = np.array(circulant((circumference / n) * np.minimum(k, n - k)))
     ids = tuple(f"p{i:04d}" for i in range(n))
     meta = {
         "kind": "circle",

@@ -30,18 +30,19 @@ def _min_path_loop(d: np.ndarray) -> np.ndarray:
     return best
 
 
+def circulant(v: np.ndarray) -> np.ndarray:
+    """The read-only (n, n) view, over 2n values, whose row i is the (n,)
+    array v rolled right by i: entry [i, k] is v[(k - i) mod n]."""
+    n = len(v)
+    return sliding_window_view(np.concatenate([v, v]), n)[n:0:-1]
+
+
 def _min_path(d: np.ndarray) -> np.ndarray:
     """best[i, k] = min_j (d[i, j] + d[j, k]).  For a circulant d (see
-    `_validate_matrix`) it is a read-only view, over 2n floats, whose row i
-    is row 0 of the loop's result rolled right by i; otherwise it is
-    `_min_path_loop`'s."""
-    n = d.shape[0]
-
-    def rows(v):
-        return sliding_window_view(np.concatenate([v, v]), n)[n:0:-1]
-
-    if np.array_equal(d, rows(d[0])):
-        return rows((d[0][:, None] + d).min(axis=0))
+    `_validate_matrix`) it is the `circulant` of row 0 of the loop's
+    result; otherwise it is `_min_path_loop`'s."""
+    if np.array_equal(d, circulant(d[0])):
+        return circulant((d[0][:, None] + d).min(axis=0))
     return _min_path_loop(d)
 
 
@@ -70,11 +71,12 @@ def _validate_matrix(d: np.ndarray, rel_tol: float) -> None:
         raise MetricError("distance matrix has nonzero diagonal")
     if not np.allclose(d, d.T, rtol=0, atol=rel_tol * max(float(d.max()), 1e-300)):
         raise MetricError("distance matrix is not symmetric")
-    n = d.shape[0]
-    off = d + np.diag(np.full(n, np.inf))
-    if np.any(off == 0):
-        i, k = np.argwhere(off == 0)[0]
+    zero = d == 0
+    np.fill_diagonal(zero, False)
+    if np.any(zero):
+        i, k = np.argwhere(zero)[0]
         raise MetricError(f"zero distance between distinct points {i} and {k}")
+    del zero
     best = _min_path(d)
     slack = rel_tol * np.maximum(d, 1.0)
     bad = d > best + slack

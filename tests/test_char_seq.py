@@ -3,11 +3,13 @@ margin measurement, and verification."""
 
 import dataclasses
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from conetrees import (
+    CharSequence,
     ColoredCovering,
     Family,
     FiniteMetricSpace,
@@ -370,6 +372,83 @@ class TestSeparateWork:
         assert len(set(calls)) == 4
 
 
+def cascade_ladder():
+    """The cascade workload's base ladder, every level built."""
+    return build_base(generate("random_circle", n=160, seed=0), r=0.125,
+                      depth=3, colors=2)
+
+
+def long_ray_ladder():
+    """The long_ray workload's base ladder: 12 levels over 80 points."""
+    return build_base(generate("circle", n=80), r=0.125, depth=12, colors=2)
+
+
+def families(seq):
+    """Every Family of a ladder: each color of each level and its pool."""
+    for cov in seq.levels:
+        yield from cov.colors
+        yield cov.pooled
+
+
+def old_inner_radius(cov):
+    """Each level's inner radius as `Family.inner_radii` gave it: the min
+    over nonempty colors of the least per-member largest depth."""
+    return min((float(f.depths.max(axis=1).min()) for f in cov.colors
+                if len(f)), default=np.inf)
+
+
+class TestMeasureHoldsNoTable:
+    @pytest.mark.parametrize("ladder", [cascade_ladder, long_ray_ladder])
+    def test_no_family_holds_a_table(self, ladder):
+        base = ladder()
+        seq = separate(base)  # measures the base ladder
+        assert seq.measurement["gamma"] is not None
+        for fam in chain(families(base), families(seq)):
+            held = {k for k, v in vars(fam).items() if isinstance(v, np.ndarray)}
+            assert held <= {"indptr", "indices"}, held
+
+    @pytest.mark.parametrize("ladder", [cascade_ladder, long_ray_ladder])
+    def test_depths_derived_once_per_family_and_level(self, ladder,
+                                                      monkeypatch):
+        # one read per distinct color family in the scan, which passes it to
+        # every `_pair_margins` of that coarse family, and one per pooled
+        # Lebesgue number
+        seq = separate(ladder())
+        reads = []
+        depths = Family.depths
+
+        def counting(self):
+            reads.append(id(self))
+            return depths.fget(self)
+
+        monkeypatch.setattr(Family, "depths", property(counting))
+        char_seq._measure(seq)
+        assert len(reads) == sum(len({id(f) for f in cov.colors}) + 1
+                                 for cov in seq.levels)
+
+    def test_inner_radius_equals_old_formula(self):
+        sp = generate("random_circle", n=60, seed=0)
+        for base in (cascade_ladder(), long_ray_ladder(),
+                     build_base(sp, r=0.25, depth=3, colors=2)):
+            seq = separate(base)
+            levels = seq.measurement["levels"]
+            assert [st["inner_radius"] for st in levels] == \
+                [old_inner_radius(cov) for cov in seq.levels]
+
+    def test_inner_radius_skips_an_empty_color(self):
+        sp = line_space(21, spacing=0.5)
+        cov = ColoredCovering(sp, (
+            Family(sp, (sp.subset(range(11)), sp.subset(range(11, 21)))),
+            Family(sp, ()),
+        ))
+        empty = ColoredCovering(sp, (Family(sp, (sp.whole(),)), Family(sp, ())))
+        seq = CharSequence(sp, 0.5, (cov, empty))
+        levels = seq.measurement["levels"]
+        assert [st["inner_radius"] for st in levels] == [5.0, np.inf]
+        assert [st["inner_radius"] for st in levels] == \
+            [old_inner_radius(c) for c in seq.levels]
+
+
 class TestSeparationMargins:
     def test_two_block_line(self):
         sp = line_space(21, spacing=0.5)
@@ -390,18 +469,18 @@ class TestSeparationMargins:
     def test_shared_families_computed_once(self, monkeypatch):
         # level 1 is built, one family per color; level 2 is all singletons,
         # one family in both colors: 5 distinct (fine, coarse) family pairs
-        # among 3 level pairs x 2 colors
+        # among 3 level pairs x 2 colors; without the sharing, 6 calls
         seq = separate(build_base(generate("circle", n=320), r=0.125, depth=2,
                                   colors=2))
         calls = []
 
-        def counting(fine, coarse, rows, same_level):
-            calls.append((id(fine), id(coarse), same_level))
-            return _pair_margins(fine, coarse, rows, same_level)
+        def counting(fine, rows, depths, same_level):
+            calls.append(same_level)
+            return _pair_margins(fine, rows, depths, same_level)
 
         monkeypatch.setattr(char_seq, "_pair_margins", counting)
         _, records = separation_margins(seq.levels, seq.r)
-        assert len(calls) == len(set(calls)) == 5
+        assert len(calls) == 5
         assert len(records) == 6
 
     def test_overlapping_same_color_has_zero_margin(self):
@@ -455,7 +534,8 @@ class TestPairMarginsOracle:
             fine = random_family(rng, sp, int(rng.integers(1, 6)))
             coarse = random_family(rng, sp, int(rng.integers(1, 6)))
             for same in (False, True):
-                assert (_pair_margins(fine, coarse, coarse.dist_rows(), same)
+                assert (_pair_margins(fine, coarse.dist_rows(), coarse.depths,
+                                      same)
                         == brute_pair_margins(fine, coarse, same))
 
     def test_cascade_ladder(self):
@@ -467,8 +547,8 @@ class TestPairMarginsOracle:
                 for a in range(2):
                     fine, coarse = seq.level(jf).colors[a], seq.level(jc).colors[a]
                     built += any(1 < len(u) < sp.n for u in coarse)
-                    assert (_pair_margins(fine, coarse, coarse.dist_rows(),
-                                          jf == jc)
+                    assert (_pair_margins(fine, coarse.dist_rows(),
+                                          coarse.depths, jf == jc)
                             == brute_pair_margins(fine, coarse, jf == jc))
         assert built  # some coarse family has members that are really built
 

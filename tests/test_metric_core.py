@@ -63,6 +63,31 @@ class TestValidation:
         with pytest.raises(MetricError, match="zero distance"):
             FiniteMetricSpace(d, ("a", "b", "c"))
 
+    def test_zero_distance_message_equals_off_diagonal_formula(self):
+        # the first zero off the diagonal in row-major order, -0.0 included,
+        # as the check found it when it added +inf to the diagonal
+        rng = np.random.default_rng(7)
+        zeros = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            d = rng.integers(0, 3, size=(n, n)) / 2 + 1.0
+            d[rng.random((n, n)) < 0.1] = 0.0
+            d = np.triu(d, k=1)
+            d = d + d.T
+            d[(d == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+            off = d + np.diag(np.full(n, np.inf))
+            ids = tuple(f"x{i}" for i in range(n))
+            if not np.any(off == 0):
+                FiniteMetricSpace(d, ids)
+                continue
+            zeros += 1
+            i, k = np.argwhere(off == 0)[0]
+            with pytest.raises(MetricError) as err:
+                FiniteMetricSpace(d, ids)
+            assert str(err.value) == \
+                f"zero distance between distinct points {i} and {k}"
+        assert 100 <= zeros <= 250
+
     def test_rejects_id_mismatch(self):
         with pytest.raises(MetricError, match="point ids"):
             FiniteMetricSpace(np.zeros((1, 1)), ("a", "b"))
@@ -118,6 +143,29 @@ SEEDS = range(120)
 
 def _refuse_loop(d):
     raise AssertionError("the O(n^3) loop ran on a circulant matrix")
+
+
+def formula_circle_dist(n, circumference):
+    """The circle's matrix as an n x n table of step counts: the arc between
+    points i and k is circumference / n times min(|i - k|, n - |i - k|)."""
+    k = np.arange(n)
+    steps = np.abs(k[:, None] - k[None, :])
+    return (circumference / n) * np.minimum(steps, n - steps)
+
+
+class TestCirculant:
+    def test_rows_rolled_right(self):
+        v = np.arange(5.0)
+        c = metric_core.circulant(v)
+        assert np.array_equal(c, [np.roll(v, i) for i in range(5)])
+        assert not c.flags.writeable
+
+    def test_circle_equals_step_formula(self):
+        for n in [*range(3, 70), 255, 256, 1024]:
+            for c in (2 * np.pi, 1.0, 7.3):
+                d = generate("circle", n=n, circumference=c).dist
+                assert np.array_equal(d, formula_circle_dist(n, c)), (n, c)
+                assert d.flags.writeable and d.flags.c_contiguous
 
 
 class TestCirculantMinPath:
