@@ -390,9 +390,9 @@ def families(seq):
         yield cov.pooled
 
 
-def old_inner_radius(cov):
-    """Each level's inner radius as `Family.inner_radii` gave it: the min
-    over nonempty colors of the least per-member largest depth."""
+def colorwise_inner_radius(cov):
+    """A level's inner radius color by color: the min over nonempty colors
+    of the least, over members, of the largest depth of a point inside."""
     return min((float(f.depths.max(axis=1).min()) for f in cov.colors
                 if len(f)), default=np.inf)
 
@@ -426,14 +426,14 @@ class TestMeasureHoldsNoTable:
         assert len(reads) == sum(len({id(f) for f in cov.colors}) + 1
                                  for cov in seq.levels)
 
-    def test_inner_radius_equals_old_formula(self):
+    def test_inner_radius_equals_colorwise_formula(self):
         sp = generate("random_circle", n=60, seed=0)
         for base in (cascade_ladder(), long_ray_ladder(),
                      build_base(sp, r=0.25, depth=3, colors=2)):
-            seq = separate(base)
-            levels = seq.measurement["levels"]
-            assert [st["inner_radius"] for st in levels] == \
-                [old_inner_radius(cov) for cov in seq.levels]
+            for seq in (base, separate(base)):
+                levels = seq.measurement["levels"]
+                assert [st["inner_radius"] for st in levels] == \
+                    [colorwise_inner_radius(cov) for cov in seq.levels]
 
     def test_inner_radius_skips_an_empty_color(self):
         sp = line_space(21, spacing=0.5)
@@ -446,7 +446,7 @@ class TestMeasureHoldsNoTable:
         levels = seq.measurement["levels"]
         assert [st["inner_radius"] for st in levels] == [5.0, np.inf]
         assert [st["inner_radius"] for st in levels] == \
-            [old_inner_radius(c) for c in seq.levels]
+            [colorwise_inner_radius(c) for c in seq.levels]
 
 
 class TestSeparationMargins:
