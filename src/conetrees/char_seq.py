@@ -629,7 +629,8 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
         "moats": moats,
         "cascade": cascade,
         "dropped_members": drops,
-        "gamma_trace": margin_trace(r, delta_use, base.depth),
+        "gamma_trace": {str(j): g for j, g in
+                        margin_trace(r, delta_use, base.depth).items()},
         "base_provenance": {**base.provenance,
                             "levels": base.measurement["levels"]},
     })

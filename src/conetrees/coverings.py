@@ -10,13 +10,16 @@ a scale ladder are array operations on those two (k, n) matrices.
 
 `dist_rows`, like every per-member minimum here, is `member_min`: the
 minimum over each member's rows of an (n, m) array, which on a family of
-singletons is a plain gather of the members' rows.  The merge comes
+singletons is a plain gather of the members' rows.  A space's matrix is
+exactly symmetric, so row x of it is every point's distance to x, and
+`dist_rows` reads the members' rows of the matrix itself.  The merge comes
 batched: `star_merges` takes every core that one fine family absorbs
 into, derives the family's (k, n) distance rows once, and `hood_merges`
 merges all cores at once against the members' open neighborhoods they
-give; `star_merge` is the one-core case.  Neither table is cached on the
-Family: both are derived per call, since at n = 2048 each is 32 MB, and a
-caller that needs one twice derives it once and passes it on.
+give, reading the cores' distances as one family's rows; `star_merge` is
+the one-core case.  Neither table is cached on the Family: both are
+derived per call, since at n = 2048 each is 32 MB, and a caller that
+needs one twice derives it once and passes it on.
 """
 
 from __future__ import annotations
@@ -90,8 +93,7 @@ class Family:
 
     def dist_rows(self) -> np.ndarray:
         """(k, n): row i = distance from each point to member i."""
-        # row y of dist.T is column y of dist: each point's distance to y
-        return self.member_min(self.space.dist.T)
+        return self.member_min(self.space.dist)
 
     @property
     def depths(self) -> np.ndarray:
@@ -213,12 +215,13 @@ def hood_merges(cores: Iterable[Subset], hoods: np.ndarray,
                 s: float) -> list[tuple[Subset, tuple[int, ...]]]:
     """`star_merges` against the family whose members' open s-neighborhoods
     are the rows of the (k, n) bool ``hoods``, all cores at once: two
-    products of 0/1 tables, whose counts float32 holds exactly."""
+    products of 0/1 tables, whose counts float32 holds exactly.  The cores
+    are nonempty, as `Family.eroded_members` gives them, and their distance
+    rows come from one `Family.dist_rows` of the cores."""
     cores = tuple(cores)
     if not cores:
         return []
-    near = np.array([core.dist_to_points() < s for core in cores],
-                    dtype=np.float32)
+    near = (Family(cores[0].space, cores).dist_rows() < s).astype(np.float32)
     h = hoods.astype(np.float32)
     # open s-neighborhoods intersect iff some point is < s from both
     absorbed = near @ h.T > 0

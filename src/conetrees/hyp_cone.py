@@ -174,8 +174,7 @@ class ConeGrid:
         The entry of (j, z) and (j', z') is 2*asinh(sqrt(A + B*S)), with A
         and B at (j, j') and S at (z, z'); the apex sits at base point 0.
         The factors and ufuncs are `cone_metric`'s, in its order, and every
-        entry is computed rather than mirrored, so an asymmetric base gives
-        the same rows there and here."""
+        entry is computed rather than mirrored."""
         if not 0 <= j <= self.depth:
             raise ConeError(f"level {j} outside 0..{self.depth}")
         n, d = self.space.n, self.depth

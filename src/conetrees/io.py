@@ -24,22 +24,6 @@ import numpy as np
 from .metric_core import FiniteMetricSpace
 
 
-def _plain(x):
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted(_plain(v) for v in x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    return x
-
-
 def _float(x: float) -> str:
     """A float as the stdlib writes it: repr, NaN, Infinity or -Infinity."""
     if x != x:
@@ -110,12 +94,12 @@ def _write_text(path, text: str) -> None:
 
 
 def _space_json(space: FiniteMetricSpace) -> dict:
-    return _plain({
+    return {
         "point_ids": space.point_ids,
         "meta": space.meta,
         "rel_tol": space.rel_tol,
         "dist": space.dist,
-    })
+    }
 
 
 def write_space(path, space: FiniteMetricSpace) -> None:
@@ -156,7 +140,7 @@ def read_space(path) -> FiniteMetricSpace:
 
 
 def write_profile(path, profile: dict) -> None:
-    _write_text(path, _dumps(_plain(profile)))
+    _write_text(path, _dumps(profile))
 
 
 def read_profile(path) -> dict:
@@ -196,9 +180,9 @@ def bundle_files(result) -> dict[str, bytes]:
     m = seq.measurement
     qi = result.qi
     texts = {
-        "config.json": _dumps(_plain(result.config.echo())),
+        "config.json": _dumps(result.config.echo()),
         "space.json": _dumps(_space_json(result.space)),
-        "charseq.json": _dumps(_plain({
+        "charseq.json": _dumps({
             "r": seq.r,
             "depth": seq.depth,
             "colors": seq.n_colors,
@@ -209,15 +193,15 @@ def bundle_files(result) -> dict[str, bytes]:
                         for fam in cov.colors] for cov in seq.levels],
             "provenance": {**seq.provenance, **{
                 k: m[k] for k in ("levels", "gamma_records") if k in m}},
-        })),
+        }),
         "embedding.csv": render_embedding(result.embedding),
-        "qireport.json": _dumps(_plain({
+        "qireport.json": _dumps({
             "qi": {"lam": qi.lam, "sigma": qi.sigma, "n_pairs": qi.n_pairs,
                    "violations": qi.violations, "details": qi.details},
             "radial": result.radial,
             "sphere": result.sphere,
             "tree_deltas": result.tree_deltas,
-        })),
+        }),
         "log.txt": "\n".join(result.log) + "\n",
     }
     for a, tree in enumerate(result.trees):

@@ -1,7 +1,8 @@
 """Finite metric spaces, subsets, and signed-radius neighborhoods.
 
-A space is a symmetric nonnegative matrix with zero diagonal satisfying the
-triangle inequality up to a relative tolerance.  Subsets carry a reference to
+A space is an exactly symmetric nonnegative matrix with zero diagonal
+satisfying the triangle inequality up to a relative tolerance, so row x of
+the matrix is every point's distance to x.  Subsets carry a reference to
 their space and support neighborhood operations with signed radii: positive
 radii grow a set through open balls, negative radii erode it by removing the
 open neighborhood of the complement.
@@ -49,7 +50,8 @@ def _min_path(d: np.ndarray) -> np.ndarray:
 def _validate_matrix(d: np.ndarray, rel_tol: float) -> None:
     """Check the metric axioms on d, raising MetricError at the first failure.
 
-    The triangle inequality is d[i, k] <= min_j (d[i, j] + d[j, k]) with
+    d must equal its transpose exactly; rel_tol is the triangle inequality's
+    slack only.  The triangle inequality is d[i, k] <= min_j (d[i, j] + d[j, k]) with
     relative slack rel_tol * max(d[i, k], 1); a failure names the first
     (i, k) in row-major order and its min path.
 
@@ -69,7 +71,7 @@ def _validate_matrix(d: np.ndarray, rel_tol: float) -> None:
     diag = np.abs(np.diagonal(d))
     if np.any(diag > 0):
         raise MetricError("distance matrix has nonzero diagonal")
-    if not np.allclose(d, d.T, rtol=0, atol=rel_tol * max(float(d.max()), 1e-300)):
+    if not np.array_equal(d, d.T):
         raise MetricError("distance matrix is not symmetric")
     zero = d == 0
     np.fill_diagonal(zero, False)
@@ -93,7 +95,8 @@ class FiniteMetricSpace:
     """A finite metric space given by an explicit distance matrix.
 
     Attributes:
-        dist: (n, n) float array, validated on construction.
+        dist: (n, n) float array, exactly symmetric, validated on
+            construction.
         point_ids: stable string labels, one per point.
         meta: free-form description of where the points came from.
     """
@@ -148,8 +151,8 @@ def _dist_to(space: FiniteMetricSpace, indices: frozenset) -> np.ndarray:
     """Distance from every point of the space to the index set (+inf if empty)."""
     if not indices:
         return np.full(space.n, np.inf)
-    cols = np.fromiter(indices, dtype=int, count=len(indices))
-    return space.dist[:, cols].min(axis=1)
+    rows = np.fromiter(indices, dtype=int, count=len(indices))
+    return space.dist[rows].min(axis=0)
 
 
 @dataclass(frozen=True)

@@ -354,22 +354,28 @@ class TestSeparateWork:
     def test_fine_rows_once_per_stage_and_color(self, monkeypatch):
         # the cascade workload: every level built, 2 stages x 2 colors; each
         # (stage, color) derives its fine family's rows once, for the
-        # disjointness check and all merges
+        # disjointness check and all merges, and its cores' rows once, as
+        # one batch
         base = build_base(generate("random_circle", n=160, seed=0), r=0.125,
                           depth=3, colors=2)
         assert verify_base(base).passed  # measured before the cascade, as run
+        fine = {id(f) for k in (2, 3) for f in base.level(k).colors}
         calls = []
         dist_rows = Family.dist_rows
 
         def counting(self):
-            calls.append(id(self))
+            calls.append(self)
             return dist_rows(self)
 
         monkeypatch.setattr(Family, "dist_rows", counting)
         seq = separate(base)
         assert not any(rec["identity"] for rec in seq.provenance["cascade"])
-        assert len(calls) == 4
-        assert len(set(calls)) == 4
+        fine_reads = [id(f) for f in calls if id(f) in fine]
+        assert len(fine_reads) == 4
+        assert len(set(fine_reads)) == 4
+        batches = [f for f in calls if id(f) not in fine]
+        assert len(batches) == 4
+        assert len({id(f) for f in batches}) == 4
 
 
 def cascade_ladder():

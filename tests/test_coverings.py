@@ -4,9 +4,10 @@ the member-merging operation."""
 import numpy as np
 import pytest
 
-from conetrees import ColoredCovering, CoveringError, Family, star_merge
+from conetrees import (ColoredCovering, CoveringError, Family, build_base,
+                       separate, star_merge)
 from conetrees.coverings import star_merges
-from conetrees.harness import generate
+from conetrees.harness import GENERATORS, generate
 
 
 def line_space(n=11, spacing=1.0):
@@ -232,6 +233,20 @@ def brute_star_merge(core, fam, s):
     return core.space.subset(merged).neighborhood(s), tuple(absorbed)
 
 
+def pure_dist_rows(fam):
+    """Pure-Python oracle: entry [i][x] is the min over y in member i of
+    d[x, y], the point x first and the member's point second."""
+    d = fam.space.dist.tolist()
+    return [[min(d[x][y] for y in u.indices) for x in range(fam.space.n)]
+            for u in fam]
+
+
+LADDER_SPACES = {"circle": {"n": 96}, "interval": {"n": 60},
+                 "cantor": {"depth": 6}, "tree_boundary": {"depth": 6},
+                 "random_circle": {"n": 160, "seed": 0},
+                 "visual_circle": {"n": 64}}
+
+
 def random_space(rng, n, integer):
     """Points in the plane under the l1 metric; on an integer grid the
     distances tie often, which exercises the neighbor order's tie rule."""
@@ -279,6 +294,17 @@ class TestKernelOracles:
         assert fam.depths.shape == fam.dist_rows().shape == (len(fam), fam.space.n)
         assert np.array_equal(fam.depths, brute_depths(fam))
         assert np.array_equal(fam.dist_rows(), brute_dist_rows(fam))
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_dist_rows_on_generator_ladders(self, kind):
+        # every family of the base and the separated ladder: each color of
+        # each level and its pool
+        base = build_base(generate(kind, **LADDER_SPACES[kind]), r=0.125,
+                          depth=3, colors=2)
+        for seq in (base, separate(base)):
+            for cov in seq.levels:
+                for fam in (*cov.colors, cov.pooled):
+                    assert fam.dist_rows().tolist() == pure_dist_rows(fam)
 
     @pytest.mark.parametrize("fam", oracle_cases())
     def test_derived_quantities(self, fam):

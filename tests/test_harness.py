@@ -339,8 +339,7 @@ class TestCanonicalJSON:
                                 [0.5, 0.125, 0.02], colors=(2, 3))
         path = tmp_path / "profile.json"
         bundle_io.write_profile(path, prof)
-        assert path.read_text(encoding="utf-8") == _stdlib(
-            bundle_io._plain(prof))
+        assert path.read_text(encoding="utf-8") == _stdlib(prof)
 
 
 class TestCLI:
@@ -452,6 +451,19 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err == f"error: space file {space_file} {problem}\n"
         assert "Traceback" not in err
+        assert not (tmp_path / "profile.json").exists()
+
+    def test_profile_refuses_asymmetric_space_file(self, tmp_path, capsys):
+        # d[2, 0] exceeds d[0, 2] by far less than rel_tol
+        space_file = tmp_path / "space.json"
+        space_file.write_text(
+            '{"dist": [[0, 1, 2], [1, 0, 1], [2.000000000001, 1, 0]], '
+            '"point_ids": ["a", "b", "c"]}', encoding="utf-8")
+        rc = cli_main(["profile", "--space", str(space_file),
+                       "--out", str(tmp_path / "profile.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: distance matrix is not symmetric\n")
         assert not (tmp_path / "profile.json").exists()
 
     def test_pipeline_failure_exit_code(self, tmp_path, capsys):

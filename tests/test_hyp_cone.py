@@ -175,22 +175,19 @@ class TestConeGrid:
         assert np.array_equal(stacked_level_rows(grid), oracle)
         assert np.array_equal(grid.dist_matrix, oracle)
 
-    def test_dist_matrix_equals_cone_metric_on_asymmetric_base(self):
-        # a metric is accepted when asymmetric within rel_tol; every block
-        # must read its own entries, not its mirror's
-        from conetrees import FiniteMetricSpace
+    def test_refuses_base_asymmetric_within_rel_tol(self):
+        # a matrix must equal its transpose exactly, however small the
+        # difference against rel_tol
+        from conetrees import FiniteMetricSpace, MetricError
         base = generate("random_circle", n=50, seed=3)
         d = base.dist.copy()
         rng = np.random.default_rng(5)
         upper = np.triu_indices(50, k=1)
         d[upper] *= 1 + 1e-11 * rng.uniform(size=len(upper[0]))
-        sp = FiniteMetricSpace(d, base.point_ids, meta=dict(base.meta))
-        assert not np.array_equal(sp.dist, sp.dist.T)
-        grid = build_grid(sp, r=0.125, depth=3)
-        oracle = cone_metric(grid.space, grid.points)
-        assert np.array_equal(stacked_level_rows(grid), oracle)
-        assert np.array_equal(grid.dist_matrix, oracle)
-        assert not np.array_equal(grid.dist_matrix, grid.dist_matrix.T)
+        assert not np.array_equal(d, d.T)
+        assert np.abs(d - d.T).max() < base.rel_tol * base.diameter
+        with pytest.raises(MetricError, match="not symmetric"):
+            FiniteMetricSpace(d, base.point_ids, meta=dict(base.meta))
 
     def test_level_rows_shapes_and_range(self):
         grid = build_grid(generate("circle", n=8), r=0.25, depth=3)

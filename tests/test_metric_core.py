@@ -5,7 +5,7 @@ import pytest
 
 import conetrees.io as bundle_io
 from conetrees import FiniteMetricSpace, MetricError, Subset, metric_core
-from conetrees.harness import generate
+from conetrees.harness import GENERATORS, generate
 
 
 def line_space(n=11, spacing=1.0):
@@ -96,6 +96,24 @@ class TestValidation:
         sp = FiniteMetricSpace(np.zeros((1, 1)), ("a",))
         assert sp.diameter == 0.0
         assert sp.min_gap == 0.0
+
+
+GENERATOR_PARAMS = {"circle": {"n": 96}, "interval": {"n": 60},
+                    "cantor": {"depth": 6}, "tree_boundary": {"depth": 6},
+                    "random_circle": {"n": 120, "seed": 3},
+                    "visual_circle": {"n": 64}}
+
+
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_generator_matrix_exactly_symmetric(tmp_path, kind):
+    # every stock space, and its space file read back, equals its transpose
+    sp = generate(kind, **GENERATOR_PARAMS[kind])
+    assert np.array_equal(sp.dist, sp.dist.T)
+    path = tmp_path / "space.json"
+    bundle_io.write_space(path, sp)
+    back = bundle_io.read_space(path).dist
+    assert np.array_equal(back, sp.dist)
+    assert np.array_equal(back, back.T)
 
 
 def loop_min_path(d):
