@@ -150,10 +150,11 @@ class Family:
 
     def lebesgue(self) -> float:
         """min over points of min(best inscribed depth, mesh)."""
-        if not self.members:
-            return 0.0
-        best = self.depths.max(axis=0)
-        return float(min(best.min(), self.mesh))
+        return self._lebesgue(self.depths) if self.members else 0.0
+
+    def _lebesgue(self, depths: np.ndarray) -> float:
+        """`lebesgue` of a nonempty family, read off its `depths` table."""
+        return float(min(depths.max(axis=0).min(), self.mesh))
 
     def capacity(self) -> float:
         """Lebesgue number relative to mesh; 1.0 by convention at mesh 0."""
@@ -184,19 +185,25 @@ class Family:
     def eroded_members(self, s: float) -> tuple[Subset, ...]:
         """Each member eroded by s > 0, i.e. its points farther than s from
         its complement, in order; members the erosion empties are dropped."""
+        return self._eroded(self.depths, s)
+
+    def _eroded(self, depths: np.ndarray, s: float) -> tuple[Subset, ...]:
+        """`eroded_members` read off the family's `depths` table."""
         return tuple(Subset(self.space, frozenset(np.flatnonzero(keep).tolist()))
-                     for keep in self.depths > s if keep.any())
+                     for keep in depths > s if keep.any())
 
     def shrink(self, s: float) -> "Family":
         """Erode every member by s.  Requires 0 < s < Lebesgue number, which
         guarantees the eroded family still covers; empty members are dropped.
+        The `depths` table is derived once, for both.
         """
-        leb = self.lebesgue()
+        depths = self.depths
+        leb = self._lebesgue(depths) if self.members else 0.0
         if not 0 < s < leb:
             raise CoveringError(
                 f"shrink step {s:.6g} exceeds Lebesgue number {leb:.6g}"
             )
-        return Family(self.space, self.eroded_members(s))
+        return Family(self.space, self._eroded(depths, s))
 
     def __repr__(self):
         return f"Family(k={len(self.members)}, mesh={self.mesh:.6g})"

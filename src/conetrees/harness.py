@@ -47,6 +47,8 @@ from .tree_embed import (
 PROFILE_BUDGET = 256
 # Least mesh, as a fraction of the scale, of an informative profile row.
 DELTA_GATE = 0.1
+# Most cone entries one QI pair block computes: 16 MB of float64.
+BLOCK_ENTRIES = 1 << 21
 
 
 def _circle(n: int, circumference: float = 2.0 * math.pi) -> FiniteMetricSpace:
@@ -194,12 +196,15 @@ def capacity_profile(space: FiniteMetricSpace, scales, colors=(2,)) -> dict:
             cov = build_level(space, tau, m, allow_more_colors=True)
             pooled = cov.pooled
             mesh = pooled.mesh
+            # one depths table per record: capacity as Family.capacity
+            # divides, without deriving the table again
+            leb = pooled.lebesgue()
             rec = {
                 "colors": m,
                 "scale": tau,
                 "mesh": mesh,
-                "lebesgue": pooled.lebesgue(),
-                "capacity": pooled.capacity(),
+                "lebesgue": leb,
+                "capacity": 1.0 if mesh == 0 else leb / mesh,
                 "multiplicity": cov.multiplicity(),
                 "members": sum(len(f) for f in cov.colors),
                 "informative": bool(DELTA_GATE * tau <= mesh <= tau),
@@ -314,21 +319,33 @@ def sphere_ratio_check(grid: ConeGrid) -> dict:
 
 @dataclass(frozen=True)
 class _LevelPairs:
-    """The grid pairs i < k, as fit_qi's re-iterable (ds, dt) blocks: one
-    block per level, from that level's `ConeGrid.level_rows` and the same
-    rows of the product matrix, in np.triu_indices's row-major order."""
+    """The grid pairs i < k, as fit_qi's re-iterable (ds, dt) blocks, in
+    np.triu_indices's row-major order.  A block is rows [r0, r1) of one
+    level over the columns right of r0: the cone side from
+    `ConeGrid.level_rows`, the product side from the same slice of the
+    product matrix.  Its columns k <= i lie among its own rows, so in its
+    own level, and a mask trims them.  A block computes at most BLOCK_ENTRIES cone entries, or one
+    row when a row is wider, so the cone side holds O(BLOCK_ENTRIES) memory
+    whatever the grid's size."""
 
     grid: ConeGrid
     product: np.ndarray
 
     def __iter__(self):
-        cols = np.arange(self.grid.n_points)
-        for j in range(self.grid.depth + 1):
-            lo = self.grid.index(j, 0)
-            hi = lo + (self.grid.space.n if j else 1)
-            upper = cols[None, :] > cols[lo:hi, None]
-            # no name keeps the level's rows while the next block is made
-            yield self.grid.level_rows(j)[upper], self.product[lo:hi][upper]
+        grid, n_points = self.grid, self.grid.n_points
+        for j in range(grid.depth + 1):
+            first, size = grid.index(j, 0), (grid.space.n if j else 1)
+            lo = 0
+            while lo < size:
+                r0 = first + lo
+                width = n_points - r0 - 1
+                hi = min(size, lo + max(1, BLOCK_ENTRIES // max(width, 1)))
+                # row i keeps columns k > i: in block coordinates q >= p
+                keep = np.arange(width)[None, :] >= np.arange(hi - lo)[:, None]
+                # no name keeps the block's rows while the next one is made
+                yield (grid.level_rows(j, lo, hi, r0 + 1)[keep],
+                       self.product[r0: first + hi, r0 + 1:][keep])
+                lo = hi
 
 
 def certify(charseq: CharSequence, tree_delta_check: bool,
@@ -339,9 +356,11 @@ def certify(charseq: CharSequence, tree_delta_check: bool,
     stage and raises StageError on the first failure.  Returns the outputs
     keyed by their PipelineResult field names.
 
-    The QI fit streams the cone distances a grid level at a time, so the
-    cone side holds O(n * n_points) memory per block, never the whole cone
-    matrix; the product side is still one n_points x n_points matrix."""
+    The QI fit streams the pairs i < k in row blocks of at most
+    BLOCK_ENTRIES cone entries (see `_LevelPairs`), so the cone side holds
+    O(BLOCK_ENTRIES) memory per block, never the whole cone matrix or a
+    whole level's rows; the product side is still one n_points x n_points
+    matrix."""
     try:
         trees = tuple(build_tree(charseq, a) for a in range(charseq.n_colors))
     except TreeError as e:

@@ -12,12 +12,13 @@ are large, where the textbook arccosh form loses every significant digit.
 
 On the radial grid the radii are the levels' j*R, so the distance of (j, z)
 and (j', z') depends only on (j, j', d_Z(z, z')).  The one row kernel,
-`ConeGrid.level_rows`, gives the rows of one level from sin(a/2)**2, taken
-once on the base, and two numbers per level pair, with the same operations
-as `cone_metric`, which stays the general-points function and the tests'
-oracle.  Callers that read every pair stream these rows a level at a time,
-in O(n * n_points) memory; `ConeGrid.dist_matrix` stacks them into the
-whole matrix, for the tests.
+`ConeGrid.level_rows`, gives a row range of one level, from a first column
+on, from sin(a/2)**2, taken once on the base, and two numbers per level
+pair, with the same operations as `cone_metric`, which stays the
+general-points function and the tests' oracle.  Callers that read every
+pair i < k stream bounded row blocks over the columns right of their first
+row, so nothing below the diagonal is computed; `ConeGrid.dist_matrix`
+stacks the full levels into the whole matrix, for the tests.
 """
 
 from __future__ import annotations
@@ -163,31 +164,45 @@ class ConeGrid:
         sh = np.sinh(t)
         a = np.sinh(0.5 * (t[:, None] - t[None, :])) ** 2
         b = np.outer(sh, sh)
-        s = np.sin(0.5 * self.mu * self.space.dist) ** 2
+        # sin(0.5 * mu * d)**2, in one n x n array
+        s = 0.5 * self.mu * self.space.dist
+        np.sin(s, out=s)
+        np.square(s, out=s)
         return a, b, s
 
-    def level_rows(self, j: int) -> np.ndarray:
-        """`cone_metric`'s rows for the grid points of level j, bit for bit:
-        a (rows, n_points) array with one row for the apex (j = 0) and n
-        for any other level.
+    def level_rows(self, j: int, lo: int = 0, hi: int | None = None,
+                   start: int = 0) -> np.ndarray:
+        """`cone_metric`'s entries for rows [lo, hi) of level j, over the
+        grid points [start, n_points), bit for bit: a (hi - lo,
+        n_points - start) array.  The apex (j = 0) is a level of one row,
+        any other level has n; by default every row and every column.
 
         The entry of (j, z) and (j', z') is 2*asinh(sqrt(A + B*S)), with A
         and B at (j, j') and S at (z, z'); the apex sits at base point 0.
-        The factors and ufuncs are `cone_metric`'s, in its order, and every
-        entry is computed rather than mirrored."""
+        The columns are taken one level j' at a time, each a slice of S's
+        rows; the factors and ufuncs are `cone_metric`'s, in its order, and
+        every entry is computed rather than mirrored."""
         if not 0 <= j <= self.depth:
             raise ConeError(f"level {j} outside 0..{self.depth}")
-        n, d = self.space.n, self.depth
+        n, n_points = self.space.n, self.n_points
+        size = n if j else 1
+        hi = size if hi is None else hi
+        if not 0 <= lo <= hi <= size:
+            raise ConeError(f"rows [{lo}, {hi}) outside level {j}")
+        if not 0 <= start <= n_points:
+            raise ConeError(f"first column {start} outside 0..{n_points}")
         a, b, s = self._level_factors
-        if j == 0:
-            lv, z = self.point_level, self.point_z
-            rows = (a[0, lv] + b[0, lv] * s[0, z])[None, :]
-        else:
-            rows = np.empty((n, self.n_points))
-            rows[:, 0] = a[j, 0] + b[j, 0] * s[:, 0]
-            blocks = rows[:, 1:].reshape(n, d, n)  # a view: splits axis 1
-            np.multiply(b[j, 1:, None], s[:, None, :], out=blocks)
-            np.add(a[j, 1:, None], blocks, out=blocks)
+        s = s[lo:hi] if j else s[:1]
+        rows = np.empty((hi - lo, n_points - start))
+        # from the level of column start on, level k's columns from base
+        # point z0, one slice of S's rows each; the apex's one column is
+        # base point 0
+        for k in range((start + n - 1) // n, self.depth + 1):
+            first = self.index(k, 0)
+            z0, width = max(start - first, 0), (n if k else 1)
+            part = rows[:, first + z0 - start: first + width - start]
+            np.multiply(b[j, k], s[:, z0:width], out=part)
+            np.add(a[j, k], part, out=part)
         np.sqrt(rows, out=rows)
         np.arcsinh(rows, out=rows)
         rows *= 2.0

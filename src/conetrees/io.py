@@ -149,26 +149,25 @@ def read_profile(path) -> dict:
 
 def render_tree(tree) -> str:
     lines = ["node,level,parent,ref_level,ref_member,points"]
-    for u in range(tree.n_nodes):
-        pts = ";".join(str(p) for p in sorted(tree.members[u]))
-        rl, rm = tree.refs[u]
-        lines.append(
-            f"{u},{int(tree.level[u])},{int(tree.parent[u])},{rl},{rm},{pts}"
-        )
+    for u, (level, parent, members, (rl, rm)) in enumerate(zip(
+            tree.level.tolist(), tree.parent.tolist(), tree.members,
+            tree.refs)):
+        pts = ";".join(map(str, sorted(members)))
+        lines.append(f"{u},{level},{parent},{rl},{rm},{pts}")
     return "\n".join(lines) + "\n"
 
 
 def render_embedding(embedding) -> str:
     grid = embedding.grid
-    m = embedding.n_trees
-    header = "level,point_id,t," + ",".join(f"v{a}" for a in range(m))
+    ids = grid.space.point_ids
+    header = "level,point_id,t," + ",".join(
+        f"v{a}" for a in range(embedding.n_trees))
     lines = [header]
-    for i in range(grid.n_points):
-        j = int(grid.point_level[i])
-        pid = grid.space.point_ids[int(grid.point_z[i])] if j > 0 else "-"
-        t = grid.points[i].t
-        cells = ",".join(str(int(embedding.table[i, a])) for a in range(m))
-        lines.append(f"{j},{pid},{t!r},{cells}")
+    for j, z, point, nodes in zip(grid.point_level.tolist(),
+                                  grid.point_z.tolist(), grid.points,
+                                  embedding.table.tolist()):
+        pid = ids[z] if j > 0 else "-"
+        lines.append(f"{j},{pid},{point.t!r}," + ",".join(map(str, nodes)))
     return "\n".join(lines) + "\n"
 
 

@@ -124,6 +124,23 @@ class TestArcCover:
         with pytest.raises(CoveringError, match="Lebesgue"):
             fam.shrink(0.7)
 
+    def test_shrink_derives_depths_once(self, arc_cover, monkeypatch):
+        # one table serves both the Lebesgue bound and the erosion
+        _, fam = arc_cover
+        want = fam.shrink(0.4).members
+        reads = []
+        depths = Family.depths
+
+        def counting(self):
+            reads.append(id(self))
+            return depths.fget(self)
+
+        monkeypatch.setattr(Family, "depths", property(counting))
+        assert fam.shrink(0.4).members == want
+        assert reads == [id(fam)]
+        with pytest.raises(CoveringError, match="Lebesgue"):
+            Family(fam.space, ()).shrink(0.4)
+
     def test_disjoint_pairs_become_s_disjoint(self, arc_cover):
         # arcs 0 and 2 are disjoint; after shrinking by s their open
         # s-neighborhoods stay inside the originals, hence stay disjoint

@@ -11,10 +11,13 @@ import pytest
 
 import conetrees.io as bundle_io
 from conetrees import (
+    ConeGrid,
     Family,
+    FiniteMetricSpace,
     PipelineConfig,
     StageError,
     build_base,
+    build_grid,
     capacity_profile,
     char_seq,
     fit_qi,
@@ -117,6 +120,31 @@ class TestCapacityProfile:
         with pytest.raises(ValueError, match="budget"):
             capacity_profile(sp, [0.1] * 300, colors=(2,))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("circle", {"n": 128}), ("random_circle", {"n": 100}),
+        ("cantor", {"depth": 5}), (None, {"n": 100}),
+    ], ids=["circle", "random_circle", "cantor", "no_kind"])
+    def test_one_depths_read_per_record(self, monkeypatch, kind, params):
+        # the pooled family's table is derived once per record, for both
+        # the Lebesgue number and the capacity
+        sp = generate(kind or "random_circle", **params)
+        if kind is None:
+            sp = FiniteMetricSpace(sp.dist, sp.point_ids)
+        reads = []
+        depths = Family.depths
+
+        def counting(self):
+            reads.append(id(self))
+            return depths.fget(self)
+
+        monkeypatch.setattr(Family, "depths", property(counting))
+        prof = capacity_profile(sp, [0.5, 0.125, 0.01], colors=(2, 3))
+        assert len(reads) == len(prof["records"]) == 6
+        assert any(r["mesh"] > 0 for r in prof["records"])
+        for rec in prof["records"]:
+            assert rec["capacity"] == (1.0 if rec["mesh"] == 0
+                                       else rec["lebesgue"] / rec["mesh"])
+
 
 class TestPipeline:
     def test_flagship_log_is_deterministic(self, flagship_result):
@@ -206,6 +234,74 @@ class TestPipeline:
         assert res.qi.violations == 0
         assert res.radial["failures"] == 0
         assert res.runtime > 0
+
+
+def _pair_blocks(grid, product, monkeypatch, block_entries):
+    """_LevelPairs's blocks with BLOCK_ENTRIES set, and the (level, lo, hi,
+    start, entries) of every `level_rows` call that made them."""
+    monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
+    calls = []
+    level_rows = ConeGrid.level_rows
+
+    def recording(self, j, lo, hi, start):
+        rows = level_rows(self, j, lo, hi, start)
+        calls.append((j, lo, hi, start, rows.size))
+        return rows
+
+    monkeypatch.setattr(ConeGrid, "level_rows", recording)
+    blocks = list(harness._LevelPairs(grid, product))
+    monkeypatch.setattr(ConeGrid, "level_rows", level_rows)
+    return blocks, calls
+
+
+class TestLevelPairs:
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("kind, params", [
+        ("circle", {"n": 10}), ("interval", {"n": 9}),
+        ("cantor", {"depth": 3}), ("tree_boundary", {"depth": 3}),
+        ("random_circle", {"n": 11}), ("visual_circle", {"n": 12}),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("split", ["row", "mid_level", "default"])
+    def test_blocks_are_the_upper_triangle(self, monkeypatch, kind, params,
+                                           depth, split):
+        # the concatenated blocks are both matrices' upper triangles in
+        # np.triu_indices's order, however the rows are split; the product
+        # side has distinct entries, so any misplaced pair shows
+        grid = build_grid(generate(kind, **params), r=0.125, depth=depth)
+        n, big_n = grid.space.n, grid.n_points
+        product = np.arange(big_n * big_n, dtype=np.int32).reshape(big_n, big_n)
+        block_entries = {"row": 1, "mid_level": (n // 2) * (big_n - 2),
+                         "default": harness.BLOCK_ENTRIES}[split]
+        blocks, calls = _pair_blocks(grid, product, monkeypatch, block_entries)
+        upper = np.triu_indices(big_n, k=1)
+        ds, dt = (np.concatenate(side) for side in zip(*blocks))
+        assert np.array_equal(ds, grid.dist_matrix[upper])
+        assert np.array_equal(dt, product[upper])
+        for j, lo, hi, start, entries in calls:
+            # a block computes at most block_entries, or one wider row
+            assert entries <= block_entries or hi - lo == 1
+            assert start == grid.index(j, 0) + lo + 1
+        rows = [hi - lo for _, lo, hi, _, _ in calls]
+        if split == "row":
+            assert rows == [1] * big_n
+        elif split == "mid_level":
+            assert rows[1] == n // 2 and calls[2][1] == n // 2
+        else:
+            assert rows == [1] + [n] * depth
+
+    def test_large_level_splits_within_the_bound(self, monkeypatch):
+        # a level of more rows than one block holds is split, each block
+        # within BLOCK_ENTRIES, and the pairs are still the upper triangle
+        grid = build_grid(generate("circle", n=300), r=0.125, depth=2)
+        big_n = grid.n_points
+        product = np.arange(big_n * big_n, dtype=np.int64).reshape(big_n, big_n)
+        blocks, calls = _pair_blocks(grid, product, monkeypatch, 1 << 14)
+        assert len(calls) > grid.depth + 1
+        assert all(entries <= 1 << 14 for *_, entries in calls)
+        upper = np.triu_indices(big_n, k=1)
+        ds, dt = (np.concatenate(side) for side in zip(*blocks))
+        assert np.array_equal(ds, grid.dist_matrix[upper])
+        assert np.array_equal(dt, product[upper])
 
 
 class TestBundleIO:

@@ -197,6 +197,39 @@ class TestConeGrid:
             with pytest.raises(ConeError, match="outside"):
                 grid.level_rows(j)
 
+    @pytest.mark.parametrize("kind, params, depth", [
+        ("circle", {"n": 9}, 3), ("random_circle", {"n": 7}, 1),
+        ("cantor", {"depth": 2}, 4),
+    ])
+    def test_level_rows_block_is_a_slice_of_cone_metric(self, kind, params,
+                                                        depth):
+        # rows [lo, hi) of level j over columns [start, n_points), bit for
+        # bit, for every range, the empty ones included
+        grid = build_grid(generate(kind, **params), r=0.125, depth=depth)
+        oracle = cone_metric(grid.space, grid.points)
+        for j in range(depth + 1):
+            first, size = grid.index(j, 0), (grid.space.n if j else 1)
+            for lo in range(size + 1):
+                for hi in range(lo, size + 1):
+                    for start in range(grid.n_points + 1):
+                        assert np.array_equal(
+                            grid.level_rows(j, lo, hi, start),
+                            oracle[first + lo: first + hi, start:])
+
+    def test_level_rows_row_and_column_range(self):
+        grid = build_grid(generate("circle", n=8), r=0.25, depth=3)
+        assert grid.level_rows(2, 3, 5, 10).shape == (2, 15)
+        assert grid.level_rows(0, 0, 1, 25).shape == (1, 0)
+        assert grid.level_rows(1, 4, 4).shape == (0, 25)
+        for lo, hi in ((-1, 3), (0, 9), (5, 4)):
+            with pytest.raises(ConeError, match="rows"):
+                grid.level_rows(1, lo, hi)
+        with pytest.raises(ConeError, match="rows"):
+            grid.level_rows(0, 0, 2)
+        for start in (-1, 26):
+            with pytest.raises(ConeError, match="first column"):
+                grid.level_rows(1, 0, 8, start)
+
     def test_angle_map_tops_out_at_pi(self):
         sp = generate("circle", n=8)
         grid = build_grid(sp, r=0.25, depth=2)
