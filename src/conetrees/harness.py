@@ -34,7 +34,13 @@ from .char_seq import (
 from .coverings import CoveringError
 from .hyp_cone import ConeError, ConeGrid, build_grid
 from .metric_core import FiniteMetricSpace, MetricError, circulant
-from .qi_verify import QIReport, delta_hyperbolicity, fit_qi, visual_metric_circle
+from .qi_verify import (
+    BLOCK_ENTRIES,
+    QIReport,
+    delta_hyperbolicity,
+    fit_qi,
+    visual_metric_circle,
+)
 from .tree_embed import (
     RadialCheckError,
     TreeError,
@@ -47,8 +53,6 @@ from .tree_embed import (
 PROFILE_BUDGET = 256
 # Least mesh, as a fraction of the scale, of an informative profile row.
 DELTA_GATE = 0.1
-# Most cone entries one QI pair block computes: 16 MB of float64.
-BLOCK_ENTRIES = 1 << 21
 
 
 def _circle(n: int, circumference: float = 2.0 * math.pi) -> FiniteMetricSpace:
@@ -359,8 +363,11 @@ def certify(charseq: CharSequence, tree_delta_check: bool,
     The QI fit streams the pairs i < k in row blocks of at most
     BLOCK_ENTRIES cone entries (see `_LevelPairs`), so the cone side holds
     O(BLOCK_ENTRIES) memory per block, never the whole cone matrix or a
-    whole level's rows; the product side is still one n_points x n_points
-    matrix."""
+    whole level's rows.  The n x n S table that `ConeGrid.level_rows`
+    derives is released when the fit returns.  The product side is one
+    n_points x n_points int32 matrix, built without an n_points x n_points
+    transient (see `ProductEmbedding.all_pairs_dist`), and held by the
+    embedding."""
     try:
         trees = tuple(build_tree(charseq, a) for a in range(charseq.n_colors))
     except TreeError as e:
@@ -392,6 +399,9 @@ def certify(charseq: CharSequence, tree_delta_check: bool,
     log.append(f"sphere_ratio: min={sphere['min_ratio']:.6g} "
                f"max={sphere['max_ratio']:.6g} bound={sphere['bound']:.6g}")
     qi = fit_qi(_LevelPairs(grid, embedding.all_pairs_dist))
+    # S is n x n floats, held by the grid's cache until here; a later
+    # level_rows call derives it again
+    grid.__dict__.pop("_level_factors", None)
     if qi.violations:
         raise StageError("fit_qi", repr(qi))
     log.append(f"fit_qi: lam={qi.lam:.6g} sigma={qi.sigma:.6g} "

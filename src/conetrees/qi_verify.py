@@ -14,7 +14,9 @@ every threshold relation [a >= v] is transitive, and a symmetric
 transitive relation is an equivalence relation, which one comparison with
 the partition by first row entry recognises in O(n**2) per distinct value.
 Tree metrics, the pipeline's input, stop there.  Only inputs that fail it
-are measured, by the direct O(n**3) scan over the middle point.
+are measured, by the direct O(n**3) scan over the middle point.  The
+distinct values are taken from sorted row blocks of at most BLOCK_ENTRIES
+entries, merged at the end, so no sorted n x n copy is made.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ import numpy as np
 from .metric_core import FiniteMetricSpace
 
 LAMBDA_GRID = np.round(np.arange(1.0, 50.0 + 1e-9, 0.05), 2)
+# Most entries one row block of a pair matrix holds: 2**21, so 16 MB of
+# float64 or 4 MB of int16.
+BLOCK_ENTRIES = 1 << 21
 
 
 def _scan_excess(a: np.ndarray) -> float:
@@ -66,9 +71,26 @@ def _thresholds_transitive(a: np.ndarray, values: np.ndarray) -> bool:
         label[empty] = empty
         np.equal(label[:, None], label[None, :], out=same)
         same[empty, empty] = False
-        if not np.array_equal(b, same):
+        # B_v == L, compared into L's buffer rather than a third table
+        np.equal(b, same, out=same)
+        if not same.all():
             return False
     return True
+
+
+def _distinct_sorted(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 2-d array, NaN last: those of each
+    sorted row block of at most BLOCK_ENTRIES entries (one row when a row is
+    wider), then those of their merge.  On int32 input np.unique takes
+    several times as long as a sort."""
+    def distinct(flat):
+        return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+
+    rows = max(1, BLOCK_ENTRIES // max(a.shape[1], 1))
+    merged = np.concatenate([distinct(np.sort(a[lo: lo + rows], axis=None))
+                             for lo in range(0, a.shape[0], rows)])
+    merged.sort()
+    return distinct(merged)
 
 
 def delta_hyperbolicity(d: np.ndarray, base: int = 0) -> float:
@@ -83,8 +105,9 @@ def delta_hyperbolicity(d: np.ndarray, base: int = 0) -> float:
 
     The value is 0 exactly when min(a[x,y], a[y,w]) <= a[x,w] for all x,
     y, w, which _thresholds_transitive decides in O(K n**2) for K distinct
-    values in a.  A matrix that fails it (delta > 0, or an asymmetric
-    input) is measured by _scan_excess.
+    values in a, found by _distinct_sorted in row blocks.  A matrix that
+    fails it (delta > 0, or an asymmetric input) is measured by
+    _scan_excess.
     """
     d = np.asarray(d)
     n = d.shape[0]
@@ -105,11 +128,7 @@ def delta_hyperbolicity(d: np.ndarray, base: int = 0) -> float:
         a -= d
     else:
         a = d[base][:, None] + d[base][None, :] - d
-    # sorted distinct values; on int32 input np.unique takes several times
-    # as long as this sort
-    flat = np.sort(a, axis=None)
-    values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-    del flat
+    values = _distinct_sorted(a)
     if np.isnan(values[-1]):  # NaN sorts last
         raise ValueError("delta_hyperbolicity: the doubled Gromov products "
                          "hold NaN")

@@ -10,6 +10,15 @@ are weighted by level difference, so tree distance is level[u] + level[v]
 
 A cone grid point (z, j*R) maps, in each tree, to the level-j node nearest
 to z; the product metric is the l1 sum over trees.
+
+Node ids run level by level (the root, then each level's members), which
+`RootedTree.validate` checks, so the nodes of level >= l are a suffix of
+the ids.  `RootedTree.all_pairs_dist` compares, at level l, only that
+suffix, in one reused bool buffer, and finishes its int16 result in place.
+`ProductEmbedding.all_pairs_dist` adds a tree whose table column is the
+identity straight into its int32 sum, and gathers any other tree in row
+blocks of at most BLOCK_ENTRIES entries, so neither kernel makes an n x n
+transient beyond its result and that buffer.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import numpy as np
 from .char_seq import CharSequence
 from .hyp_cone import ConeGrid
 from .metric_core import FiniteMetricSpace
+from .qi_verify import BLOCK_ENTRIES
 
 
 class TreeError(ValueError):
@@ -86,22 +96,36 @@ class RootedTree:
 
     @cached_property
     def all_pairs_dist(self) -> np.ndarray:
-        """(n_nodes, n_nodes) integer tree distances level[u] + level[v] -
+        """(n_nodes, n_nodes) int16 tree distances level[u] + level[v] -
         2*lca, where lca is the largest level l with ancestors[u, l] ==
-        ancestors[v, l] >= 0: one equality pass per level above the root,
-        which every pair shares at level 0.  Each column is compared in the
-        narrowest signed type that holds the node ids and -2."""
+        ancestors[v, l] >= 0.  Every pair shares the root at level 0; at
+        level l >= 1 only the nodes of level >= l can match, and they are
+        the suffix of the ids from the first level-l node, so one equality
+        pass per level covers that suffix's square, in one reused bool
+        buffer.  Each column is compared in the narrowest signed type that
+        holds the node ids and -2.  The result is finished in place, so the
+        kernel holds only it and the buffer.  Raises TreeError when the ids
+        are not in non-decreasing level order."""
+        if np.any(self.level[1:] < self.level[:-1]):
+            raise TreeError("node ids are not in non-decreasing level order")
         anc = self.ancestors
         ids = np.min_scalar_type(-self.n_nodes)
         lca = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int16)
-        match = np.empty(lca.shape, dtype=bool)
-        for lvl in range(1, self.depth + 1):
-            col = anc[:, lvl].astype(ids)
+        first = np.searchsorted(self.level, np.arange(1, self.depth + 1))
+        size = self.n_nodes - int(first[0]) if first.size else 0
+        buf = np.empty(size * size, dtype=bool)
+        for lvl, lo in enumerate(first.tolist(), 1):
+            m = self.n_nodes - lo
+            col = anc[lo:, lvl].astype(ids)
+            match = buf[:m * m].reshape(m, m)
             # -1 on one side against -2 on the other: skipped levels never match
             np.equal(col[:, None], np.where(col < 0, -2, col)[None, :], out=match)
-            np.copyto(lca, lvl, where=match)
+            np.copyto(lca[lo:, lo:], lvl, where=match)
         lv = self.level.astype(np.int16)
-        return lv[:, None] + lv[None, :] - 2 * lca
+        lca *= -2
+        lca += lv[:, None]
+        lca += lv[None, :]
+        return lca
 
     def steps_to_level(self, u: int, i: int) -> int:
         """Parent hops from u until the level drops to i or below: the
@@ -113,6 +137,8 @@ class RootedTree:
     def validate(self) -> None:
         if self.level[0] != 0 or self.parent[0] != -1:
             raise TreeError("node 0 must be the level-0 root")
+        if np.any(self.level[1:] < self.level[:-1]):
+            raise TreeError("node ids are not in non-decreasing level order")
         if np.count_nonzero(self.level == 0) != 1:
             raise TreeError("exactly one root expected")
         for u in range(1, self.n_nodes):
@@ -201,14 +227,24 @@ class ProductEmbedding:
 
     @cached_property
     def all_pairs_dist(self) -> np.ndarray:
-        """(n_points, n_points) integer l1 product distances.  Each tree's
-        int16 distances are gathered rows then columns and added into the
-        int32 sum, which casts in the add."""
+        """(n_points, n_points) int32 l1 product distances: the sum over
+        trees of each tree's int16 `all_pairs_dist` at the points' nodes,
+        cast to int32 in the add.  A tree whose table column is the
+        identity, as on an all-singleton ladder, is added whole; any other
+        is gathered rows then columns in row blocks of at most BLOCK_ENTRIES
+        entries, so no n_points x n_points int16 copy is made."""
         n = self.grid.n_points
         out = np.zeros((n, n), dtype=np.int32)
+        rows = max(1, BLOCK_ENTRIES // n)
         for a, t in enumerate(self.trees):
             col = self.table[:, a]
-            out += t.all_pairs_dist.take(col, axis=0).take(col, axis=1)
+            dist = t.all_pairs_dist
+            if t.n_nodes == n and np.array_equal(col, np.arange(n)):
+                out += dist
+                continue
+            for lo in range(0, n, rows):
+                part = col[lo: lo + rows]
+                out[lo: lo + rows] += dist.take(part, axis=0).take(col, axis=1)
         return out
 
     def __repr__(self):

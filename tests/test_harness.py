@@ -20,6 +20,7 @@ from conetrees import (
     build_grid,
     capacity_profile,
     char_seq,
+    cone_metric,
     fit_qi,
     generate,
     harness,
@@ -225,6 +226,15 @@ class TestPipeline:
         assert np.array_equal(ds, res.grid.dist_matrix[upper])
         assert np.array_equal(dt, res.embedding.all_pairs_dist[upper])
         assert res.qi == fit_qi([(ds, dt)])
+
+    def test_cone_factors_released_after_the_fit(self):
+        # the n x n S table is no longer held through tree_delta; the grid
+        # derives it again on demand, with the same entries
+        res = run_pipeline(PipelineConfig(generator="circle",
+                                          params={"n": 48}, depth=3))
+        assert "_level_factors" not in res.grid.__dict__
+        assert np.array_equal(res.grid.dist_matrix,
+                              cone_metric(res.grid.space, res.grid.points))
 
     def test_result_fields(self, flagship_result):
         res = flagship_result

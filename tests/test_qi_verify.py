@@ -1,6 +1,7 @@
 """Hyperbolicity scans and two-sided distance fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,68 @@ class TestZeroTest:
         monkeypatch.setattr(qi_verify, "_scan_excess", no_kernel)
         for tree in trees:
             assert delta_hyperbolicity(tree.all_pairs_dist) == 0.0
+
+
+def full_sort_values(a):
+    """delta_hyperbolicity's distinct values as first written: one sorted
+    copy of the whole matrix."""
+    flat = np.sort(a, axis=None)
+    return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+
+
+BLOCK_ROWS = {"one": lambda n: 1, "split": lambda n: 3 * n,
+              "whole": lambda n: n * n}
+
+
+class TestDistinctValueBlocks:
+    """The distinct doubled products, from sorted row blocks of at most
+    BLOCK_ENTRIES entries, against one sorted copy of the whole matrix."""
+
+    @pytest.mark.parametrize("rows", list(BLOCK_ROWS))
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, float])
+    def test_values_match_the_full_sort(self, monkeypatch, rows, dtype):
+        rng = np.random.default_rng(8)
+        # 3-row blocks split the 20 rows unevenly; few distinct integers
+        # repeat across blocks, floats are nearly all distinct
+        mats = [rng.integers(-40, 40, (20, 20)).astype(dtype),
+                tree_metric(20, rng).astype(dtype),
+                rng.integers(0, 3, (1, 1)).astype(dtype)]
+        if dtype is float:
+            mats.append(rng.normal(size=(20, 20)))
+        wants = [(full_sort_values(m), delta_hyperbolicity(m)) for m in mats]
+        monkeypatch.setattr(qi_verify, "BLOCK_ENTRIES",
+                            BLOCK_ROWS[rows](20))
+        for m, (values, delta) in zip(mats, wants):
+            got = qi_verify._distinct_sorted(m)
+            assert got.dtype == values.dtype
+            assert np.array_equal(got, values)
+            assert delta_hyperbolicity(m) == delta
+
+    @pytest.mark.parametrize("rows", list(BLOCK_ROWS))
+    def test_nan_is_refused_in_any_block(self, monkeypatch, rows):
+        rng = np.random.default_rng(9)
+        d = tree_metric(20, rng).astype(float)
+        monkeypatch.setattr(qi_verify, "BLOCK_ENTRIES", BLOCK_ROWS[rows](20))
+        for x, w in ((0, 19), (7, 8), (19, 0)):
+            bad = d.copy()
+            bad[x, w] = bad[w, x] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                delta_hyperbolicity(bad)
+
+    def test_traced_peak_holds_no_sorted_copy(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        n, rows = 400, 8
+        d = tree_metric(n, rng).astype(np.int16)
+        monkeypatch.setattr(qi_verify, "BLOCK_ENTRIES", rows * n)
+        tracemalloc.start()
+        try:
+            assert delta_hyperbolicity(d) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # int32 doubled products, the zero test's two bool tables, and one
+        # sorted int32 block with its mask
+        assert peak <= 6 * n * n + 5 * rows * n + 64 * n + (1 << 16)
 
 
 class TestFitQI:

@@ -1,5 +1,7 @@
 """Rooted trees over a separated ladder and the product embedding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from conetrees import (
     embed_grid,
     radial_check,
     separate,
+    tree_embed,
 )
 from conetrees.harness import generate
 
@@ -176,6 +179,19 @@ class TestAncestorTable:
             for v in range(tree.n_nodes):
                 assert ap[u, v] == brute_tree_dist(tree, u, v)
                 assert tree.dist(u, v) == ap[u, v]
+
+    def test_level_order_is_required(self):
+        # a level-2 node numbered before the level-1 node it hangs under
+        sp = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), ("a", "b"))
+        tree = RootedTree(
+            space=sp, color=0, depth=2, level=np.array([0, 2, 1]),
+            parent=np.array([-1, 2, 0]),
+            members=(frozenset({0, 1}), frozenset({0}), frozenset({0, 1})),
+            refs=((0, -1), (2, 0), (1, 0)))
+        with pytest.raises(TreeError, match="level order"):
+            tree.validate()
+        with pytest.raises(TreeError, match="level order"):
+            tree.all_pairs_dist
 
     def test_steps_match_parent_walk_with_skips(self):
         tree = skipping_tree()
@@ -456,12 +472,31 @@ def reference_product_pairs(emb):
     return out
 
 
+def traced_peak(kernel):
+    """The tracemalloc peak, in bytes, of kernel() and the result it
+    returns."""
+    tracemalloc.start()
+    try:
+        kernel()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_table(grid, trees, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.integers(0, t.n_nodes, grid.n_points)
+                     for t in trees], axis=1)
+
+
 class TestPairKernelsAgainstReference:
     @pytest.mark.parametrize("generator, params, depth", [
         ("circle", {"n": 32}, 3),       # under 128 nodes: int8 node ids
         ("circle", {"n": 192}, 4),      # the flagship ladder: int16 ids
         ("circle", {"n": 40}, 12),      # many levels
         ("random_circle", {"n": 160, "seed": 0}, 3),  # every level built
+        ("cantor", {"depth": 7}, 4),    # the component-level builder
+        ("tree_boundary", {"depth": 7}, 4),
     ])
     def test_pipeline_ladders(self, generator, params, depth):
         seq = separate(build_base(generate(generator, **params), r=0.125,
@@ -490,3 +525,59 @@ class TestPairKernelsAgainstReference:
             other = ProductEmbedding(grid=grid, trees=small_trees, table=table)
             assert np.array_equal(other.all_pairs_dist,
                                   reference_product_pairs(other))
+
+    @pytest.mark.parametrize("rows", ["one", "mid_level", "whole"])
+    def test_product_row_blocks(self, monkeypatch, small__seq, small_trees,
+                                rows):
+        # the small ladder is all singletons, so both table columns are the
+        # identity; the identity goes to tree 0 and a random column to tree
+        # 1, and the skipping tree's grid has no identity column at all
+        grid = build_grid(small__seq.space, 0.125, 3)
+        n_points = grid.n_points
+        assert np.array_equal(embed_grid(small__seq, grid, small_trees).table,
+                              np.stack([np.arange(n_points)] * 2, axis=1))
+        # 7-row blocks start at rows 0, 7, ..., so most split a level of 32
+        entries = {"one": 1, "mid_level": 7 * n_points,
+                   "whole": n_points * n_points}[rows]
+        monkeypatch.setattr(tree_embed, "BLOCK_ENTRIES", entries)
+        table = random_table(grid, small_trees, 5)
+        table[:, 0] = np.arange(n_points)
+        mixed = ProductEmbedding(grid=grid, trees=small_trees, table=table)
+        skipping = skipping_tree()
+        skip_grid = build_grid(skipping.space, 0.5, 3)
+        skip_emb = ProductEmbedding(
+            grid=skip_grid, trees=(skipping, skipping),
+            table=random_table(skip_grid, (skipping, skipping), 6))
+        for emb in (mixed, skip_emb):
+            assert np.array_equal(emb.all_pairs_dist,
+                                  reference_product_pairs(emb))
+
+    def test_tree_kernel_holds_its_result_and_one_suffix_buffer(self):
+        seq = separate(build_base(generate("circle", n=192), r=0.125,
+                                  depth=4, colors=2))
+        tree = build_tree(seq, 0)
+        n = tree.n_nodes
+        # int16 result, the bool buffer over the nodes below the root, and
+        # O(n) columns
+        bound = 2 * n * n + (n - 1) ** 2 + 64 * n + (1 << 16)
+        assert traced_peak(lambda: tree.all_pairs_dist) <= bound
+
+    @pytest.mark.parametrize("identity", [True, False])
+    def test_product_holds_its_result_and_one_block(self, monkeypatch,
+                                                    identity):
+        seq = separate(build_base(generate("circle", n=192), r=0.125,
+                                  depth=4, colors=2))
+        trees = tuple(build_tree(seq, a) for a in range(2))
+        for tree in trees:
+            tree.all_pairs_dist
+        grid = build_grid(seq.space, 0.125, 4)
+        table = (embed_grid(seq, grid, trees).table if identity
+                 else random_table(grid, trees, 7))
+        emb = ProductEmbedding(grid=grid, trees=trees, table=table)
+        n_points, rows = grid.n_points, 16
+        monkeypatch.setattr(tree_embed, "BLOCK_ENTRIES", rows * n_points)
+        # int32 result; a block is the gathered rows, then their columns
+        block = 0 if identity else 2 * rows * (trees[0].n_nodes + n_points)
+        bound = 4 * n_points * n_points + block + 64 * n_points + (1 << 16)
+        assert traced_peak(lambda: emb.all_pairs_dist) <= bound
+        assert np.array_equal(emb.all_pairs_dist, reference_product_pairs(emb))
