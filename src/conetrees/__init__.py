@@ -6,8 +6,6 @@ from .coverings import ColoredCovering, CoveringError, Family, star_merge
 from .char_seq import (
     CharSequence,
     LadderConstructionError,
-    PropertyCheck,
-    PropertyReport,
     SeparationPreconditionError,
     ast_shrink,
     build_base,
@@ -60,8 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FiniteMetricSpace", "MetricError", "Subset",
     "ColoredCovering", "CoveringError", "Family", "star_merge",
-    "CharSequence", "LadderConstructionError",
-    "PropertyCheck", "PropertyReport", "SeparationPreconditionError",
+    "CharSequence", "LadderConstructionError", "SeparationPreconditionError",
     "ast_shrink", "build_base", "build_level",
     "margin_trace", "separate", "separation_margins",
     "standing_assumptions", "verify_base", "verify_char_seq",

@@ -35,38 +35,6 @@ class SeparationPreconditionError(ValueError):
     """Raised when the merge cascade's hypotheses are violated and enforced."""
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    passed: bool
-    value: float
-    bound: float
-
-    def __repr__(self):
-        tag = "[PASS]" if self.passed else "[FAIL]"
-        return f"{tag} {self.name}: value={self.value:.6g} bound={self.bound:.6g}"
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    checks: tuple[PropertyCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[PropertyCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def __repr__(self):
-        head = "passed" if self.passed else f"{len(self.failures)} failures"
-        return f"PropertyReport({len(self.checks)} checks, {head})"
-
-    def summary(self) -> str:
-        return "\n".join(repr(c) for c in self.checks)
-
-
 @dataclass(frozen=True, eq=False)
 class CharSequence:
     """Levels j = 1..depth of colored coverings at scales r**j: the base
@@ -640,13 +608,15 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
 # verification
 
 
-def verify_char_seq(seq: CharSequence) -> PropertyReport:
+def verify_char_seq(seq: CharSequence) -> None:
     """Check each level's measured mesh against r**j, which the cascade can
-    break; `ColoredCovering` enforces coverage on construction."""
-    return PropertyReport(tuple(
-        PropertyCheck(f"mesh[{j}]", st["mesh"] <= st["scale"] * (1 + 1e-9),
-                      st["mesh"], st["scale"])
-        for j, st in enumerate(seq.measurement["levels"], 1)))
+    break, and raise LadderConstructionError at the first level above it;
+    `ColoredCovering` enforces coverage on construction."""
+    for j, st in enumerate(seq.measurement["levels"], 1):
+        if not st["mesh"] <= st["scale"] * (1 + 1e-9):
+            raise LadderConstructionError(
+                f"level {j}: mesh {st['mesh']:.6g} exceeds r**{j} = "
+                f"{st['scale']:.6g}")
 
 
 verify_base = verify_char_seq

@@ -1,12 +1,13 @@
 """Example spaces, capacity profiling, and the end-to-end pipeline.
 
-The pipeline runs generate -> base ladder -> separation cascade, then
-`certify`: trees -> cone grid -> product embedding -> checks (radial climb,
-sphere ratio, QI fit, tree hyperbolicity).  It revalidates each stage and
-fails loudly with the stage name on any violation.  All stages are
-deterministic given the config, so a bundle written twice is
-byte-identical, and `conetrees verify` checks a bundle by rerunning
-`run_pipeline` on its `config.json` and comparing every file.
+`run_pipeline` runs the stages in one list: generate -> base ladder (and
+its mesh check) -> separation cascade (and its mesh check) -> trees -> cone
+grid -> product embedding -> checks (radial climb, sphere ratio, QI fit,
+tree hyperbolicity).  Every check raises, and the first failure comes out
+as a StageError naming its stage.  All stages are deterministic given the
+config, so a bundle written twice is byte-identical, and `conetrees verify`
+checks a bundle by rerunning `run_pipeline` on its `config.json` and
+comparing every file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import io as bundle_io
 from .char_seq import (
-    CharSequence,
     LadderConstructionError,
     SeparationPreconditionError,
     build_base,
@@ -352,22 +352,42 @@ class _LevelPairs:
                 lo = hi
 
 
-def certify(charseq: CharSequence, tree_delta_check: bool,
-            log: list[str]) -> dict:
-    """The certification tail of `run_pipeline`: trees, cone grid (r and
-    depth from the ladder), product embedding, radial climb, sphere ratios,
-    QI fit and, if asked, tree hyperbolicity.  Appends one log line per
-    stage and raises StageError on the first failure.  Returns the outputs
-    keyed by their PipelineResult field names.
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
+    """Run every stage in order, appending one log line per stage and
+    raising StageError on the first failure; see module docstring.
 
     The QI fit streams the pairs i < k in row blocks of at most
     BLOCK_ENTRIES cone entries (see `_LevelPairs`), so the cone side holds
     O(BLOCK_ENTRIES) memory per block, never the whole cone matrix or a
-    whole level's rows.  The n x n S table that `ConeGrid.level_rows`
-    derives is released when the fit returns.  The product side is one
-    n_points x n_points int32 matrix, built without an n_points x n_points
-    transient (see `ProductEmbedding.all_pairs_dist`), and held by the
-    embedding."""
+    whole level's rows.  The product side is one n_points x n_points int32
+    matrix, built without an n_points x n_points transient (see
+    `ProductEmbedding.all_pairs_dist`).  The n x n S table that
+    `ConeGrid.level_rows` derives and the product matrix are both released
+    when the fit returns; a later read derives either again."""
+    t0 = time.perf_counter()
+    log: list[str] = []
+    try:
+        space = generate(config.generator, **generator_params(
+            config.generator, config.params, config.seed))
+    except (ValueError, MetricError) as e:
+        raise StageError("generate", str(e)) from e
+    log.append(f"generate: kind={config.generator} n={space.n} "
+               f"diameter={space.diameter:.6g}")
+    try:
+        base = build_base(space, config.r, config.depth, config.colors,
+                          config.delta_target)
+        verify_base(base)
+    except (LadderConstructionError, CoveringError) as e:
+        raise StageError("build_base", str(e)) from e
+    log.append(f"build_base: depth={base.depth} colors={base.n_colors} "
+               f"delta={base.delta:.6g} lam={base.lam:.6g}")
+    try:
+        charseq = separate(base, config.enforce_assumptions)
+        verify_char_seq(charseq)
+    except (LadderConstructionError, SeparationPreconditionError, CoveringError) as e:
+        raise StageError("separate", str(e)) from e
+    log.append(f"separate: delta={charseq.delta:.6g} lam={charseq.lam:.6g} "
+               f"gamma={charseq.gamma:.6g}")
     try:
         trees = tuple(build_tree(charseq, a) for a in range(charseq.n_colors))
     except TreeError as e:
@@ -399,57 +419,24 @@ def certify(charseq: CharSequence, tree_delta_check: bool,
     log.append(f"sphere_ratio: min={sphere['min_ratio']:.6g} "
                f"max={sphere['max_ratio']:.6g} bound={sphere['bound']:.6g}")
     qi = fit_qi(_LevelPairs(grid, embedding.all_pairs_dist))
-    # S is n x n floats, held by the grid's cache until here; a later
-    # level_rows call derives it again
+    # S (n x n floats) and the product matrix (n_points**2 int32) are held
+    # by their objects' caches until here, and nothing after reads them
     grid.__dict__.pop("_level_factors", None)
+    embedding.__dict__.pop("all_pairs_dist", None)
     if qi.violations:
         raise StageError("fit_qi", repr(qi))
     log.append(f"fit_qi: lam={qi.lam:.6g} sigma={qi.sigma:.6g} "
                f"pairs={qi.n_pairs}")
     tree_deltas = None
-    if tree_delta_check:
+    if config.tree_delta_check:
         tree_deltas = [float(delta_hyperbolicity(t.all_pairs_dist)) for t in trees]
         if any(dlt != 0.0 for dlt in tree_deltas):
             raise StageError("tree_delta", f"nonzero hyperbolicity {tree_deltas}")
         log.append("tree_delta: " + " ".join(f"{dlt:g}" for dlt in tree_deltas))
-    return {"trees": trees, "grid": grid, "embedding": embedding, "qi": qi,
-            "radial": radial, "sphere": sphere, "tree_deltas": tree_deltas}
-
-
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Run every stage, revalidating as it goes; see module docstring."""
-    t0 = time.perf_counter()
-    log: list[str] = []
-    try:
-        space = generate(config.generator, **generator_params(
-            config.generator, config.params, config.seed))
-    except (ValueError, MetricError) as e:
-        raise StageError("generate", str(e)) from e
-    log.append(f"generate: kind={config.generator} n={space.n} "
-               f"diameter={space.diameter:.6g}")
-    try:
-        base = build_base(space, config.r, config.depth, config.colors,
-                          config.delta_target)
-    except (LadderConstructionError, CoveringError) as e:
-        raise StageError("build_base", str(e)) from e
-    rep = verify_base(base)
-    if not rep.passed:
-        raise StageError("build_base", rep.summary())
-    log.append(f"build_base: depth={base.depth} colors={base.n_colors} "
-               f"delta={base.delta:.6g} lam={base.lam:.6g}")
-    try:
-        charseq = separate(base, config.enforce_assumptions)
-    except (LadderConstructionError, SeparationPreconditionError, CoveringError) as e:
-        raise StageError("separate", str(e)) from e
-    rep = verify_char_seq(charseq)
-    if not rep.passed:
-        raise StageError("separate", rep.summary())
-    log.append(f"separate: delta={charseq.delta:.6g} lam={charseq.lam:.6g} "
-               f"gamma={charseq.gamma:.6g}")
-    certified = certify(charseq, config.tree_delta_check, log)
     result = PipelineResult(
-        config=config, space=space, base=base, charseq=charseq, **certified,
-        log=log, runtime=time.perf_counter() - t0,
+        config=config, space=space, base=base, charseq=charseq, trees=trees,
+        grid=grid, embedding=embedding, qi=qi, radial=radial, sphere=sphere,
+        tree_deltas=tree_deltas, log=log, runtime=time.perf_counter() - t0,
     )
     if config.outdir:
         bundle_io.write_bundle(config.outdir, result)

@@ -217,7 +217,7 @@ def fit_qi(blocks) -> QIReport:
     bit, however the pairs are split.  Only when an extreme breaks a bound
     are the blocks iterated a second time, to count the violations exactly;
     a one-shot iterator would come back empty then, so it is refused with
-    TypeError.
+    TypeError.  A NaN or infinite distance raises ValueError.
     """
     if iter(blocks) is blocks:
         raise TypeError("fit_qi needs re-iterable blocks, such as a list, "
@@ -234,6 +234,11 @@ def fit_qi(blocks) -> QIReport:
     values, lo, _ = _extremes(np.concatenate([p[1] for p in parts]),
                               block_values)
     _, _, hi = _extremes(np.concatenate([p[2] for p in parts]), block_values)
+    # a NaN or inf distance reaches the merged extremes whatever block it
+    # sits in
+    if not (np.isfinite(values).all() and np.isfinite(lo).all()
+            and np.isfinite(hi).all()):
+        raise ValueError("fit_qi: the distances hold NaN or inf")
     curve = _sigma_curve(values, lo, hi, LAMBDA_GRID)
     best = int(curve.argmin())
     lam = float(LAMBDA_GRID[best])

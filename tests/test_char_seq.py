@@ -14,12 +14,16 @@ from conetrees import (
     Family,
     FiniteMetricSpace,
     LadderConstructionError,
+    PipelineConfig,
     SeparationPreconditionError,
+    StageError,
     ast_shrink,
     build_base,
     build_level,
     char_seq,
+    harness,
     margin_trace,
+    run_pipeline,
     separate,
     separation_margins,
     standing_assumptions,
@@ -286,7 +290,7 @@ class TestBuildBase:
         gap = 2 * math.pi / 512
         assert base.delta == pytest.approx(2 * gap / 0.125)
         assert base.lam == pytest.approx(2 * gap / 0.125)
-        assert verify_base(base).passed
+        verify_base(base)
 
     def test_delta_target_gate(self):
         sp = generate("circle", n=64)
@@ -297,7 +301,7 @@ class TestBuildBase:
         sp = generate("circle", n=32)
         base = build_base(sp, r=0.25, depth=1, colors=2)
         assert base.depth == 1
-        assert verify_base(base).passed
+        verify_base(base)
 
 
 class TestSeparate:
@@ -309,7 +313,7 @@ class TestSeparate:
         assert seq.provenance["dropped_members"] == 0
         assert seq.delta == pytest.approx(base.delta)
         assert seq.gamma == pytest.approx(4 * (2 * math.pi / 512) / 0.125)
-        assert verify_char_seq(seq).passed
+        verify_char_seq(seq)
 
     def test_real_cascade_on_greedy_ladder(self):
         sp = without_kind(generate("interval", n=400))
@@ -324,7 +328,7 @@ class TestSeparate:
             assert rec["moat"] <= 4 * (0.125 ** rec["stage"] / 2) + 1e-15
         assert seq.provenance["dropped_members"] == 0
         assert seq.gamma > 0.1
-        assert verify_char_seq(seq).passed
+        verify_char_seq(seq)
 
     def test_depth_one_passthrough(self):
         sp = generate("circle", n=64)
@@ -358,7 +362,7 @@ class TestSeparateWork:
         # one batch
         base = build_base(generate("random_circle", n=160, seed=0), r=0.125,
                           depth=3, colors=2)
-        assert verify_base(base).passed  # measured before the cascade, as run
+        verify_base(base)  # measured before the cascade, as run
         fine = {id(f) for k in (2, 3) for f in base.level(k).colors}
         calls = []
         dist_rows = Family.dist_rows
@@ -559,24 +563,30 @@ class TestPairMarginsOracle:
         assert built  # some coarse family has members that are really built
 
 
+def with_fat_member(seq):
+    """seq with half the circle added to level 2's first color, a member
+    far wider than r**2."""
+    sp = seq.space
+    fat = Family(sp, tuple(seq.level(2).colors[0].members)
+                 + (sp.subset(range(sp.n // 2)),))
+    bad_level = ColoredCovering(sp, (fat,) + seq.level(2).colors[1:])
+    return dataclasses.replace(seq, levels=(seq.levels[0], bad_level))
+
+
 class TestVerification:
     def test_planted_mesh_violation_detected(self):
         sp = generate("circle", n=64)
         base = build_base(sp, r=0.125, depth=2, colors=2)
-        seq = separate(base)
-        fat = Family(sp, tuple(seq.level(2).colors[0].members)
-                     + (sp.subset(range(32)),))
-        bad_level = ColoredCovering(sp, (fat,) + seq.level(2).colors[1:])
-        tampered = dataclasses.replace(
-            seq, levels=(seq.levels[0], bad_level))
-        rep = verify_char_seq(tampered)
-        assert not rep.passed
-        assert any("mesh" in f.name for f in rep.failures)
+        tampered = with_fat_member(separate(base))
+        with pytest.raises(LadderConstructionError, match="level 2"):
+            verify_char_seq(tampered)
 
-    def test_report_summary_lines(self):
-        sp = generate("circle", n=64)
-        base = build_base(sp, r=0.125, depth=2, colors=2)
-        rep = verify_base(base)
-        assert rep.passed
-        text = rep.summary()
-        assert "[PASS]" in text and "[FAIL]" not in text
+    def test_planted_mesh_violation_fails_the_separate_stage(self,
+                                                             monkeypatch):
+        run = harness.separate
+        monkeypatch.setattr(harness, "separate",
+                            lambda *args: with_fat_member(run(*args)))
+        with pytest.raises(StageError, match=r"\[separate\] level 2:") as exc:
+            run_pipeline(PipelineConfig(generator="circle", params={"n": 64},
+                                        r=0.125, depth=2, colors=2))
+        assert exc.value.stage == "separate"

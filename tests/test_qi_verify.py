@@ -415,6 +415,18 @@ class TestFitQI:
         with pytest.raises(ValueError, match="empty"):
             fit_qi(blocks)
 
+    # NaN reaches the extremes through np.minimum.at, which warns on it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("blocks", [
+        [([1.0, np.nan, 3.0], [1, 2, 3])],
+        [([1.0, 2.0, 3.0], [1.0, np.nan, 3.0])],
+        [([1.0, np.inf, 3.0], [1, 2, 3])],
+        [([1.0, 2.0, 3.0], [1, 2, 3]), ([1.0, np.nan], [1, 2])],
+    ], ids=["nan_ds", "nan_dt", "inf_ds", "nan_in_second_block"])
+    def test_non_finite_distances_refused(self, blocks):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fit_qi([(np.array(ds), np.array(dt)) for ds, dt in blocks])
+
     def test_one_shot_iterator_refused(self):
         # a second pass, to count violations, would find it exhausted
         ds = np.linspace(0.5, 10, 20)

@@ -10,6 +10,7 @@ from conetrees import (
     ColoredCovering,
     Family,
     FiniteMetricSpace,
+    PipelineConfig,
     ProductEmbedding,
     RadialCheckError,
     RootedTree,
@@ -19,6 +20,7 @@ from conetrees import (
     build_tree,
     embed_grid,
     radial_check,
+    run_pipeline,
     separate,
     tree_embed,
 )
@@ -510,6 +512,14 @@ class TestPairKernelsAgainstReference:
         got = emb.all_pairs_dist
         assert got.dtype == np.int32
         assert np.array_equal(got, reference_product_pairs(emb))
+
+    def test_pipeline_releases_the_product_matrix(self):
+        # nothing reads it after the QI fit; a fresh read derives it again
+        res = run_pipeline(PipelineConfig(
+            generator="random_circle", params={"n": 160, "seed": 0}, depth=3))
+        emb = res.embedding
+        assert "all_pairs_dist" not in emb.__dict__
+        assert np.array_equal(emb.all_pairs_dist, reference_product_pairs(emb))
 
     def test_skipped_levels(self):
         tree = skipping_tree()
