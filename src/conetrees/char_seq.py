@@ -5,7 +5,8 @@ mesh at most r**j, per-color disjointness, inner balls, and per-color nets,
 all at scale r**j.  The separation cascade then rewrites coarser levels so
 that every member either swallows or avoids each finer member, which is the
 property the tree construction needs.  Each ladder measures its quality
-constants (delta, lam, gamma) once, on its finished levels, never assumed.
+constants (delta, lam, gamma) once, never assumed, in one pass over its
+finished levels' color families.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -69,7 +71,7 @@ class CharSequence:
     @cached_property
     def measurement(self) -> dict:
         """The ladder's constants and the stats they come from; see `_measure`."""
-        return _measure(self)
+        return _measure(self.levels, self.r, "cascade" in self.provenance)
 
     delta = property(lambda self: self.measurement["delta"])
     lam = property(lambda self: self.measurement["lam"])
@@ -344,61 +346,59 @@ def build_level(space: FiniteMetricSpace, scale: float, m: int,
 # measurement
 
 
-def _scan(levels: tuple[ColoredCovering, ...], margins: bool):
-    """Each level's distinct families (whole, singleton and component
-    levels share one among colors), each with its `dist_rows()` and
-    `depths` derived once and dropped before the next: per level, the min
-    separation, max net radius and min inner radius over its families; with
-    ``margins``, the `_pair_margins` of every same-color (fine, coarse)
-    family pair at levels jf >= jc, keyed (jf, jc, fine, coarse)."""
-    extremes, pairs = [], {}
-    for jc, cov in enumerate(levels, 1):
-        seps, nets, inners = [], [], []
-        for coarse in {id(f): f for f in cov.colors}.values():
-            rows, depths = coarse.dist_rows(), coarse.depths
-            # entry [i, l]: min over x in member i of d(x, member l)
-            sep = coarse.member_min(rows.T)[np.triu_indices(len(coarse), k=1)]
-            seps.append(float(sep.min(initial=np.inf)))
-            nets.append(float(rows.min(axis=0, initial=np.inf).max()))
-            # per member, the largest depth of any point inside it
-            inners.append(float(depths.max(axis=1).min(initial=np.inf)))
-            for jf in range(jc, len(levels) + 1) if margins else ():
-                for a in range(cov.n_colors):
-                    fine = levels[jf - 1].colors[a]
-                    key = (jf, jc, fine, coarse)
-                    if (cov.colors[a] is coarse and fine and coarse
-                            and key not in pairs):
-                        pairs[key] = _pair_margins(fine, rows, depths, jf == jc)
-            del rows, depths
-        extremes.append((min(seps), max(nets), min(inners)))
-    return extremes, pairs
-
-
-def _measure(seq: CharSequence) -> dict:
-    """Measure a ladder: delta, lam, gamma, the per-level stats ("levels")
-    and, on a separated ladder, the "gamma_records", in one `_scan`.
+def _measure(levels: tuple[ColoredCovering, ...], r: float,
+             margins: bool) -> dict:
+    """Measure a ladder's levels in one pass: delta, lam, the per-level
+    stats ("levels") and, with ``margins``, gamma and its "gamma_records"
+    in (fine, coarse, color) order; gamma is None without.  Each level's
+    distinct families (whole, singleton and component levels share one
+    among colors) have their `dist_rows()` and `depths` derived once, and
+    dropped before the next, and every constant is read off them.
 
     delta is the min over levels of lebesgue, per-color separation, and
     per-color inner radius, each in units of r**j; the lebesgue clause is
     vacuous at mesh-0 levels.  lam is the max over levels of per-color net
-    radius in the same units.  gamma is `separation_margins`'s and is None
-    on a base ladder.
+    radius in the same units.  gamma is the least `_pair_margins` margin of
+    same-color families at levels jf >= jc in units of r**jf, descendant
+    margins counting across distinct levels only.
     """
-    separated = "cascade" in seq.provenance
-    extremes, pairs = _scan(seq.levels, separated)
-    stats = []
-    delta_hat = np.inf
-    lam_hat = 0.0
-    for j, (cov, (sep, net, inner)) in enumerate(zip(seq.levels, extremes), 1):
-        scale = seq.scale(j)
+    stats, records = [], []
+    delta_hat, lam_hat, gamma = np.inf, 0.0, np.inf
+    for jc, cov in enumerate(levels, 1):
+        seps, nets, inners, peaks = [], [], [], []
+        for coarse in dict.fromkeys(cov.colors):
+            rows, depths = coarse.dist_rows(), coarse.depths
+            seps.append(coarse._separation(rows))
+            nets.append(float(rows.min(axis=0, initial=np.inf).max()))
+            # per member, the largest depth of any point inside it
+            inners.append(float(depths.max(axis=1).min(initial=np.inf)))
+            peaks.append(depths.max(axis=0, initial=0.0))
+            pairs = {}  # colors holding the same fine family share its margins
+            for jf in range(jc, len(levels) + 1) if margins and coarse else ():
+                for a, fine in enumerate(levels[jf - 1].colors):
+                    if cov.colors[a] is not coarse or not fine:
+                        continue
+                    if (jf, fine) not in pairs:
+                        pairs[jf, fine] = _pair_margins(fine, rows, depths,
+                                                        jf == jc)
+                    pair_min, desc_min = (m / r ** jf for m in pairs[jf, fine])
+                    rec = {"color": a, "fine": jf, "coarse": jc,
+                           "pair_margin": pair_min}
+                    gamma = min(gamma, pair_min)
+                    if jc < jf:
+                        rec["descendant_margin"] = desc_min
+                        gamma = min(gamma, desc_min)
+                    records.append(rec)
+            del rows, depths
+        scale = r ** jc
         st = {
             "scale": scale,
             "members": [len(f) for f in cov.colors],
-            "mesh": cov.pooled.mesh,
-            "lebesgue": cov.pooled.lebesgue(),
-            "separation": sep,
-            "inner_radius": inner,
-            "net_radius": net,
+            "mesh": cov.mesh,
+            "lebesgue": cov._lebesgue(peaks),
+            "separation": min(seps),
+            "inner_radius": min(inners),
+            "net_radius": max(nets),
             "multiplicity": cov.multiplicity(),
         }
         stats.append(st)
@@ -413,8 +413,10 @@ def _measure(seq: CharSequence) -> dict:
         delta_hat = 1.0
     out = {"delta": float(delta_hat), "lam": float(lam_hat), "gamma": None,
            "levels": stats}
-    if separated:
-        out["gamma"], out["gamma_records"] = _gamma(seq.levels, seq.r, pairs)
+    if margins:
+        out["gamma"] = float(gamma)
+        out["gamma_records"] = sorted(records,
+                                      key=itemgetter("fine", "coarse", "color"))
     return out
 
 
@@ -465,30 +467,6 @@ def _pair_margins(fine: Family, rows: np.ndarray, depths: np.ndarray,
     return float(margins.min()), float(m1.max(axis=0).min())
 
 
-def _gamma(levels: tuple[ColoredCovering, ...], r: float,
-           pairs: dict) -> tuple[float, list[dict]]:
-    """gamma and its per-color records from `_scan`'s family pair margins."""
-    gamma = np.inf
-    records = []
-    for jf in range(1, len(levels) + 1):
-        sf = r ** jf
-        for jc in range(1, jf + 1):
-            for a in range(levels[0].n_colors):
-                fine = levels[jf - 1].colors[a]
-                coarse = levels[jc - 1].colors[a]
-                if not fine or not coarse:
-                    continue
-                pair_min, desc_min = pairs[jf, jc, fine, coarse]
-                rec = {"color": a, "fine": jf, "coarse": jc,
-                       "pair_margin": pair_min / sf}
-                gamma = min(gamma, pair_min / sf)
-                if jc < jf:
-                    rec["descendant_margin"] = desc_min / sf
-                    gamma = min(gamma, desc_min / sf)
-                records.append(rec)
-    return float(gamma), records
-
-
 def separation_margins(levels: tuple[ColoredCovering, ...],
                        r: float) -> tuple[float, list[dict]]:
     """Measured separation quality gamma over all same-color level pairs.
@@ -498,7 +476,8 @@ def separation_margins(levels: tuple[ColoredCovering, ...],
     and every coarser member contains such a neighborhood of a finer member.
     Colors holding the same fine and coarse families share one computation.
     """
-    return _gamma(levels, r, _scan(levels, margins=True)[1])
+    out = _measure(levels, r, margins=True)
+    return out["gamma"], out["gamma_records"]
 
 
 # ---------------------------------------------------------------------------

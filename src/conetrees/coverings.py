@@ -6,7 +6,10 @@ distance question from them: `dist_rows()`, each point's distance to each
 member, and `depths`, each point's distance to each member's complement.
 Mesh, multiplicity, Lebesgue number, capacity, separation, uniform erosion
 (shrink) and the absorb-and-grow merge that pushes separated coverings down
-a scale ladder are array operations on those two (k, n) matrices.
+a scale ladder are array operations on those two (k, n) matrices.  A
+ColoredCovering's constants come from its color families, each distinct
+one's tables derived once; `pooled`, all its members as one Family, is
+only the tests' oracle for them.
 
 `dist_rows`, like every per-member minimum here, is `member_min`: the
 minimum over each member's rows of an (n, m) array, which on a family of
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 
 import numpy as np
@@ -168,9 +171,14 @@ class Family:
 
     def min_separation(self) -> float:
         """Min distance between distinct members; +inf if fewer than 2."""
-        # entry [i, l]: min over x in member i of d(x, member l)
-        sep = self.member_min(self.dist_rows().T)
-        return float(sep[np.triu_indices(len(self), k=1)].min(initial=np.inf))
+        return self._separation(self.dist_rows())
+
+    def _separation(self, rows: np.ndarray) -> float:
+        """`min_separation` read off the family's `dist_rows()`; the member
+        distances are exactly symmetric, as the space's matrix is."""
+        sep = self.member_min(rows.T)  # [i, l]: min over x in i of d(x, l)
+        np.fill_diagonal(sep, np.inf)
+        return float(sep.min(initial=np.inf))
 
     def is_separated(self, s: float) -> bool:
         """Pairwise distance between distinct members is >= s."""
@@ -261,7 +269,7 @@ class ColoredCovering:
         for f in self.colors:
             if f.space is not self.space:
                 raise CoveringError("color family belongs to a different space")
-        if not self.pooled.covers():
+        if not self._counts().all():
             raise CoveringError("colored covering does not cover the space")
 
     @property
@@ -273,18 +281,30 @@ class ColoredCovering:
         members = tuple(u for f in self.colors for u in f.members)
         return Family(self.space, members)
 
+    def _counts(self) -> np.ndarray:
+        """(n,) how many members of all colors hold each point."""
+        return np.bincount(np.concatenate([f.indices for f in self.colors]),
+                           minlength=self.space.n)
+
     @property
     def mesh(self) -> float:
-        return self.pooled.mesh
+        return max(f.mesh for f in self.colors)
 
     def multiplicity(self) -> int:
-        return self.pooled.multiplicity()
+        return int(self._counts().max())
 
     def lebesgue(self) -> float:
-        return self.pooled.lebesgue()
+        return self._lebesgue(f.depths.max(axis=0, initial=0.0)
+                              for f in dict.fromkeys(self.colors))
 
-    def capacity(self) -> float:
-        return self.pooled.capacity()
+    def _lebesgue(self, peaks) -> float:
+        """The pooled family's `lebesgue`, read off each distinct color
+        family's per-point largest depth, ``depths.max(axis=0, initial=0.0)``:
+        the max over all members is the max over the colors of theirs."""
+        best = reduce(np.maximum, peaks, np.zeros(self.space.n))
+        return float(min(best.min(initial=np.inf), self.mesh))
+
+    capacity = Family.capacity  # read off this covering's mesh and lebesgue
 
     def __repr__(self):
         sizes = ",".join(str(len(f)) for f in self.colors)

@@ -198,11 +198,8 @@ def capacity_profile(space: FiniteMetricSpace, scales, colors=(2,)) -> dict:
     for m in colors:
         for tau in scales:
             cov = build_level(space, tau, m, allow_more_colors=True)
-            pooled = cov.pooled
-            mesh = pooled.mesh
-            # one depths table per record: capacity as Family.capacity
-            # divides, without deriving the table again
-            leb = pooled.lebesgue()
+            # capacity as ColoredCovering.capacity, with no second depths pass
+            mesh, leb = cov.mesh, cov.lebesgue()
             rec = {
                 "colors": m,
                 "scale": tau,

@@ -181,8 +181,9 @@ def _extremes(ds: np.ndarray, dt: np.ndarray):
         present = np.arange(len(values))
     lo = np.full(present[-1] + 1, np.inf)
     hi = np.full(present[-1] + 1, -np.inf)
-    np.minimum.at(lo, codes, ds)
-    np.maximum.at(hi, codes, ds)
+    with np.errstate(invalid="ignore"):  # fit_qi refuses a NaN extreme
+        np.minimum.at(lo, codes, ds)
+        np.maximum.at(hi, codes, ds)
     return values, lo[present], hi[present]
 
 

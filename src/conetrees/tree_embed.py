@@ -261,12 +261,14 @@ def embed_grid(seq: CharSequence, grid: ConeGrid,
             f"grid depth {grid.depth} does not match ladder depth {seq.depth}"
         )
     table = np.zeros((grid.n_points, len(trees)), dtype=np.int64)
-    for a, tree in enumerate(trees):
-        for j in range(1, grid.depth + 1):
+    for j in range(1, grid.depth + 1):
+        fams = [seq.level(j).colors[tree.color] for tree in trees]
+        # each point's nearest member, once per distinct family
+        nearest = {f: f.dist_rows().argmin(axis=0) for f in dict.fromkeys(fams)}
+        lo = grid.index(j, 0)
+        for a, (tree, fam) in enumerate(zip(trees, fams)):
             # the tree's level-j nodes are this family's members, in order
-            rows = seq.level(j).colors[tree.color].dist_rows()
-            lo = grid.index(j, 0)
-            table[lo: lo + seq.space.n, a] = tree.nodes_at_level(j)[rows.argmin(axis=0)]
+            table[lo: lo + seq.space.n, a] = tree.nodes_at_level(j)[nearest[fam]]
     return ProductEmbedding(grid=grid, trees=trees, table=table)
 
 

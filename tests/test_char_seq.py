@@ -420,9 +420,9 @@ class TestMeasureHoldsNoTable:
     @pytest.mark.parametrize("ladder", [cascade_ladder, long_ray_ladder])
     def test_depths_derived_once_per_family_and_level(self, ladder,
                                                       monkeypatch):
-        # one read per distinct color family in the scan, which passes it to
-        # every `_pair_margins` of that coarse family, and one per pooled
-        # Lebesgue number
+        # one read per distinct color family in the pass, which reads the
+        # Lebesgue number off it and passes it to every `_pair_margins` of
+        # that coarse family; no pooled table is derived
         seq = separate(ladder())
         reads = []
         depths = Family.depths
@@ -432,8 +432,8 @@ class TestMeasureHoldsNoTable:
             return depths.fget(self)
 
         monkeypatch.setattr(Family, "depths", property(counting))
-        char_seq._measure(seq)
-        assert len(reads) == sum(len({id(f) for f in cov.colors}) + 1
+        seq.measurement
+        assert len(reads) == sum(len({id(f) for f in cov.colors})
                                  for cov in seq.levels)
 
     def test_inner_radius_equals_colorwise_formula(self):
@@ -457,6 +457,61 @@ class TestMeasureHoldsNoTable:
         assert [st["inner_radius"] for st in levels] == [5.0, np.inf]
         assert [st["inner_radius"] for st in levels] == \
             [colorwise_inner_radius(c) for c in seq.levels]
+
+
+def flagship_ladder():
+    """The flagship workload's base ladder: circle n=192, depth 4."""
+    return build_base(generate("circle", n=192), r=0.125, depth=4, colors=2)
+
+
+def triu_separation(fam):
+    """Min distance between distinct members, read off the upper triangle
+    of the (k, k) member distances."""
+    sep = fam.member_min(fam.dist_rows().T)
+    return float(sep[np.triu_indices(len(fam), k=1)].min(initial=np.inf))
+
+
+def odd_ladder():
+    """Two levels on a line: one with an empty color, one with a member
+    that is the whole space beside a proper one."""
+    sp = line_space(21, spacing=0.5)
+    empty = ColoredCovering(sp, (
+        Family(sp, (sp.subset(range(11)), sp.subset(range(9, 21)))),
+        Family(sp, ()),
+    ))
+    whole = ColoredCovering(sp, (
+        Family(sp, (sp.whole(),)),
+        Family(sp, (sp.subset(range(4)), sp.subset(range(8, 14)))),
+    ))
+    return CharSequence(sp, 0.5, (empty, whole))
+
+
+class TestCoveringConstantsOracle:
+    """A covering's constants come from its color families; the pooled
+    family and the upper-triangle separation are the oracles."""
+
+    @pytest.mark.parametrize("ladder", [flagship_ladder, cascade_ladder,
+                                        long_ray_ladder, odd_ladder])
+    def test_constants_equal_pooled_and_triangle(self, ladder):
+        base = ladder()
+        seqs = (base,) if ladder is odd_ladder else (base, separate(base))
+        for seq in seqs:
+            for cov, st in zip(seq.levels, seq.measurement["levels"]):
+                pooled = cov.pooled
+                assert cov.mesh == st["mesh"] == pooled.mesh
+                assert cov.multiplicity() == st["multiplicity"] \
+                    == pooled.multiplicity()
+                assert cov.lebesgue() == st["lebesgue"] == pooled.lebesgue()
+                assert cov.capacity() == pooled.capacity()
+                for fam in cov.colors:
+                    assert fam.min_separation() == triu_separation(fam)
+                assert st["separation"] == min(triu_separation(f)
+                                               for f in cov.colors)
+
+    def test_odd_levels_are_exercised(self):
+        empty, whole = odd_ladder().levels
+        assert not empty.colors[1] and empty.multiplicity() == 2
+        assert whole.lebesgue() == whole.pooled.lebesgue() > 0
 
 
 class TestSeparationMargins:

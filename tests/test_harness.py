@@ -18,6 +18,7 @@ from conetrees import (
     StageError,
     build_base,
     build_grid,
+    build_level,
     capacity_profile,
     char_seq,
     cone_metric,
@@ -126,11 +127,16 @@ class TestCapacityProfile:
         ("cantor", {"depth": 5}), (None, {"n": 100}),
     ], ids=["circle", "random_circle", "cantor", "no_kind"])
     def test_one_depths_read_per_record(self, monkeypatch, kind, params):
-        # the pooled family's table is derived once per record, for both
-        # the Lebesgue number and the capacity
+        # each distinct color family's table is derived once per record,
+        # for both the Lebesgue number and the capacity; no pooled table
         sp = generate(kind or "random_circle", **params)
         if kind is None:
             sp = FiniteMetricSpace(sp.dist, sp.point_ids)
+        scales, colors = [0.5, 0.125, 0.01], (2, 3)
+        families = sum(
+            len({id(f) for f in build_level(sp, tau, m,
+                                             allow_more_colors=True).colors})
+            for m in colors for tau in scales)
         reads = []
         depths = Family.depths
 
@@ -139,8 +145,9 @@ class TestCapacityProfile:
             return depths.fget(self)
 
         monkeypatch.setattr(Family, "depths", property(counting))
-        prof = capacity_profile(sp, [0.5, 0.125, 0.01], colors=(2, 3))
-        assert len(reads) == len(prof["records"]) == 6
+        prof = capacity_profile(sp, scales, colors=colors)
+        assert len(prof["records"]) == 6
+        assert len(reads) == families
         assert any(r["mesh"] > 0 for r in prof["records"])
         for rec in prof["records"]:
             assert rec["capacity"] == (1.0 if rec["mesh"] == 0
@@ -915,9 +922,9 @@ class TestOneMeasurement:
         calls = []
         measure = char_seq._measure
 
-        def counting(seq):
-            calls.append("cascade" in seq.provenance)
-            return measure(seq)
+        def counting(levels, r, margins):
+            calls.append(margins)
+            return measure(levels, r, margins)
 
         monkeypatch.setattr(char_seq, "_measure", counting)
         out = tmp_path / "bundle"
@@ -928,6 +935,16 @@ class TestOneMeasurement:
         calls.clear()
         assert cli_main(["verify", "--bundle", str(out)]) == 0
         assert calls == [False, True]
+
+    @pytest.mark.parametrize("generator, params, depth", [
+        ("circle", {"n": 192}, 4), ("random_circle", {"n": 160, "seed": 0}, 3),
+    ], ids=["flagship", "cascade"])
+    def test_pipeline_builds_no_pooled_family(self, generator, params, depth):
+        result = run_pipeline(PipelineConfig(
+            generator=generator, params=params, r=0.125, depth=depth,
+            colors=2, tree_delta_check=False))
+        for cov in (*result.base.levels, *result.charseq.levels):
+            assert "pooled" not in vars(cov)
 
     def test_verify_measures_like_pipeline(self, tmp_path, monkeypatch,
                                            capsys):

@@ -415,8 +415,8 @@ class TestFitQI:
         with pytest.raises(ValueError, match="empty"):
             fit_qi(blocks)
 
-    # NaN reaches the extremes through np.minimum.at, which warns on it
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    # refused with no warning first, which the filter turns into an error
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("blocks", [
         [([1.0, np.nan, 3.0], [1, 2, 3])],
         [([1.0, 2.0, 3.0], [1.0, np.nan, 3.0])],

@@ -448,6 +448,40 @@ class TestEmbedAgainstScalar:
             for a, tree in enumerate(trees):
                 assert table[idx, a] == embed_point(tree, z, j)
 
+    def test_one_nearest_member_pass_per_family(self, monkeypatch):
+        # flagship's ladder: every level holds one family in both colors
+        sp = generate("circle", n=192)
+        seq = separate(build_base(sp, r=0.125, depth=4, colors=2))
+        trees = tuple(build_tree(seq, a) for a in (0, 1))
+        grid = build_grid(sp, 0.125, 4)
+        expected = per_tree_table(seq, grid, trees)
+        calls = []
+        dist_rows = Family.dist_rows
+
+        def counting(fam):
+            calls.append(id(fam))
+            return dist_rows(fam)
+
+        monkeypatch.setattr(Family, "dist_rows", counting)
+        table = embed_grid(seq, grid, trees).table
+        assert np.array_equal(table, expected)
+        families = [len({id(f) for f in cov.colors}) for cov in seq.levels]
+        assert families == [1, 1, 1, 1]
+        assert len(calls) == sum(families)
+
+
+def per_tree_table(seq, grid, trees):
+    """embed_grid's table with every tree deriving each level's nearest
+    members itself, shared family or not."""
+    table = np.zeros((grid.n_points, len(trees)), dtype=np.int64)
+    for a, tree in enumerate(trees):
+        for j in range(1, grid.depth + 1):
+            rows = seq.level(j).colors[tree.color].dist_rows()
+            lo = grid.index(j, 0)
+            table[lo: lo + seq.space.n, a] = \
+                tree.nodes_at_level(j)[rows.argmin(axis=0)]
+    return table
+
 
 def reference_tree_pairs(tree):
     """RootedTree.all_pairs_dist as first written: int64 ancestor columns
