@@ -459,12 +459,12 @@ def _pair_margins(fine: Family, rows: np.ndarray, depths: np.ndarray,
     fine member), the latter only meaningful across distinct levels.
     """
     m1 = fine.member_min(depths.T)
-    m2 = fine.member_min(rows.T)
-    margins = np.maximum(m1, m2)
+    desc = float(m1.max(axis=0).min())
+    margins = np.maximum(m1, fine.member_min(rows.T), out=m1)
     if same_level:
         # identical members never compete with themselves
         np.fill_diagonal(margins, np.inf)
-    return float(margins.min()), float(m1.max(axis=0).min())
+    return float(margins.min()), desc
 
 
 def separation_margins(levels: tuple[ColoredCovering, ...],

@@ -15,14 +15,16 @@ only the tests' oracle for them.
 minimum over each member's rows of an (n, m) array, which on a family of
 singletons is a plain gather of the members' rows.  A space's matrix is
 exactly symmetric, so row x of it is every point's distance to x, and
-`dist_rows` reads the members' rows of the matrix itself.  The merge comes
-batched: `star_merges` takes every core that one fine family absorbs
-into, derives the family's (k, n) distance rows once, and `hood_merges`
-merges all cores at once against the members' open neighborhoods they
-give, reading the cores' distances as one family's rows; `star_merge` is
-the one-core case.  Neither table is cached on the Family: both are
-derived per call, since at n = 2048 each is 32 MB, and a caller that
-needs one twice derives it once and passes it on.
+`dist_rows` reads the members' rows of the matrix itself.  `depths` reads
+the same rows, one per (member, inside point) pair, and takes each row's
+minimum over the columns outside its member.  The merge comes batched:
+`star_merges` takes every core that one fine family absorbs into, derives
+the family's (k, n) distance rows once, and `hood_merges` merges all cores
+at once against the members' open neighborhoods they give, reading the
+cores' distances as one family's rows; `star_merge` is the one-core case.
+Neither table is cached on the Family: both are derived per call, since at
+n = 2048 each is 32 MB, and a caller that needs one twice derives it once
+and passes it on.
 """
 
 from __future__ import annotations
@@ -104,23 +106,16 @@ class Family:
         member i, +inf when the member is the whole space.
 
         Points outside a member are at 0.  For x inside member i it is the
-        distance to the first point of x's neighbor order that lies outside
-        member i; all such (member, point) pairs walk their orders together,
-        one rank at a time, until each has left its member.
+        minimum of row x of the matrix over the points outside member i:
+        the members' rows are gathered once, one per (member, inside point)
+        pair, with each row's own-member columns set to +inf.
         """
-        inside = self.mask()
-        whole = inside.all(axis=1)
-        out = np.zeros(inside.shape)
-        out[whole] = np.inf
-        i, x = np.nonzero(inside & ~whole[:, None])
-        order = self.space.neighbor_order
-        rank = 0  # rank 0 is x itself, which lies inside
-        while i.size:
-            rank += 1
-            y = order[x, rank]
-            left = ~inside[i, y]
-            out[i[left], x[left]] = self.space.dist[x[left], y[left]]
-            i, x = i[~left], x[~left]
+        k = len(self)
+        member = np.repeat(np.arange(k), np.diff(self.indptr))
+        rows = self.space.dist[self.indices]
+        rows[self.mask()[member]] = np.inf
+        out = np.zeros((k, self.space.n))
+        out[member, self.indices] = rows.min(axis=1, initial=np.inf)
         return out
 
     def union_size(self) -> int:

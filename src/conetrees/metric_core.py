@@ -128,14 +128,9 @@ class FiniteMetricSpace:
         """Smallest nonzero pairwise distance, or 0.0 for a single point."""
         if self.n < 2:
             return 0.0
-        iu = np.triu_indices(self.n, k=1)
-        return float(self.dist[iu].min())
-
-    @cached_property
-    def neighbor_order(self) -> np.ndarray:
-        """(n, n) int32: row x lists the points by distance from x, ties by
-        index, so entry 0 is x itself (distinct points are at distance > 0)."""
-        return np.argsort(self.dist, axis=1, kind="stable").astype(np.int32)
+        # off the diagonal; the matrix is exactly symmetric
+        return float(self.dist.min(where=~np.eye(self.n, dtype=bool),
+                                   initial=np.inf))
 
     def subset(self, indices) -> "Subset":
         return Subset(self, frozenset(int(i) for i in indices))

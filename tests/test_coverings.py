@@ -266,7 +266,8 @@ LADDER_SPACES = {"circle": {"n": 96}, "interval": {"n": 60},
 
 def random_space(rng, n, integer):
     """Points in the plane under the l1 metric; on an integer grid the
-    distances tie often, which exercises the neighbor order's tie rule."""
+    distances tie often, so a member's depth is often reached at several
+    points outside it."""
     from conetrees import FiniteMetricSpace
     if integer:
         pts = rng.choice(12 * 12, size=n, replace=False)
@@ -322,6 +323,15 @@ class TestKernelOracles:
             for cov in seq.levels:
                 for fam in (*cov.colors, cov.pooled):
                     assert fam.dist_rows().tolist() == pure_dist_rows(fam)
+                    assert np.array_equal(fam.depths, brute_depths(fam))
+
+    @pytest.mark.parametrize("space", [
+        *(generate(kind, **LADDER_SPACES[kind]) for kind in GENERATORS),
+        *dict.fromkeys(fam.space for fam in oracle_cases()),
+    ])
+    def test_min_gap_is_the_upper_triangle_minimum(self, space):
+        upper = space.dist[np.triu_indices(space.n, k=1)]
+        assert space.min_gap == (upper.min() if space.n > 1 else 0.0)
 
     @pytest.mark.parametrize("fam", oracle_cases())
     def test_derived_quantities(self, fam):

@@ -168,6 +168,31 @@ class TestPipeline:
             run_pipeline(cfg)
         assert exc.value.stage == "separate"
 
+    def test_in_hypothesis_run_builds_two_levels(self, tmp_path, capsys):
+        # cantor depth 9 at r=1/27 meets every standing assumption, and its
+        # first two levels are built from components: 8 and 64 members a color
+        rc = cli_main(["pipeline", "--generator", "cantor", "--params",
+                       '{"depth": 9}', "--r", "0.037037037037037035",
+                       "--depth", "3", "--enforce-assumptions",
+                       "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert cli_main(["verify", "--bundle", str(tmp_path)]) == 0
+        capsys.readouterr()
+        ladder = json.loads((tmp_path / "charseq.json").read_text())
+        assert ladder["provenance"]["assumption_warnings"] == []
+        sizes = [sorted({len(m) for color in level for m in color})
+                 for level in ladder["levels"]]
+        assert sizes == [[64], [8], [1]]
+
+    @pytest.mark.parametrize("name", ["flagship", "cascade"])
+    def test_space_caches_no_table(self, name):
+        # a finished run leaves only the matrix and scalars on its space
+        cfg = WORKLOAD_CONFIGS[name]
+        res = run_pipeline(PipelineConfig(**{**cfg,
+                                             "params": dict(cfg["params"])}))
+        assert set(vars(res.space)) <= {"dist", "point_ids", "meta", "rel_tol",
+                                        "diameter", "min_gap"}
+
     def test_unknown_config_key(self):
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_dict({"generator": "circle", "wat": 1})
