@@ -39,7 +39,6 @@ from .qi_verify import (
     QIReport,
     delta_hyperbolicity,
     fit_qi,
-    visual_metric_circle,
 )
 from .harness import (
     GENERATORS,
@@ -50,6 +49,7 @@ from .harness import (
     generate,
     run_pipeline,
     sphere_ratio_check,
+    visual_metric_circle,
 )
 from . import io
 

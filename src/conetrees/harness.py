@@ -39,7 +39,6 @@ from .qi_verify import (
     QIReport,
     delta_hyperbolicity,
     fit_qi,
-    visual_metric_circle,
 )
 from .tree_embed import (
     RadialCheckError,
@@ -138,6 +137,26 @@ def _random_circle(n: int, seed: int = 0) -> FiniteMetricSpace:
         "metric": "chord",
         "radius": 1.0,
         "seed": seed,
+        "angles": angles.tolist(),
+    }
+    return FiniteMetricSpace(dist=d, point_ids=ids, meta=meta)
+
+
+def visual_metric_circle(n: int) -> FiniteMetricSpace:
+    """The n-point circle with distances sin(angle/2): the visual metric on
+    the boundary circle seen from the disk center, i.e. half the chord."""
+    if n < 2:
+        raise ValueError(f"need at least 2 points, got {n}")
+    angles = 2.0 * math.pi * np.arange(n) / n
+    diff = np.abs(angles[:, None] - angles[None, :])
+    diff = np.minimum(diff, 2.0 * math.pi - diff)
+    d = np.sin(diff / 2.0)
+    np.fill_diagonal(d, 0.0)
+    ids = tuple(f"v{i:04d}" for i in range(n))
+    meta = {
+        "kind": "visual_circle",
+        "metric": "chord",
+        "radius": 0.5,
         "angles": angles.tolist(),
     }
     return FiniteMetricSpace(dist=d, point_ids=ids, meta=meta)

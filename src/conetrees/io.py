@@ -3,11 +3,12 @@
 Everything is written canonically: JSON with sorted keys and a fixed indent,
 CSV with fixed columns, no timestamps or absolute paths, so rerunning the
 same deterministic pipeline reproduces every file byte for byte.  The JSON
-text is exactly `json.dumps(value, sort_keys=True, indent=2) + "\n"`, but
-written by `_dumps`, not the stdlib: with an indent the stdlib takes its
-pure-Python encoder, which turns every float into text anew, while a bundle
-is mostly a symmetric distance matrix, whose distinct values `_dumps` turns
-into text once each.  The tests and CI hold `_dumps` to the stdlib's bytes.
+text is `json.dumps(value, sort_keys=True, indent=2) + "\n"`, written by
+the stdlib, with one value written by hand: a space's distance matrix.
+With an indent the stdlib takes its pure-Python encoder, which turns every
+float into text anew, and the matrix is n**2 floats, each off-diagonal value
+twice, so `_matrix` turns each distinct value into text once.  The tests
+and CI hold it to the stdlib's bytes.
 `bundle_files` is the one description of a bundle, as bytes: `write_bundle`
 writes them, and `conetrees verify` compares a replay's with the stored ones.
 """
@@ -15,8 +16,6 @@ writes them, and `conetrees verify` compares a replay's with the stored ones.
 from __future__ import annotations
 
 import json
-import math
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -24,86 +23,41 @@ import numpy as np
 from .metric_core import FiniteMetricSpace
 
 
-def _float(x: float) -> str:
-    """A float as the stdlib writes it: repr, NaN, Infinity or -Infinity."""
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-def _matrix(value: np.ndarray, newline: str) -> str:
-    """A 2-D float array as its list of rows, each distinct value turned
-    into text once.  np.unique merges 0.0 and -0.0, whose texts differ, so
-    an array holding -0.0, like any other array, is rendered as its list."""
-    if (value.dtype != np.float64 or value.ndim != 2 or not value.size
-            or np.signbit(value[value == 0]).any()):
-        return _render(value.tolist(), newline)
-    distinct, index = np.unique(value, return_inverse=True)
-    texts = list(map(_float, distinct.tolist()))
-    inner, cell = newline + "  ", newline + "    "
-    rows = ["[" + cell + ("," + cell).join(map(texts.__getitem__, row))
-            + inner + "]" for row in index.reshape(value.shape).tolist()]
-    return "[" + inner + ("," + inner).join(rows) + newline + "]"
-
-
-def _render(value, newline: str) -> str:
-    if isinstance(value, float):
-        return _float(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, np.ndarray):
-        return _matrix(value, newline)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_render(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if not all(isinstance(k, str) for k in value):
-            raise TypeError("JSON object keys must be str")
-        items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner)
-                 for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
-                    f"serializable")
-
-
 def _dumps(value) -> str:
-    """A plain JSON value (dict with str keys, list, tuple, str, int, float,
-    bool, None, or a numpy array, read as its list) as canonical text: the
-    bytes of `json.dumps(value, sort_keys=True, indent=2) + "\n"` for the
-    value with its arrays as lists.  Anything else raises TypeError."""
-    return _render(value, "\n") + "\n"
+    """A plain JSON value as canonical text."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def _matrix(d: np.ndarray) -> str:
+    """The 2-D float array d as `json.dumps(d.tolist(), indent=2)` writes it
+    one level into an object, each distinct value turned into text once.
+    np.unique merges 0.0 and -0.0, and float.__repr__ writes NaN and inf as
+    JSON does not, so an array that is empty or holds -0.0, NaN or inf is
+    written by the stdlib."""
+    if (not d.size or not np.isfinite(d).all()
+            or np.signbit(d[d == 0]).any()):
+        return json.dumps(d.tolist(), indent=2).replace("\n", "\n  ")
+    distinct, index = np.unique(d, return_inverse=True)
+    texts = list(map(float.__repr__, distinct.tolist()))
+    rows = ["[\n      " + ",\n      ".join(map(texts.__getitem__, row))
+            + "\n    ]" for row in index.reshape(d.shape).tolist()]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+
+def _space_text(space: FiniteMetricSpace) -> str:
+    """A space's JSON text: its matrix by `_matrix`, under "dist", which
+    sorts first, then its other fields by `_dumps`."""
+    rest = _dumps({"meta": space.meta, "point_ids": space.point_ids,
+                   "rel_tol": space.rel_tol})
+    return '{\n  "dist": ' + _matrix(space.dist) + ",\n" + rest[2:]
 
 
 def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _space_json(space: FiniteMetricSpace) -> dict:
-    return {
-        "point_ids": space.point_ids,
-        "meta": space.meta,
-        "rel_tol": space.rel_tol,
-        "dist": space.dist,
-    }
-
-
 def write_space(path, space: FiniteMetricSpace) -> None:
-    _write_text(path, _dumps(_space_json(space)))
+    _write_text(path, _space_text(space))
 
 
 def read_space(path) -> FiniteMetricSpace:
@@ -162,12 +116,13 @@ def render_embedding(embedding) -> str:
     ids = grid.space.point_ids
     header = "level,point_id,t," + ",".join(
         f"v{a}" for a in range(embedding.n_trees))
+    # a grid point's t, as `ConeGrid.points` holds it, per level
+    ts = [repr(j * grid.R) for j in range(grid.depth + 1)]
     lines = [header]
-    for j, z, point, nodes in zip(grid.point_level.tolist(),
-                                  grid.point_z.tolist(), grid.points,
-                                  embedding.table.tolist()):
+    for j, z, nodes in zip(grid.point_level.tolist(), grid.point_z.tolist(),
+                           embedding.table.tolist()):
         pid = ids[z] if j > 0 else "-"
-        lines.append(f"{j},{pid},{point.t!r}," + ",".join(map(str, nodes)))
+        lines.append(f"{j},{pid},{ts[j]}," + ",".join(map(str, nodes)))
     return "\n".join(lines) + "\n"
 
 
@@ -180,7 +135,7 @@ def bundle_files(result) -> dict[str, bytes]:
     qi = result.qi
     texts = {
         "config.json": _dumps(result.config.echo()),
-        "space.json": _dumps(_space_json(result.space)),
+        "space.json": _space_text(result.space),
         "charseq.json": _dumps({
             "r": seq.r,
             "depth": seq.depth,

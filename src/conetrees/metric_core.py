@@ -42,7 +42,7 @@ def _min_path(d: np.ndarray) -> np.ndarray:
     """best[i, k] = min_j (d[i, j] + d[j, k]).  For a circulant d (see
     `_validate_matrix`) it is the `circulant` of row 0 of the loop's
     result; otherwise it is `_min_path_loop`'s."""
-    if np.array_equal(d, circulant(d[0])):
+    if len(d) and np.array_equal(d, circulant(d[0])):
         return circulant((d[0][:, None] + d).min(axis=0))
     return _min_path_loop(d)
 

@@ -21,12 +21,9 @@ entries, merged at the end, so no sorted n x n copy is made.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .metric_core import FiniteMetricSpace
 
 LAMBDA_GRID = np.round(np.arange(1.0, 50.0 + 1e-9, 0.05), 2)
 # Most entries one row block of a pair matrix holds: 2**21, so 16 MB of
@@ -229,12 +226,13 @@ def fit_qi(blocks) -> QIReport:
     parts = [ext for _, ext in per_block if ext is not None]
     if not parts:
         raise ValueError("cannot fit an empty pair set")
-    # per value, the least of the blocks' least ds and the greatest of their
-    # greatest, which are the extremes over all the pairs
+    # the blocks' least and greatest ds per value, taken together: per block
+    # and value lo <= hi, so the least of them is the least lo and the
+    # greatest the greatest hi, the extremes over all the pairs
     block_values = np.concatenate([p[0] for p in parts])
-    values, lo, _ = _extremes(np.concatenate([p[1] for p in parts]),
-                              block_values)
-    _, _, hi = _extremes(np.concatenate([p[2] for p in parts]), block_values)
+    values, lo, hi = _extremes(
+        np.concatenate([p[1] for p in parts] + [p[2] for p in parts]),
+        np.concatenate([block_values, block_values]))
     # a NaN or inf distance reaches the merged extremes whatever block it
     # sits in
     if not (np.isfinite(values).all() and np.isfinite(lo).all()
@@ -268,23 +266,3 @@ def fit_qi(blocks) -> QIReport:
             "sigma_lower": float(np.max(hi / lam - values)),
         },
     )
-
-
-def visual_metric_circle(n: int) -> FiniteMetricSpace:
-    """The n-point circle with distances sin(angle/2): the visual metric on
-    the boundary circle seen from the disk center, i.e. half the chord."""
-    if n < 2:
-        raise ValueError(f"need at least 2 points, got {n}")
-    angles = 2.0 * math.pi * np.arange(n) / n
-    diff = np.abs(angles[:, None] - angles[None, :])
-    diff = np.minimum(diff, 2.0 * math.pi - diff)
-    d = np.sin(diff / 2.0)
-    np.fill_diagonal(d, 0.0)
-    ids = tuple(f"v{i:04d}" for i in range(n))
-    meta = {
-        "kind": "visual_circle",
-        "metric": "chord",
-        "radius": 0.5,
-        "angles": angles.tolist(),
-    }
-    return FiniteMetricSpace(dist=d, point_ids=ids, meta=meta)

@@ -14,6 +14,7 @@ from conetrees import (
     ConeGrid,
     Family,
     FiniteMetricSpace,
+    GENERATORS,
     PipelineConfig,
     StageError,
     build_base,
@@ -420,8 +421,15 @@ def _stdlib(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+# one small space per generator
+SPACE_PARAMS = {"circle": {"n": 24}, "interval": {"n": 20},
+                "cantor": {"depth": 4}, "tree_boundary": {"depth": 4},
+                "random_circle": {"n": 40, "seed": 1},
+                "visual_circle": {"n": 18}}
+
+
 class TestCanonicalJSON:
-    """io._dumps against the stdlib writer it replaces."""
+    """io's JSON text against the stdlib's."""
 
     def test_random_values(self):
         rng = np.random.default_rng(9)
@@ -435,26 +443,43 @@ class TestCanonicalJSON:
         assert bundle_io._dumps([row, row, {"z": row}]) == _stdlib(
             [row, row, {"z": row}])
 
-    def test_arrays_as_their_lists(self):
-        # the distance matrix's path (2-D float64) and every array it leaves
-        # to the list path: -0.0, empty, other shapes and dtypes
+    def test_matrix_is_the_stdlib_list(self):
+        # the distance matrix's writer, one level into an object: random
+        # arrays, repeated values, and the arrays it leaves to the stdlib
+        # (empty, or holding -0.0, NaN or inf)
         rng = np.random.default_rng(3)
         pool = np.array(_FLOAT_POOL)
-        arrays = [np.zeros((0, 3)), np.zeros((2, 0)), np.arange(4.0),
-                  np.arange(6).reshape(2, 3), np.ones((2, 2, 2)),
-                  np.array([[0.5, 0.0], [0.0, 0.5]], dtype=np.float32)]
+        finite = pool[np.isfinite(pool) & ~np.signbit(pool)]
+        arrays = [np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 0)),
+                  np.array([[0.0, -0.0], [-0.0, 0.0]]),
+                  np.array([[math.nan, 1.0]]), np.array([[1.0], [math.inf]]),
+                  np.array([[-math.inf]])]
         for _ in range(300):
             shape = tuple(int(k) for k in rng.integers(1, 6, 2))
             arrays.append(rng.choice(pool, size=shape))
+            arrays.append(rng.choice(finite, size=shape))
             arrays.append(rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30))
         for a in arrays:
-            assert bundle_io._dumps(a) == _stdlib(a.tolist())
-            assert bundle_io._dumps({"m": [a, 1]}) == _stdlib(
-                {"m": [a.tolist(), 1]})
+            assert bundle_io._matrix(a) == json.dumps(
+                a.tolist(), indent=2).replace("\n", "\n  ")
+
+    @pytest.mark.parametrize("space", [
+        *(generate(kind, **SPACE_PARAMS[kind]) for kind in GENERATORS),
+        FiniteMetricSpace(np.array([[-0.0, 1.5], [1.5, 0.0]]), ("a", "b"),
+                          meta={"note": "a signed zero"}),
+        FiniteMetricSpace(np.zeros((0, 0)), ()),
+    ], ids=[*GENERATORS, "signed_zero", "empty"])
+    def test_space_text(self, tmp_path, space):
+        text = _stdlib({"dist": space.dist.tolist(), "meta": space.meta,
+                        "point_ids": list(space.point_ids),
+                        "rel_tol": space.rel_tol})
+        assert bundle_io._space_text(space) == text
+        bundle_io.write_space(tmp_path / "space.json", space)
+        assert (tmp_path / "space.json").read_text(encoding="utf-8") == text
 
     @pytest.mark.parametrize("value", [
-        {1, 2}, b"bytes", np.int64(3), {1: "int key"}, [object()],
-    ], ids=["set", "bytes", "numpy_int", "int_key", "object"])
+        {1, 2}, b"bytes", np.int64(3), [object()],
+    ], ids=["set", "bytes", "numpy_int", "object"])
     def test_refuses_values_that_are_not_plain(self, value):
         with pytest.raises(TypeError):
             bundle_io._dumps(value)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import conetrees.io as bundle_io
-from conetrees import FiniteMetricSpace, MetricError, Subset, metric_core
+from conetrees import (
+    FiniteMetricSpace,
+    LadderConstructionError,
+    MetricError,
+    Subset,
+    build_level,
+    metric_core,
+)
 from conetrees.harness import GENERATORS, generate
 
 
@@ -266,6 +273,14 @@ class TestSpaceProperties:
         sp = generate("circle", n=8, circumference=8.0)
         assert sp.diameter == pytest.approx(4.0)
         assert sp.min_gap == pytest.approx(1.0)
+
+    def test_empty_space(self):
+        # constructs, and the ladder refuses it rather than the constructor
+        sp = FiniteMetricSpace(np.zeros((0, 0)), ())
+        assert sp.n == 0
+        assert sp.diameter == sp.min_gap == 0.0
+        with pytest.raises(LadderConstructionError, match="empty space"):
+            build_level(sp, 1.0, 2)
 
     def test_subset_view(self):
         sp = line_space(11)
