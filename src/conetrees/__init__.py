@@ -2,7 +2,7 @@
 hyperbolic cone grids, and tree-product embeddings with QI verification."""
 
 from .metric_core import FiniteMetricSpace, MetricError, Subset
-from .coverings import ColoredCovering, CoveringError, Family, star_merge
+from .coverings import ColoredCovering, CoveringError, Family
 from .char_seq import (
     CharSequence,
     LadderConstructionError,
@@ -57,7 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FiniteMetricSpace", "MetricError", "Subset",
-    "ColoredCovering", "CoveringError", "Family", "star_merge",
+    "ColoredCovering", "CoveringError", "Family",
     "CharSequence", "LadderConstructionError", "SeparationPreconditionError",
     "ast_shrink", "build_base", "build_level",
     "margin_trace", "separate", "separation_margins",

@@ -19,13 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .coverings import (
-    ColoredCovering,
-    CoveringError,
-    Family,
-    hood_merges,
-    star_merges,
-)
+from .coverings import ColoredCovering, CoveringError, Family
 from .metric_core import FiniteMetricSpace, Subset
 
 
@@ -127,8 +121,7 @@ def ast_shrink(fam: Family, ghat: Family, s: float, delta: float) -> Family:
         raise SeparationPreconditionError(
             f"fine family is not {delta * s:.6g}-disjoint"
         )
-    merged = star_merges(fam.eroded_members(4 * s), ghat, delta * s)
-    return Family(fam.space, tuple(grown for grown, _ in merged))
+    return fam.eroded(4 * s).merged(ghat.hoods(delta * s), delta * s)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +549,9 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
                     f"{grow:.6g}-disjoint"
                 )
             # every coarser level's cores merge against ghat in one batch
-            cores = [per_color[a].eroded_members(moat) for per_color in current]
-            grown = (g for g, _ in hood_merges(chain.from_iterable(cores),
-                                               hoods, grow))
+            cores = [per_color[a].eroded(moat) for per_color in current]
+            grown = iter(Family(base.space, tuple(chain.from_iterable(cores)))
+                         .merged(hoods, grow))
             for per_color, level in zip(current, cores):
                 drops += len(per_color[a]) - len(level)
                 per_color[a] = Family(base.space, tuple(islice(grown, len(level))))

@@ -17,11 +17,11 @@ singletons is a plain gather of the members' rows.  A space's matrix is
 exactly symmetric, so row x of it is every point's distance to x, and
 `dist_rows` reads the members' rows of the matrix itself.  `depths` reads
 the same rows, one per (member, inside point) pair, and takes each row's
-minimum over the columns outside its member.  The merge comes batched:
-`star_merges` takes every core that one fine family absorbs into, derives
-the family's (k, n) distance rows once, and `hood_merges` merges all cores
-at once against the members' open neighborhoods they give, reading the
-cores' distances as one family's rows; `star_merge` is the one-core case.
+minimum over the columns outside its member.  Erosion and merge take and
+give Families: `eroded` erodes every member, and `merged` merges all of a
+family's members, the cores, at once against a fine family's open
+neighborhoods, its `hoods`, which the caller derives once; the cores'
+distances are their own `dist_rows()`.
 Neither table is cached on the Family: both are derived per call, since at
 n = 2048 each is 32 MB, and a caller that needs one twice derives it once
 and passes it on.
@@ -29,7 +29,6 @@ and passes it on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
@@ -185,15 +184,31 @@ class Family:
         members."""
         return r <= 0 or self.r_multiplicity(r) <= 1
 
-    def eroded_members(self, s: float) -> tuple[Subset, ...]:
+    def eroded(self, s: float) -> "Family":
         """Each member eroded by s > 0, i.e. its points farther than s from
         its complement, in order; members the erosion empties are dropped."""
         return self._eroded(self.depths, s)
 
-    def _eroded(self, depths: np.ndarray, s: float) -> tuple[Subset, ...]:
-        """`eroded_members` read off the family's `depths` table."""
-        return tuple(Subset(self.space, frozenset(np.flatnonzero(keep).tolist()))
-                     for keep in depths > s if keep.any())
+    def _eroded(self, depths: np.ndarray, s: float) -> "Family":
+        """`eroded` read off the family's `depths` table."""
+        return _rows_family(self.space, depths > s)
+
+    def merged(self, hoods: np.ndarray, s: float) -> "Family":
+        """Each member, a core, absorbs every member of a fine family whose
+        open s-neighborhood meets the core's, and the union grows by s: one
+        output member per core, in order.
+
+        The rows of the (k, n) bool ``hoods`` are the fine family's open
+        s-neighborhoods, its `hoods(s)`.  The merge is two products of 0/1
+        tables, whose counts float32 holds exactly.
+        """
+        if s <= 0:
+            raise CoveringError(f"merge radius must be positive, got {s}")
+        near = (self.dist_rows() < s).astype(np.float32)
+        h = hoods.astype(np.float32)
+        # open s-neighborhoods intersect iff some point is < s from both
+        absorbed = (near @ h.T > 0).astype(np.float32)
+        return _rows_family(self.space, (near > 0) | (absorbed @ h > 0))
 
     def shrink(self, s: float) -> "Family":
         """Erode every member by s.  Requires 0 < s < Lebesgue number, which
@@ -206,48 +221,17 @@ class Family:
             raise CoveringError(
                 f"shrink step {s:.6g} exceeds Lebesgue number {leb:.6g}"
             )
-        return Family(self.space, self._eroded(depths, s))
+        return self._eroded(depths, s)
 
     def __repr__(self):
         return f"Family(k={len(self.members)}, mesh={self.mesh:.6g})"
 
 
-def star_merges(cores: Iterable[Subset], fam: Family,
-                s: float) -> list[tuple[Subset, tuple[int, ...]]]:
-    """`star_merge` of each core in ``cores`` against the one family ``fam``,
-    in order; the family's distance rows are derived once for all cores."""
-    if s <= 0:
-        raise CoveringError(f"merge radius must be positive, got {s}")
-    return hood_merges(cores, fam.hoods(s), s)
-
-
-def hood_merges(cores: Iterable[Subset], hoods: np.ndarray,
-                s: float) -> list[tuple[Subset, tuple[int, ...]]]:
-    """`star_merges` against the family whose members' open s-neighborhoods
-    are the rows of the (k, n) bool ``hoods``, all cores at once: two
-    products of 0/1 tables, whose counts float32 holds exactly.  The cores
-    are nonempty, as `Family.eroded_members` gives them, and their distance
-    rows come from one `Family.dist_rows` of the cores."""
-    cores = tuple(cores)
-    if not cores:
-        return []
-    near = (Family(cores[0].space, cores).dist_rows() < s).astype(np.float32)
-    h = hoods.astype(np.float32)
-    # open s-neighborhoods intersect iff some point is < s from both
-    absorbed = near @ h.T > 0
-    grown = (near > 0) | (absorbed.astype(np.float32) @ h > 0)
-    return [(Subset(cores[0].space, frozenset(np.flatnonzero(g).tolist())),
-             tuple(np.flatnonzero(a).tolist()))
-            for g, a in zip(grown, absorbed)]
-
-
-def star_merge(core: Subset, fam: Family, s: float) -> tuple[Subset, tuple[int, ...]]:
-    """Absorb into ``core`` every member of ``fam`` whose open s-neighborhood
-    meets the open s-neighborhood of ``core``, then grow the union by s.
-
-    Returns the grown union and the indices of the absorbed members.
-    """
-    return star_merges((core,), fam, s)[0]
+def _rows_family(space: FiniteMetricSpace, rows: np.ndarray) -> Family:
+    """The Family whose members are the nonempty rows of the (k, n) bool
+    ``rows``, in order."""
+    return Family(space, tuple(Subset(space, frozenset(np.flatnonzero(row).tolist()))
+                               for row in rows if row.any()))
 
 
 @dataclass(frozen=True, eq=False)

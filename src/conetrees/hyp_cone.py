@@ -134,17 +134,12 @@ class ConeGrid:
 
     @cached_property
     def point_level(self) -> np.ndarray:
-        lv = np.zeros(self.n_points, dtype=int)
-        for j in range(1, self.depth + 1):
-            lv[1 + (j - 1) * self.space.n: 1 + j * self.space.n] = j
-        return lv
+        return np.concatenate(([0], np.repeat(np.arange(1, self.depth + 1),
+                                              self.space.n)))
 
     @cached_property
     def point_z(self) -> np.ndarray:
-        zz = np.zeros(self.n_points, dtype=int)
-        for j in range(1, self.depth + 1):
-            zz[1 + (j - 1) * self.space.n: 1 + j * self.space.n] = np.arange(self.space.n)
-        return zz
+        return np.concatenate(([0], np.tile(np.arange(self.space.n), self.depth)))
 
     def index(self, j: int, z: int = 0) -> int:
         if j == 0:

@@ -109,6 +109,10 @@ class FiniteMetricSpace:
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
         object.__setattr__(self, "dist", d)
+        # inf or NaN slack would pass every triangle
+        if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise MetricError(
+                f"rel_tol must be finite and nonnegative, got {self.rel_tol}")
         _validate_matrix(d, self.rel_tol)
         if len(self.point_ids) != d.shape[0]:
             raise MetricError(

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from conetrees import (ColoredCovering, CoveringError, Family, build_base,
-                       separate, star_merge)
-from conetrees.coverings import star_merges
+                       separate)
 from conetrees.harness import GENERATORS, generate
 
 
@@ -175,24 +174,24 @@ class TestSeparation:
 class TestStarMerge:
     def test_absorbs_nearby_member(self):
         sp = line_space(25)
-        core = sp.subset([5])
+        cores = Family(sp, (sp.subset([5]),))
         fam = Family(sp, (sp.subset([7]), sp.subset([20])))
-        merged, absorbed = star_merge(core, fam, 3.0)
-        assert absorbed == (0,)
-        assert set(merged.indices) == set(range(3, 10))
+        merged = cores.merged(fam.hoods(3.0), 3.0)
+        assert [set(u.indices) for u in merged] == [set(range(3, 10))]
 
     def test_no_absorption_when_far(self):
         sp = line_space(25)
-        core = sp.subset([5])
+        cores = Family(sp, (sp.subset([5]),))
         fam = Family(sp, (sp.subset([20]),))
-        merged, absorbed = star_merge(core, fam, 2.0)
-        assert absorbed == ()
-        assert set(merged.indices) == {4, 5, 6}
+        merged = cores.merged(fam.hoods(2.0), 2.0)
+        assert [set(u.indices) for u in merged] == [{4, 5, 6}]
 
     def test_rejects_nonpositive_radius(self):
         sp = line_space(5)
-        with pytest.raises(CoveringError, match="positive"):
-            star_merge(sp.subset([0]), Family(sp, (sp.subset([1]),)), 0.0)
+        fam = Family(sp, (sp.subset([1]),))
+        for s in (0.0, -1.0):
+            with pytest.raises(CoveringError, match="positive"):
+                Family(sp, (sp.subset([0]),)).merged(fam.hoods(1.0), s)
 
 
 class TestColoredCovering:
@@ -240,14 +239,14 @@ def brute_dist_rows(fam):
 
 
 def brute_star_merge(core, fam, s):
+    """Per-member loop: ``core`` with every member of ``fam`` whose open
+    s-neighborhood meets its own, grown by s."""
     d_core = core.dist_to_points()
-    absorbed = []
     merged = set(core.indices)
-    for i, w in enumerate(fam):
+    for w in fam:
         if float(np.maximum(d_core, w.dist_to_points()).min()) < s:
-            absorbed.append(i)
             merged |= w.indices
-    return core.space.subset(merged).neighborhood(s), tuple(absorbed)
+    return core.space.subset(merged).neighborhood(s)
 
 
 def pure_dist_rows(fam):
@@ -363,24 +362,27 @@ class TestKernelOracles:
         for s in (0.01, 0.2, 0.7, 1.0, 2.0):
             want = tuple(v for v in (u.neighborhood(-s) for u in fam)
                          if not v.is_empty)
-            assert fam.eroded_members(s) == want
+            assert fam.eroded(s).members == want
             core = sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
                                         replace=False))
-            assert star_merge(core, fam, s) == brute_star_merge(core, fam, s)
+            merged = Family(sp, (core,)).merged(fam.hoods(s), s)
+            assert merged.members == (brute_star_merge(core, fam, s),)
 
     @pytest.mark.parametrize("fam", oracle_cases())
     def test_batched_merge(self, fam):
         sp = fam.space
         rng = np.random.default_rng(3 * len(fam) + sp.n)
-        cores = [sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
-                                      replace=False)) for _ in range(4)]
+        cores = Family(sp, tuple(
+            sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
+                                 replace=False)) for _ in range(4)))
         for s in (0.01, 0.2, 1.0, 2.0):
-            got = star_merges(cores, fam, s)
-            assert got == [star_merge(core, fam, s) for core in cores]
-            assert got == [brute_star_merge(core, fam, s) for core in cores]
-        assert star_merges((), fam, 1.0) == []
-        with pytest.raises(CoveringError, match="positive"):
-            star_merges(cores, fam, 0.0)
+            got = cores.merged(fam.hoods(s), s)
+            assert got.members == tuple(brute_star_merge(core, fam, s)
+                                        for core in cores)
+        assert Family(sp, ()).merged(fam.hoods(1.0), 1.0).members == ()
+        for s in (0.0, -1.0):
+            with pytest.raises(CoveringError, match="positive"):
+                cores.merged(fam.hoods(1.0), s)
 
     @pytest.mark.parametrize("fam", oracle_cases())
     def test_singleton_member_min_is_reduceat(self, fam):

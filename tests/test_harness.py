@@ -629,6 +629,25 @@ class TestCLI:
             "error: distance matrix is not symmetric\n")
         assert not (tmp_path / "profile.json").exists()
 
+    @pytest.mark.parametrize("rel_tol, message", [
+        ("", "triangle inequality fails at (0,2): d=5 > min path 2"),
+        (', "rel_tol": Infinity',
+         "rel_tol must be finite and nonnegative, got inf"),
+        (', "rel_tol": NaN', "rel_tol must be finite and nonnegative, got nan"),
+    ], ids=["default", "inf", "nan"])
+    def test_profile_refuses_triangle_violation(self, tmp_path, capsys,
+                                                rel_tol, message):
+        # d(a, c) = 5 > d(a, b) + d(b, c) = 2; json reads Infinity and NaN
+        space_file = tmp_path / "space.json"
+        space_file.write_text(
+            '{"dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]], '
+            f'"point_ids": ["a", "b", "c"]{rel_tol}}}', encoding="utf-8")
+        rc = cli_main(["profile", "--space", str(space_file),
+                       "--out", str(tmp_path / "profile.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "profile.json").exists()
+
     def test_pipeline_failure_exit_code(self, tmp_path, capsys):
         rc = cli_main(["pipeline", "--generator", "circle", "--n", "48",
                        "--r", "0.125", "--depth", "2",

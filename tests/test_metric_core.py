@@ -95,6 +95,24 @@ class TestValidation:
                 f"zero distance between distinct points {i} and {k}"
         assert 100 <= zeros <= 250
 
+    @pytest.mark.parametrize("rel_tol", [np.inf, np.nan, -1e-9],
+                             ids=["inf", "nan", "negative"])
+    def test_rejects_bad_rel_tol(self, rel_tol):
+        # an inf or NaN slack would pass this triangle violation
+        d = np.array([[0.0, 1.0, 5.0],
+                      [1.0, 0.0, 1.0],
+                      [5.0, 1.0, 0.0]])
+        with pytest.raises(MetricError, match="rel_tol must be finite and "
+                                              "nonnegative"):
+            FiniteMetricSpace(d, ("a", "b", "c"), rel_tol=rel_tol)
+
+    def test_accepts_default_and_zero_rel_tol(self):
+        d = np.array([[0.0, 1.0, 2.0],
+                      [1.0, 0.0, 1.0],
+                      [2.0, 1.0, 0.0]])
+        assert FiniteMetricSpace(d, ("a", "b", "c")).rel_tol == 1e-9
+        assert FiniteMetricSpace(d, ("a", "b", "c"), rel_tol=0.0).rel_tol == 0.0
+
     def test_rejects_id_mismatch(self):
         with pytest.raises(MetricError, match="point ids"):
             FiniteMetricSpace(np.zeros((1, 1)), ("a", "b"))
