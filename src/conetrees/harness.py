@@ -84,8 +84,8 @@ def _interval(n: int, length: float = 1.0) -> FiniteMetricSpace:
 
 
 def _cantor(depth: int) -> FiniteMetricSpace:
-    if not 1 <= depth <= 10:
-        raise ValueError(f"cantor depth must be in 1..10, got {depth}")
+    if not 1 <= depth <= 12:
+        raise ValueError(f"cantor depth must be in 1..12, got {depth}")
     xs = [0.0]
     for i in range(1, depth + 1):
         xs = [x + c / 3.0 ** i for x in xs for c in (0.0, 2.0)]

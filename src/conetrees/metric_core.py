@@ -2,14 +2,25 @@
 
 A space is an exactly symmetric nonnegative matrix with zero diagonal
 satisfying the triangle inequality up to a relative tolerance, so row x of
-the matrix is every point's distance to x.  Subsets carry a reference to
-their space and support neighborhood operations with signed radii: positive
-radii grow a set through open balls, negative radii erode it by removing the
-open neighborhood of the complement.
+the matrix is every point's distance to x.  The triangle inequality costs
+an O(n^3) min-plus loop unless an exact O(n^2) route gives the loop's
+verdict: a circulant matrix (`circle`) has the loop's minimum read off one
+row, and otherwise a certificate proves that the loop would pass.  With
+u = 2**-53, rounding breaks a triangle of a chord metric (`random_circle`,
+`visual_circle`) by under 2**-46 * radius, so that certificate needs
+rel_tol >= 2**-40 * radius; of a line metric (`interval`, `cantor`) by
+under 3u * d[i, k], so that one needs rel_tol >= 4u; and of an ultrametric
+(`tree_boundary`) never.
+
+Subsets carry a reference to their space and support neighborhood
+operations with signed radii: positive radii grow a set through open
+balls, negative radii erode it by removing the open neighborhood of the
+complement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,16 +49,125 @@ def circulant(v: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([v, v]), n)[n:0:-1]
 
 
+def _is_circulant(d: np.ndarray) -> bool:
+    return bool(len(d)) and np.array_equal(d, circulant(d[0]))
+
+
 def _min_path(d: np.ndarray) -> np.ndarray:
     """best[i, k] = min_j (d[i, j] + d[j, k]).  For a circulant d (see
     `_validate_matrix`) it is the `circulant` of row 0 of the loop's
     result; otherwise it is `_min_path_loop`'s."""
-    if len(d) and np.array_equal(d, circulant(d[0])):
+    if _is_circulant(d):
         return circulant((d[0][:, None] + d).min(axis=0))
     return _min_path_loop(d)
 
 
-def _validate_matrix(d: np.ndarray, rel_tol: float) -> None:
+def _meta_floats(meta: dict, key: str, n: int) -> np.ndarray | None:
+    """meta[key] as an (n,) array of finite float64 values, or None."""
+    try:
+        v = np.asarray(meta.get(key))
+    except ValueError:  # ragged nesting
+        return None
+    if v.dtype != np.float64 or v.shape != (n,) or not np.isfinite(v).all():
+        return None
+    return v
+
+
+def _chord_certificate(d: np.ndarray, meta: dict, rel_tol: float) -> bool:
+    """d is the chord metric of points at meta["angles"] on a circle of
+    meta["radius"], bit for bit as `random_circle` and `visual_circle`
+    compute it.
+
+    Bound.  With u = 2**-53, R a normal float, angles in [0, fl(2*pi)]
+    and np.sin within 4 ulp, each entry is within E = 40*u*R of the exact
+    chord 2R|sin((a_i - a_k)/2)| of the float angles: the angle
+    difference, fl(2*pi) and the subtraction from it cost under 17u, the
+    rest is sin and the product.  Exact chords are Euclidean distances, so
+    d[i, k] - fl(d[i, j] + d[j, k]) <= 3E + u*(d[i, j] + d[j, k])
+    <= 124*u*R < 2**-46 * R, while the loop's slack is at least rel_tol.
+    Premise: rel_tol >= 2**-40 * R, 64 times the bound, so sin may be
+    off by a few hundred ulp."""
+    if meta.get("metric") != "chord":
+        return False
+    radius = meta.get("radius")
+    # a normal radius keeps a subnormal entry's rounding, up to 2**-1075,
+    # within u * R
+    tiny = np.finfo(float).tiny
+    if type(radius) is not float or not tiny <= radius < np.inf:
+        return False
+    if not rel_tol >= 2.0 ** -40 * radius:
+        return False
+    a = _meta_floats(meta, "angles", len(d))
+    if a is None or not np.all((a >= 0) & (a <= 2.0 * math.pi)):
+        return False
+    diff = np.abs(a[:, None] - a[None, :])
+    diff = np.minimum(diff, 2.0 * math.pi - diff)
+    return np.array_equal(d, (2.0 * radius) * np.sin(diff / 2.0))
+
+
+def _line_certificate(d: np.ndarray, meta: dict, rel_tol: float) -> bool:
+    """d is |x_i - x_k| for x = meta["coords"], bit for bit as `interval`
+    and `cantor` compute it.
+
+    Bound.  Take x_i <= x_k.  For j outside [x_i, x_k], rounding is
+    monotone, so one of d[i, j], d[j, k] is already >= d[i, k] and the
+    inequality holds exactly.  For j inside, a = x_j - x_i and
+    b = x_k - x_j sum to c = x_k - x_i, and with u = 2**-53,
+    d[i, k] - fl(fl(a) + fl(b)) <= c*(1 + u) - c*(1 - u)**2 < 3*u*c
+    <= 3*u*d[i, k] / (1 - u).  That is relative to d[i, k], as the loop's
+    slack fl(rel_tol * max(d[i, k], 1)) >= rel_tol * d[i, k] * (1 - u)
+    is.  Premise: rel_tol >= 4u > 3u / (1 - u)**2, whatever the
+    coordinates' size."""
+    if not rel_tol >= 2.0 ** -51:
+        return False
+    x = _meta_floats(meta, "coords", len(d))
+    if x is None:
+        return False
+    # differences past the float range come out inf and match no entry
+    with np.errstate(over="ignore"):
+        return np.array_equal(d, np.abs(x[:, None] - x[None, :]))
+
+
+def _ultrametric_certificate(d: np.ndarray, meta: dict,
+                             rel_tol: float) -> bool:
+    """d equals its subdominant ultrametric: the largest edge on the path
+    between two points in a minimum spanning tree.
+
+    Prim's algorithm adds each point v through an edge of length w to a
+    tree point p, and the path from v to any tree point t runs through p,
+    so the subdominant value at (v, t) is max(d[p, t], w) once the rows
+    already added have passed.  O(n^2) comparisons, no arithmetic, so it
+    is exact.  Bound: none.  An ultrametric has d[i, k] <= max(d[i, j],
+    d[j, k]) <= fl(d[i, j] + d[j, k]) for nonnegative entries, so it
+    passes the loop at every rel_tol >= 0."""
+    n = len(d)
+    if not n:
+        return True
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    key = d[0].copy()
+    key[0] = np.inf
+    parent = np.zeros(n, dtype=np.intp)
+    for _ in range(n - 1):
+        v = int(np.argmin(key))
+        p, w = parent[v], key[v]
+        if not np.array_equal(d[v, in_tree], np.maximum(d[p, in_tree], w)):
+            return False
+        in_tree[v] = True
+        key[v] = np.inf
+        closer = (d[v] < key) & ~in_tree
+        key[closer] = d[v, closer]
+        parent[closer] = v
+    return True
+
+
+# Each reads only (d, meta, rel_tol) and vouches for the triangle inequality
+# or declines; a decline leaves the verdict to the loop.
+_CERTIFICATES = (_chord_certificate, _line_certificate,
+                 _ultrametric_certificate)
+
+
+def _validate_matrix(d: np.ndarray, rel_tol: float, meta: dict) -> None:
     """Check the metric axioms on d, raising MetricError at the first failure.
 
     d must equal its transpose exactly; rel_tol is the triangle inequality's
@@ -61,7 +181,22 @@ def _validate_matrix(d: np.ndarray, rel_tol: float) -> None:
     mod n]) = B[(k - i) mod n], where B = min_j (d[0, j] + d[j, :]) is row 0
     of the general minimum.  Every candidate is the same float sum of the
     same two entries, and a minimum rounds nothing, so the minimum, the
-    verdict and the message are those of the O(n^3) loop, bit for bit."""
+    verdict and the message are those of the O(n^3) loop, bit for bit.
+
+    A matrix that is not circulant is offered to three exact O(n^2)
+    certificates, in order; each proves that the loop would pass d, or
+    declines (see each one's docstring for its rounding bound and premise):
+      - chord: `random_circle`, `visual_circle`, from meta's angles and
+        radius.  Rounding breaks a triangle by under 2**-46 * radius, and
+        the slack is at least rel_tol, so it needs
+        rel_tol >= 2**-40 * radius;
+      - line: `interval`, `cantor`, from meta's coords.  Rounding breaks a
+        triangle by under 3 * 2**-53 * d[i, k], so it needs
+        rel_tol >= 2**-51;
+      - ultrametric: `tree_boundary`, from d alone.  Rounding breaks no
+        triangle, so it needs nothing of rel_tol.
+    A matrix that none vouches for, such as one edited after generation
+    or whose meta disagrees with it, gets the loop's verdict and message."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise MetricError(f"distance matrix must be square, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
@@ -79,6 +214,9 @@ def _validate_matrix(d: np.ndarray, rel_tol: float) -> None:
         i, k = np.argwhere(zero)[0]
         raise MetricError(f"zero distance between distinct points {i} and {k}")
     del zero
+    if isinstance(meta, dict) and not _is_circulant(d) and any(
+            vouch(d, meta, rel_tol) for vouch in _CERTIFICATES):
+        return
     best = _min_path(d)
     slack = rel_tol * np.maximum(d, 1.0)
     bad = d > best + slack
@@ -113,7 +251,7 @@ class FiniteMetricSpace:
         if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
             raise MetricError(
                 f"rel_tol must be finite and nonnegative, got {self.rel_tol}")
-        _validate_matrix(d, self.rel_tol)
+        _validate_matrix(d, self.rel_tol, self.meta)
         if len(self.point_ids) != d.shape[0]:
             raise MetricError(
                 f"{len(self.point_ids)} point ids for {d.shape[0]} points"

@@ -185,7 +185,21 @@ SEEDS = range(120)
 
 
 def _refuse_loop(d):
-    raise AssertionError("the O(n^3) loop ran on a circulant matrix")
+    raise AssertionError("the O(n^3) loop ran on a matrix with a "
+                         "certificate")
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """The size of each matrix the loop runs on."""
+    calls = []
+
+    def counted(d):
+        calls.append(d.shape[0])
+        return loop_min_path(d)
+
+    monkeypatch.setattr(metric_core, "_min_path_loop", counted)
+    return calls
 
 
 def formula_circle_dist(n, circumference):
@@ -250,21 +264,27 @@ class TestCirculantMinPath:
         monkeypatch.setattr(metric_core, "_min_path_loop", _refuse_loop)
         assert generate("circle", n=1024).n == 1024
 
-    @pytest.fixture
-    def loop_calls(self, monkeypatch):
-        """The size of each matrix the loop runs on."""
-        calls = []
+    def test_chord_spaces_never_run_the_loop(self, loop_calls):
+        for seed in range(5):
+            assert generate("random_circle", n=160, seed=seed).n == 160
+        for n in (2, 3, 64, 161):
+            assert generate("visual_circle", n=n).n == n
+        assert loop_calls == []
 
-        def counted(d):
-            calls.append(d.shape[0])
-            return loop_min_path(d)
-
-        monkeypatch.setattr(metric_core, "_min_path_loop", counted)
-        return calls
-
-    def test_random_circle_runs_the_loop(self, loop_calls):
-        generate("random_circle", n=40)
-        assert loop_calls == [40]
+    def test_raised_random_circle_pair_runs_the_loop_and_is_refused(
+            self, loop_calls):
+        # neighbors two apart: the chord through the point between them is
+        # longer by far less than 1e-3
+        sp = generate("random_circle", n=160)
+        d = sp.dist.copy()
+        d[3, 5] += 1e-3
+        d[5, 3] += 1e-3
+        with pytest.raises(MetricError) as err:
+            FiniteMetricSpace(d, sp.point_ids, sp.meta)
+        assert loop_calls == [160]
+        assert str(err.value) == loop_triangle_message(d)
+        assert str(err.value).startswith("triangle inequality fails at "
+                                         "(3,5): ")
 
     def test_raised_circle_pair_runs_the_loop_and_is_refused(self,
                                                               loop_calls):
@@ -277,6 +297,187 @@ class TestCirculantMinPath:
         assert str(err.value) == loop_triangle_message(d)
         assert str(err.value) == ("triangle inequality fails at (3,10): "
                                   "d=0.917298 > min path 0.916298")
+
+
+def chord_dist(angles, radius):
+    """The chord matrix of the angles, as random_circle computes it."""
+    a = np.asarray(angles)
+    diff = np.abs(a[:, None] - a[None, :])
+    diff = np.minimum(diff, 2.0 * np.pi - diff)
+    return (2.0 * radius) * np.sin(diff / 2.0)
+
+
+# the certificate each stock generator takes; circle is circulant instead
+CERTIFICATE = {"interval": "line", "cantor": "line",
+               "tree_boundary": "ultrametric", "random_circle": "chord",
+               "visual_circle": "chord"}
+
+# stock spaces the loop can still check
+ORACLE_SPACES = (
+    [("interval", {"n": n}) for n in (2, 3, 17, 60, 200)]
+    + [("interval", {"n": 50, "length": 1e6})]
+    + [("cantor", {"depth": k}) for k in range(1, 8)]
+    + [("tree_boundary", {"depth": k}) for k in range(1, 8)]
+    + [("tree_boundary", {"depth": 4, "branching": 3})]
+    + [("random_circle", {"n": n, "seed": s}) for n in (3, 40, 200)
+       for s in range(3)]
+    + [("visual_circle", {"n": n}) for n in (2, 3, 64, 200)])
+
+
+def vouching(sp):
+    """Names of the certificates that vouch for the space's matrix."""
+    return [c.__name__.removeprefix("_").removesuffix("_certificate")
+            for c in metric_core._CERTIFICATES
+            if c(sp.dist, sp.meta, sp.rel_tol)]
+
+
+def _lied(kind, params, **changes):
+    """The stock space's matrix with its meta changed: key=value sets,
+    key=callable maps the old value."""
+    sp = generate(kind, **params)
+    meta = dict(sp.meta)
+    for key, change in changes.items():
+        meta[key] = change(meta[key]) if callable(change) else change
+    return sp.dist, meta, sp.rel_tol
+
+
+def _entry(i, value):
+    def change(values):
+        values = list(values)
+        values[i] = value
+        return values
+    return change
+
+
+def _chord_space(angles, radius, rel_tol):
+    """A chord matrix, and meta that tells its angles and radius truly."""
+    return chord_dist(angles, radius), {"metric": "chord", "radius": radius,
+                                        "angles": list(angles)}, rel_tol
+
+
+def _clustered_chord():
+    # within 1e-7 of one angle, a chord is a straight segment to rounding,
+    # and 2 * 0.3 rounds, so the loop at rel_tol 0 refuses a triangle
+    a = np.sort(1.0 + np.random.default_rng(5).uniform(0.0, 1e-7, 40))
+    return _chord_space(a.tolist(), 0.3, 0.0)
+
+
+def _random_matrix(seed, high):
+    # entries in [1, high]: a metric when high <= 2, often not above
+    rng = np.random.default_rng(seed)
+    d = np.triu(rng.uniform(1.0, high, (50, 50)), k=1)
+    return d + d.T, {}, 1e-9
+
+
+CHORD = ("random_circle", {"n": 120, "seed": 3})
+LINE = ("cantor", {"depth": 6})
+
+# a matrix and meta for which every certificate declines
+DECLINED = {
+    "chord_other_seed": lambda: _lied(
+        *CHORD, angles=_lied("random_circle", {"n": 120, "seed": 4})[1]
+        ["angles"]),
+    "chord_nan": lambda: _lied(*CHORD, angles=_entry(5, float("nan"))),
+    "chord_string": lambda: _lied(*CHORD, angles=_entry(5, "0.5")),
+    "chord_ragged": lambda: _lied(*CHORD, angles=_entry(5, [0.5, 0.6])),
+    "chord_short": lambda: _lied(*CHORD, angles=lambda a: a[:-1]),
+    "chord_past_2pi": lambda: _chord_space(
+        [t + 2.0 * np.pi for t in _lied(*CHORD)[1]["angles"]], 1.0, 1e-9),
+    "chord_radius_2": lambda: _lied(*CHORD, radius=2.0),
+    "chord_radius_int": lambda: _lied(*CHORD, radius=1),
+    "chord_radius_string": lambda: _lied(*CHORD, radius="1"),
+    # 2**-40 times a subnormal radius rounds to 0, and the loop refuses
+    "chord_radius_subnormal": lambda: _chord_space(
+        _lied(*CHORD)[1]["angles"], 2.0 ** -1050, 0.0),
+    "chord_no_metric": lambda: _lied(*CHORD, metric="arc"),
+    "chord_rel_tol_0": lambda: (*_lied(*CHORD)[:2], 0.0),
+    "chord_rel_tol_0_refused": _clustered_chord,
+    "line_shuffled": lambda: _lied(
+        *LINE, coords=lambda x: np.random.default_rng(0).permutation(x)
+        .tolist()),
+    "line_nan": lambda: _lied(*LINE, coords=_entry(7, float("nan"))),
+    "line_string": lambda: _lied(*LINE, coords=_entry(7, "x")),
+    "line_none": lambda: _lied(*LINE, coords=_entry(7, None)),
+    "line_ragged": lambda: _lied(*LINE, coords=_entry(7, [0.5])),
+    "line_long": lambda: _lied(*LINE, coords=lambda x: x + [2.0]),
+    "line_rel_tol_0_refused": lambda: (*_lied("interval", {"n": 60})[:2], 0.0),
+    "meta_not_a_dict": lambda: (_lied(*LINE)[0], None, 1e-9),
+    "random_metric": lambda: _random_matrix(0, 2.0),
+    "random_non_metric": lambda: _random_matrix(1, 3.0),
+}
+
+
+class TestCertificates:
+    """The chord, line and ultrametric certificates against the loop, which
+    stays the oracle."""
+
+    @pytest.mark.parametrize("kind,params", ORACLE_SPACES,
+                             ids=[f"{k}-{p}" for k, p in ORACLE_SPACES])
+    def test_certified_stock_space_passes_the_loop(self, kind, params,
+                                                   monkeypatch):
+        monkeypatch.setattr(metric_core, "_min_path_loop", _refuse_loop)
+        sp = generate(kind, **params)
+        assert CERTIFICATE[kind] in vouching(sp)
+        assert loop_triangle_message(sp.dist, sp.rel_tol) is None
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_space_file_takes_its_certificate(self, tmp_path, monkeypatch,
+                                              kind):
+        # meta travels in the file, so the matrix read back is vouched for
+        monkeypatch.setattr(metric_core, "_min_path_loop", _refuse_loop)
+        sp = generate(kind, **GENERATOR_PARAMS[kind])
+        path = tmp_path / "space.json"
+        bundle_io.write_space(path, sp)
+        back = bundle_io.read_space(path)
+        assert np.array_equal(back.dist, sp.dist)
+        assert back.meta == sp.meta
+
+    @pytest.mark.parametrize("case", DECLINED)
+    def test_declined_matrix_gets_the_loops_verdict(self, loop_calls, case):
+        d, meta, rel_tol = DECLINED[case]()
+        if isinstance(meta, dict):
+            assert not any(vouch(d, meta, rel_tol)
+                           for vouch in metric_core._CERTIFICATES)
+        ids = tuple(f"x{i}" for i in range(len(d)))
+        expected = loop_triangle_message(d, rel_tol)
+        if expected is None:
+            FiniteMetricSpace(d, ids, meta, rel_tol)
+        else:
+            with pytest.raises(MetricError) as err:
+                FiniteMetricSpace(d, ids, meta, rel_tol)
+            assert str(err.value) == expected
+        assert loop_calls == [len(d)]
+
+    def test_declined_cases_reach_both_verdicts(self):
+        refused = []
+        for case, make in DECLINED.items():
+            d, _, rel_tol = make()
+            if loop_triangle_message(d, rel_tol):
+                refused.append(case)
+        assert sorted(refused) == ["chord_radius_subnormal",
+                                   "chord_rel_tol_0_refused",
+                                   "line_rel_tol_0_refused",
+                                   "random_non_metric"]
+
+    @pytest.mark.parametrize("kind", CERTIFICATE)
+    @pytest.mark.parametrize("step", [np.inf, -np.inf], ids=["up", "down"])
+    def test_one_ulp_off_runs_the_loop(self, loop_calls, kind, step):
+        sp = generate(kind, **GENERATOR_PARAMS[kind])
+        d = sp.dist.copy()
+        i, k = 1, sp.n // 2
+        d[i, k] = d[k, i] = np.nextafter(d[i, k], step)
+        assert loop_triangle_message(d) is None
+        FiniteMetricSpace(d, sp.point_ids, sp.meta)
+        assert loop_calls == [sp.n]
+
+    def test_cantor_depth_12_is_certified(self, monkeypatch):
+        monkeypatch.setattr(metric_core, "_min_path_loop", _refuse_loop)
+        assert generate("cantor", depth=12).n == 4096
+
+    def test_cantor_depth_13_is_refused(self):
+        with pytest.raises(ValueError, match=r"cantor depth must be in "
+                                             r"1\.\.12, got 13"):
+            generate("cantor", depth=13)
 
 
 class TestSpaceProperties:
