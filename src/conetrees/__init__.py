@@ -1,7 +1,7 @@
 """Coverings of finite metric spaces, separated characteristic sequences,
 hyperbolic cone grids, and tree-product embeddings with QI verification."""
 
-from .metric_core import FiniteMetricSpace, MetricError, Subset
+from .metric_core import FiniteMetricSpace, MetricError
 from .coverings import ColoredCovering, CoveringError, Family
 from .char_seq import (
     CharSequence,
@@ -56,7 +56,7 @@ from . import io
 __version__ = "0.1.0"
 
 __all__ = [
-    "FiniteMetricSpace", "MetricError", "Subset",
+    "FiniteMetricSpace", "MetricError",
     "ColoredCovering", "CoveringError", "Family",
     "CharSequence", "LadderConstructionError", "SeparationPreconditionError",
     "ast_shrink", "build_base", "build_level",

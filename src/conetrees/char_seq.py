@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
 
-from .coverings import ColoredCovering, CoveringError, Family
-from .metric_core import FiniteMetricSpace, Subset
+from .coverings import ColoredCovering, CoveringError, Family, stacked
+from .metric_core import FiniteMetricSpace
 
 
 class LadderConstructionError(ValueError):
@@ -117,21 +116,20 @@ def ast_shrink(fam: Family, ghat: Family, s: float, delta: float) -> Family:
         raise SeparationPreconditionError(
             f"fine family mesh {ghat.mesh:.6g} exceeds 2s = {2 * s:.6g}"
         )
-    if not ghat.is_r_disjoint(delta * s):
+    hoods = ghat.hoods(delta * s)  # for the check and the merge
+    if hoods.sum(axis=0).max(initial=0) > 1:
         raise SeparationPreconditionError(
-            f"fine family is not {delta * s:.6g}-disjoint"
-        )
-    return fam.eroded(4 * s).merged(ghat.hoods(delta * s), delta * s)
+            f"fine family is not {delta * s:.6g}-disjoint")
+    return fam.eroded(4 * s).merged(hoods, delta * s)
 
 
 # ---------------------------------------------------------------------------
 # level construction
 
 
-def _shared_level(space: FiniteMetricSpace, members, m: int) -> ColoredCovering:
-    """The same family of members in each of the m colors."""
-    fam = Family(space, tuple(members))
-    return ColoredCovering(space, tuple(fam for _ in range(m)))
+def _shared_level(fam: Family, m: int) -> ColoredCovering:
+    """The same family in each of the m colors."""
+    return ColoredCovering(fam.space, (fam,) * m)
 
 
 def _window_level(space: FiniteMetricSpace, values: np.ndarray, pitch: float,
@@ -162,13 +160,16 @@ def _window_level(space: FiniteMetricSpace, values: np.ndarray, pitch: float,
         win = np.mod(win, count)
         keep = np.mod(values[pt] - win * pitch, wrap) <= width + eps
     win, pt = win[keep], pt[keep]
-    order = np.argsort(win, kind="stable")  # points stay ascending per window
+    # by color, then window; points stay ascending per window
+    order = np.lexsort((win, win % m))
     win, pt = win[order], pt[order]
     heads = np.flatnonzero(np.diff(win, prepend=-1))  # each window's first pair
-    colors: list[list[Subset]] = [[] for _ in range(m)]
-    for i, members in zip(win[heads], np.split(pt, heads[1:])):
-        colors[i % m].append(space.subset(members))
-    return ColoredCovering(space, tuple(Family(space, tuple(c)) for c in colors))
+    # each color's pairs, and its windows' heads, are consecutive
+    ends = np.searchsorted(win % m, np.arange(m + 1))
+    cuts = np.searchsorted(heads, ends)
+    return ColoredCovering(space, tuple(
+        Family._of(space, np.append(heads[c0:c1], hi) - lo, pt[lo:hi])
+        for lo, hi, c0, c1 in zip(ends[:-1], ends[1:], cuts[:-1], cuts[1:])))
 
 
 def _circle_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCovering:
@@ -235,13 +236,13 @@ def _component_level(space: FiniteMetricSpace, scale: float, m: int) -> ColoredC
     while lo <= hi:
         mid = (lo + hi) // 2
         comps = _threshold_components(space, float(cand[mid]))
-        if Family(space, tuple(space.subset(idx) for idx in comps)).mesh <= scale:
+        if Family(space, comps).mesh <= scale:
             best = float(cand[mid])
             lo = mid + 1
         else:
             hi = mid - 1
     comps = _threshold_components(space, best)
-    return _shared_level(space, (space.subset(idx) for idx in comps), m)
+    return _shared_level(Family(space, comps), m)
 
 
 def _greedy_level(space: FiniteMetricSpace, scale: float, m: int,
@@ -256,8 +257,8 @@ def _greedy_level(space: FiniteMetricSpace, scale: float, m: int,
         nxt = int(mind.argmax())
         centers.append(nxt)
         np.minimum(mind, d[nxt], out=mind)
-    members = [space.subset(np.flatnonzero(d[c] <= 0.49 * scale)) for c in centers]
-    balls = Family(space, tuple(members))
+    members = [np.flatnonzero(d[c] <= 0.49 * scale) for c in centers]
+    balls = Family(space, members)
     close = balls.member_min(balls.dist_rows().T) < scale / 4
     color_of = []
     for i in range(len(centers)):
@@ -272,16 +273,12 @@ def _greedy_level(space: FiniteMetricSpace, scale: float, m: int,
             f"greedy coloring needs {needed} colors at scale {scale:.6g}, "
             f"requested {m}"
         )
-    n_colors = max(m, needed)
-    colors: list[list[Subset]] = [[] for _ in range(n_colors)]
-    for u, c in zip(members, color_of):
-        colors[c].append(u)
-    # a color with no member of its own takes a copy of an earlier class so
-    # every class stays a net
-    for c in range(n_colors):
-        if not colors[c]:
-            colors[c] = list(colors[c % needed])
-    return ColoredCovering(space, tuple(Family(space, tuple(c)) for c in colors))
+    # every color below `needed` has members; a color past it takes a copy
+    # of an earlier class so every class stays a net
+    color_of = np.array(color_of)
+    return ColoredCovering(space, tuple(
+        Family(space, [members[i] for i in np.flatnonzero(color_of == c % needed)])
+        for c in range(max(m, needed))))
 
 
 def _pick_strategy(space: FiniteMetricSpace) -> str:
@@ -316,10 +313,11 @@ def build_level(space: FiniteMetricSpace, scale: float, m: int,
     if space.n == 0:
         raise LadderConstructionError("cannot cover an empty space")
     resolved = _pick_strategy(space)
+    points = np.arange(space.n)
     if scale >= space.diameter:
-        cov = _shared_level(space, (space.whole(),), m)
+        cov = _shared_level(Family._of(space, np.array([0, space.n]), points), m)
     elif space.n == 1 or (m - 1) / (2 * (m + 1)) * scale <= space.min_gap:
-        cov = _shared_level(space, (space.subset([i]) for i in range(space.n)), m)
+        cov = _shared_level(Family._of(space, np.arange(space.n + 1), points), m)
     elif resolved == "circle_arcs":
         cov = _circle_windows(space, scale, m)
     elif resolved == "interval_blocks":
@@ -540,7 +538,7 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
             if identity:
                 continue
             # ghat's open grow-neighborhoods, derived once for the
-            # disjointness check (`Family.is_r_disjoint`) and the merges
+            # disjointness check and the merges
             hoods = ghat.hoods(grow)
             record["ghat_disjoint"] = bool(hoods.sum(axis=0).max() <= 1)
             if not record["ghat_disjoint"]:
@@ -550,11 +548,12 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
                 )
             # every coarser level's cores merge against ghat in one batch
             cores = [per_color[a].eroded(moat) for per_color in current]
-            grown = iter(Family(base.space, tuple(chain.from_iterable(cores)))
-                         .merged(hoods, grow))
+            grown = stacked(base.space, cores).merged(hoods, grow)
+            lo = 0
             for per_color, level in zip(current, cores):
                 drops += len(per_color[a]) - len(level)
-                per_color[a] = Family(base.space, tuple(islice(grown, len(level))))
+                per_color[a] = grown.part(lo, lo + len(level))
+                lo += len(level)
         current.append(ghats)
     try:
         levels = tuple(ColoredCovering(base.space, tuple(per_color))

@@ -1,15 +1,16 @@
 """Families of subsets, colored coverings, and their scale parameters.
 
-A Family lists its members' points once, as CSR arrays: member i owns
-``indices[indptr[i]:indptr[i + 1]]``.  Two kernels answer every per-member
-distance question from them: `dist_rows()`, each point's distance to each
-member, and `depths`, each point's distance to each member's complement.
-Mesh, multiplicity, Lebesgue number, capacity, separation, uniform erosion
-(shrink) and the absorb-and-grow merge that pushes separated coverings down
-a scale ladder are array operations on those two (k, n) matrices.  A
-ColoredCovering's constants come from its color families, each distinct
-one's tables derived once; `pooled`, all its members as one Family, is
-only the tests' oracle for them.
+A Family is its CSR arrays: member i is ``indices[indptr[i]:indptr[i + 1]]``,
+sorted and free of repeats.  Builders pass the arrays they hold, and
+erosion and merge read theirs off a bool table (`_rows_family`).  Two
+kernels answer every per-member distance question: `dist_rows()`, each
+point's distance to each member, and `depths`, each point's distance to
+each member's complement.  Multiplicity, Lebesgue number, capacity,
+separation, uniform erosion (shrink) and the absorb-and-grow merge that
+pushes separated coverings down a scale ladder are array operations on
+those two (k, n) matrices.  A ColoredCovering's constants come from its
+color families, each distinct one's tables derived once; `pooled`, all its
+members as one Family, is only the tests' oracle for them.
 
 `dist_rows`, like every per-member minimum here, is `member_min`: the
 minimum over each member's rows of an (n, m) array, which on a family of
@@ -21,64 +22,85 @@ minimum over the columns outside its member.  Erosion and merge take and
 give Families: `eroded` erodes every member, and `merged` merges all of a
 family's members, the cores, at once against a fine family's open
 neighborhoods, its `hoods`, which the caller derives once; the cores'
-distances are their own `dist_rows()`.
-Neither table is cached on the Family: both are derived per call, since at
-n = 2048 each is 32 MB, and a caller that needs one twice derives it once
-and passes it on.
+distances are their own `dist_rows()`.  Each per-member reduction is an
+exact min, max or AND, so no value depends on the order of a member's
+points.  Neither table is cached on the Family: both are derived per call,
+since at n = 2048 each is 32 MB, and a caller that needs one twice derives
+it once and passes it on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
 
 import numpy as np
 
-from .metric_core import FiniteMetricSpace, Subset
+from .metric_core import FiniteMetricSpace
 
 
 class CoveringError(ValueError):
     """Raised when a family violates a covering requirement."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Family:
-    """An ordered family of nonempty subsets of one space.
-
-    Erosion-type operations drop the members they empty from their output.
-    """
+    """An ordered family of nonempty subsets of one space.  ``Family(space,
+    members)`` takes point-index collections (lists, ranges, int arrays) and
+    checks them once; iteration, indexing and `members` give each member's
+    sorted points as a read-only array.  Erosion-type operations drop the
+    members they empty from their output."""
 
     space: FiniteMetricSpace
-    members: tuple[Subset, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        for u in self.members:
-            if u.space is not self.space:
-                raise CoveringError("family member belongs to a different space")
-            if u.is_empty:
-                raise CoveringError("empty member in family")
+    def __init__(self, space: FiniteMetricSpace, members=()):
+        parts = [np.asarray(u) for u in members]
+        sizes = [p.size for p in parts]
+        if not all(sizes):
+            raise CoveringError("empty member in family")
+        if any(p.ndim != 1 or p.dtype.kind not in "iu" for p in parts):
+            raise CoveringError("each member must be a flat collection of integers")
+        indices = np.concatenate([np.zeros(0, np.intp), *parts], dtype=np.intp,
+                                 casting="unsafe")
+        if indices.size and not 0 <= indices.min() <= indices.max() < space.n:
+            raise CoveringError(f"member point outside 0..{space.n - 1}")
+        key = np.repeat(np.arange(len(parts)), sizes) * space.n + indices
+        order = np.argsort(key, kind="stable")
+        if np.any(np.diff(key[order]) == 0):
+            raise CoveringError("a member repeats a point")
+        self._set(space, np.cumsum([0, *sizes]), indices[order])
+
+    @classmethod
+    def _of(cls, space, indptr, indices) -> "Family":
+        """The Family of CSR arrays whose every member is nonempty, sorted,
+        repeat-free and in range, as the caller vouches: unchecked."""
+        return cls.__new__(cls)._set(space, indptr, indices)
+
+    def _set(self, space, indptr, indices) -> "Family":
+        indices.flags.writeable = False  # members are views of it
+        self.__dict__.update(space=space, indptr=indptr, indices=indices)
+        return self
 
     def __len__(self):
-        return len(self.members)
+        return len(self.indptr) - 1
+
+    @property
+    def members(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.split(self.indices, self.indptr[1:-1])) if len(self) else ()
 
     def __iter__(self):
         return iter(self.members)
 
-    def __getitem__(self, i) -> Subset:
-        return self.members[i]
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.indices[self.indptr[i]: self.indptr[i + 1]]
 
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        """(k+1,) offsets: member i owns indices[indptr[i]:indptr[i + 1]]."""
-        return np.cumsum([0] + [len(u) for u in self.members])
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        """The members' points, member after member."""
-        return np.fromiter(chain.from_iterable(u.indices for u in self.members),
-                           dtype=np.intp, count=int(self.indptr[-1]))
+    def part(self, lo: int, hi: int) -> "Family":
+        """Members lo..hi-1, as a Family."""
+        ptr = self.indptr[lo: hi + 1]
+        return Family._of(self.space, ptr - ptr[0], self.indices[ptr[0]: ptr[-1]])
 
     def mask(self) -> np.ndarray:
         """(k, n) bool: row i marks the points of member i."""
@@ -89,9 +111,9 @@ class Family:
     def member_min(self, values: np.ndarray) -> np.ndarray:
         """(k, m): row i is the minimum of the rows of the (n, m) array
         ``values`` over the points of member i."""
-        if not self.members:
+        if not len(self):
             return np.empty((0, values.shape[1]))
-        if self.indptr[-1] == len(self.members):  # all singletons
+        if self.indptr[-1] == len(self):  # all singletons
             return values[self.indices]
         return np.minimum.reduceat(values[self.indices], self.indptr[:-1], axis=0)
 
@@ -126,28 +148,22 @@ class Family:
 
     @cached_property
     def mesh(self) -> float:
-        if not self.members:
+        if self.indptr[-1] == len(self):  # no member has two points
             return 0.0
-        return max(u.diameter() for u in self.members)
+        return max(float(self.space.dist[np.ix_(u, u)].max()) for u in self)
 
     def multiplicity(self) -> int:
         return int(np.bincount(self.indices, minlength=self.space.n).max())
 
     def hoods(self, r: float) -> np.ndarray:
-        """(k, n) bool: row i marks the open r-neighborhood of member i
-        (signed radius r != 0, as in Subset.neighborhood)."""
+        """(k, n) bool: row i marks the open signed-radius r neighborhood of
+        member i: the points < r from it for r > 0, and for r <= 0 its
+        points > -r from its complement, so r = 0 gives the members."""
         return self.dist_rows() < r if r > 0 else self.depths > -r
-
-    def r_multiplicity(self, r: float) -> int:
-        """Max over points of how many open r-neighborhoods of members hit
-        it (signed radius, as in Subset.neighborhood)."""
-        if r == 0:
-            return self.multiplicity()
-        return int(self.hoods(r).sum(axis=0).max())
 
     def lebesgue(self) -> float:
         """min over points of min(best inscribed depth, mesh)."""
-        return self._lebesgue(self.depths) if self.members else 0.0
+        return self._lebesgue(self.depths) if len(self) else 0.0
 
     def _lebesgue(self, depths: np.ndarray) -> float:
         """`lebesgue` of a nonempty family, read off its `depths` table."""
@@ -177,12 +193,6 @@ class Family:
     def is_separated(self, s: float) -> bool:
         """Pairwise distance between distinct members is >= s."""
         return self.min_separation() >= s
-
-    def is_r_disjoint(self, r: float) -> bool:
-        """Open r-neighborhoods of distinct members are pairwise disjoint.
-        Stronger than is_separated(r): no point may lie within r of two
-        members."""
-        return r <= 0 or self.r_multiplicity(r) <= 1
 
     def eroded(self, s: float) -> "Family":
         """Each member eroded by s > 0, i.e. its points farther than s from
@@ -216,7 +226,7 @@ class Family:
         The `depths` table is derived once, for both.
         """
         depths = self.depths
-        leb = self._lebesgue(depths) if self.members else 0.0
+        leb = self._lebesgue(depths) if len(self) else 0.0
         if not 0 < s < leb:
             raise CoveringError(
                 f"shrink step {s:.6g} exceeds Lebesgue number {leb:.6g}"
@@ -224,14 +234,20 @@ class Family:
         return self._eroded(depths, s)
 
     def __repr__(self):
-        return f"Family(k={len(self.members)}, mesh={self.mesh:.6g})"
+        return f"Family(k={len(self)}, mesh={self.mesh:.6g})"
 
 
 def _rows_family(space: FiniteMetricSpace, rows: np.ndarray) -> Family:
     """The Family whose members are the nonempty rows of the (k, n) bool
-    ``rows``, in order."""
-    return Family(space, tuple(Subset(space, frozenset(np.flatnonzero(row).tolist()))
-                               for row in rows if row.any()))
+    ``rows``, in order: one `np.nonzero`, which lists each row sorted."""
+    sizes = np.count_nonzero(rows, axis=1)
+    return Family._of(space, np.cumsum(np.r_[0, sizes[sizes > 0]]), np.nonzero(rows)[1])
+
+
+def stacked(space: FiniteMetricSpace, families) -> Family:
+    """All members of a sequence of families, in order, as one Family."""
+    return Family._of(space, np.cumsum(np.r_[0, *(np.diff(f.indptr) for f in families)]),
+                      np.concatenate([np.zeros(0, np.intp), *(f.indices for f in families)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +273,7 @@ class ColoredCovering:
 
     @cached_property
     def pooled(self) -> Family:
-        members = tuple(u for f in self.colors for u in f.members)
-        return Family(self.space, members)
+        return stacked(self.space, self.colors)
 
     def _counts(self) -> np.ndarray:
         """(n,) how many members of all colors hold each point."""

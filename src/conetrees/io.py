@@ -106,7 +106,7 @@ def render_tree(tree) -> str:
     for u, (level, parent, members, (rl, rm)) in enumerate(zip(
             tree.level.tolist(), tree.parent.tolist(), tree.members,
             tree.refs)):
-        pts = ";".join(map(str, sorted(members)))
+        pts = ";".join(map(str, members.tolist()))
         lines.append(f"{u},{level},{parent},{rl},{rm},{pts}")
     return "\n".join(lines) + "\n"
 
@@ -143,7 +143,7 @@ def bundle_files(result) -> dict[str, bytes]:
             "delta": m["delta"],
             "lam": m["lam"],
             "gamma": m["gamma"],
-            "levels": [[[sorted(u.indices) for u in fam.members]
+            "levels": [[[u.tolist() for u in fam.members]
                         for fam in cov.colors] for cov in seq.levels],
             "provenance": {**seq.provenance, **{
                 k: m[k] for k in ("levels", "gamma_records") if k in m}},

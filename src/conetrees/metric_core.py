@@ -1,4 +1,4 @@
-"""Finite metric spaces, subsets, and signed-radius neighborhoods.
+"""Finite metric spaces, validated on construction.
 
 A space is an exactly symmetric nonnegative matrix with zero diagonal
 satisfying the triangle inequality up to a relative tolerance, so row x of
@@ -11,11 +11,6 @@ u = 2**-53, rounding breaks a triangle of a chord metric (`random_circle`,
 rel_tol >= 2**-40 * radius; of a line metric (`interval`, `cantor`) by
 under 3u * d[i, k], so that one needs rel_tol >= 4u; and of an ultrametric
 (`tree_boundary`) never.
-
-Subsets carry a reference to their space and support neighborhood
-operations with signed radii: positive radii grow a set through open
-balls, negative radii erode it by removing the open neighborhood of the
-complement.
 """
 
 from __future__ import annotations
@@ -53,13 +48,14 @@ def _is_circulant(d: np.ndarray) -> bool:
     return bool(len(d)) and np.array_equal(d, circulant(d[0]))
 
 
+def _circulant_min_path(d: np.ndarray) -> np.ndarray:
+    """`_min_path_loop`'s result for a circulant d (see `_validate_matrix`)."""
+    return circulant((d[0][:, None] + d).min(axis=0))
+
+
 def _min_path(d: np.ndarray) -> np.ndarray:
-    """best[i, k] = min_j (d[i, j] + d[j, k]).  For a circulant d (see
-    `_validate_matrix`) it is the `circulant` of row 0 of the loop's
-    result; otherwise it is `_min_path_loop`'s."""
-    if _is_circulant(d):
-        return circulant((d[0][:, None] + d).min(axis=0))
-    return _min_path_loop(d)
+    """best[i, k] = min_j (d[i, j] + d[j, k]), by `_validate_matrix`'s route."""
+    return _circulant_min_path(d) if _is_circulant(d) else _min_path_loop(d)
 
 
 def _meta_floats(meta: dict, key: str, n: int) -> np.ndarray | None:
@@ -214,10 +210,11 @@ def _validate_matrix(d: np.ndarray, rel_tol: float, meta: dict) -> None:
         i, k = np.argwhere(zero)[0]
         raise MetricError(f"zero distance between distinct points {i} and {k}")
     del zero
-    if isinstance(meta, dict) and not _is_circulant(d) and any(
+    circulant_d = _is_circulant(d)  # decided once, for both routes
+    if not circulant_d and isinstance(meta, dict) and any(
             vouch(d, meta, rel_tol) for vouch in _CERTIFICATES):
         return
-    best = _min_path(d)
+    best = _circulant_min_path(d) if circulant_d else _min_path_loop(d)
     slack = rel_tol * np.maximum(d, 1.0)
     bad = d > best + slack
     if np.any(bad):
@@ -274,100 +271,6 @@ class FiniteMetricSpace:
         return float(self.dist.min(where=~np.eye(self.n, dtype=bool),
                                    initial=np.inf))
 
-    def subset(self, indices) -> "Subset":
-        return Subset(self, frozenset(int(i) for i in indices))
-
-    def whole(self) -> "Subset":
-        return Subset(self, frozenset(range(self.n)))
-
     def __repr__(self):
         return f"FiniteMetricSpace(n={self.n}, diameter={self.diameter:.6g})"
 
-
-def _dist_to(space: FiniteMetricSpace, indices: frozenset) -> np.ndarray:
-    """Distance from every point of the space to the index set (+inf if empty)."""
-    if not indices:
-        return np.full(space.n, np.inf)
-    rows = np.fromiter(indices, dtype=int, count=len(indices))
-    return space.dist[rows].min(axis=0)
-
-
-@dataclass(frozen=True)
-class Subset:
-    """A subset of a finite metric space, stored as a frozenset of indices."""
-
-    space: FiniteMetricSpace
-    indices: frozenset
-
-    def __post_init__(self):
-        if self.indices and (min(self.indices) < 0 or max(self.indices) >= self.space.n):
-            raise MetricError("subset index out of range")
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __contains__(self, i):
-        return int(i) in self.indices
-
-    def __le__(self, other: "Subset"):
-        return self.indices <= other.indices
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.indices
-
-    @property
-    def is_whole(self) -> bool:
-        return len(self.indices) == self.space.n
-
-    def diameter(self) -> float:
-        if len(self.indices) < 2:
-            return 0.0
-        cols = np.fromiter(self.indices, dtype=int, count=len(self.indices))
-        return float(self.space.dist[np.ix_(cols, cols)].max())
-
-    def dist_to_points(self) -> np.ndarray:
-        return _dist_to(self.space, self.indices)
-
-    def dist_sets(self, other: "Subset") -> float:
-        """inf over pairs; +inf if either set is empty."""
-        if self.is_empty or other.is_empty:
-            return np.inf
-        a = np.fromiter(self.indices, dtype=int, count=len(self.indices))
-        b = np.fromiter(other.indices, dtype=int, count=len(other.indices))
-        return float(self.space.dist[np.ix_(a, b)].min())
-
-    def neighborhood(self, r: float) -> "Subset":
-        """Signed-radius open neighborhood.
-
-        r > 0: points at distance < r from the set.
-        r = 0: the set itself.
-        r < 0: erosion, points at distance > |r| from the complement.  The
-        whole space has empty complement, so it is fixed by every erosion.
-        """
-        return self._hood(r, np.less)
-
-    def closed_neighborhood(self, r: float) -> "Subset":
-        """Like neighborhood but with non-strict comparisons."""
-        return self._hood(r, np.less_equal)
-
-    def _hood(self, r: float, within) -> "Subset":
-        if r == 0:
-            return self
-        if r > 0:
-            signed = _dist_to(self.space, self.indices)
-        else:
-            # d(x, complement) > |r| exactly when -d(x, complement) < r
-            comp = frozenset(range(self.space.n)) - self.indices
-            signed = -_dist_to(self.space, comp)
-        keep = within(signed, r)
-        return Subset(self.space, frozenset(np.flatnonzero(keep).tolist()))
-
-    def is_lambda_net(self, lam: float) -> bool:
-        """Every point of the space lies within distance lam of the set."""
-        if self.is_empty:
-            return self.space.n == 0
-        return bool(self.dist_to_points().max() <= lam)
-
-    def __repr__(self):
-        return f"Subset(|U|={len(self.indices)} of n={self.space.n})"

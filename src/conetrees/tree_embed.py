@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .char_seq import CharSequence
+from .coverings import Family, stacked
 from .hyp_cone import ConeGrid
 from .metric_core import FiniteMetricSpace
 from .qi_verify import BLOCK_ENTRIES
@@ -49,7 +50,7 @@ class RootedTree:
     Attributes:
         level: per-node depth, root 0.
         parent: per-node parent id, root -1.
-        members: per-node point index set; the root owns every point.
+        members: a Family, one member per node; the root owns every point.
         refs: per-node (ladder level, member index), root (0, -1).
     """
 
@@ -58,7 +59,7 @@ class RootedTree:
     depth: int
     level: np.ndarray
     parent: np.ndarray
-    members: tuple[frozenset, ...]
+    members: Family
     refs: tuple[tuple[int, int], ...]
 
     @property
@@ -135,22 +136,30 @@ class RootedTree:
         return int(np.count_nonzero(self.ancestors[u, i + 1:] >= 0))
 
     def validate(self) -> None:
+        """Raise TreeError at the first node with an invalid parent, one not
+        lower in level or not holding its member, or an empty member."""
         if self.level[0] != 0 or self.parent[0] != -1:
             raise TreeError("node 0 must be the level-0 root")
         if np.any(self.level[1:] < self.level[:-1]):
             raise TreeError("node ids are not in non-decreasing level order")
         if np.count_nonzero(self.level == 0) != 1:
             raise TreeError("exactly one root expected")
-        for u in range(1, self.n_nodes):
-            p = int(self.parent[u])
-            if not 0 <= p < self.n_nodes:
-                raise TreeError(f"node {u} has invalid parent {p}")
-            if self.level[p] >= self.level[u]:
-                raise TreeError(f"node {u} does not descend in level")
-            if not self.members[u] <= self.members[p]:
-                raise TreeError(f"node {u} is not contained in its parent")
-            if not self.members[u]:
-                raise TreeError(f"node {u} has an empty member")
+        nodes, n, sizes = self.n_nodes, self.space.n, np.diff(self.members.indptr)
+        invalid = (self.parent < 0) | (self.parent >= nodes)
+        up = np.where(invalid, 0, self.parent)
+        owner = np.repeat(np.arange(nodes), sizes)
+        keys = owner * n + self.members.indices  # sorted, as members are
+        want = keys + (up[owner] - owner) * n  # each point in its parent
+        found = keys[np.searchsorted(keys, want).clip(max=len(keys) - 1)] == want
+        faults = np.stack([invalid, self.level[up] >= self.level,
+                           np.bincount(owner[~found], minlength=nodes) > 0,
+                           sizes == 0])[:, 1:]
+        if faults.any():
+            u = int(np.flatnonzero(faults.any(axis=0))[0]) + 1
+            raise TreeError(f"node {u} " + (
+                f"has invalid parent {self.parent[u]}", "does not descend in level",
+                "is not contained in its parent", "has an empty member",
+            )[int(np.argmax(faults[:, u - 1]))])
 
     def __repr__(self):
         return f"RootedTree(color={self.color}, nodes={self.n_nodes}, depth={self.depth})"
@@ -194,8 +203,7 @@ def build_tree(seq: CharSequence, color: int) -> RootedTree:
         depth=seq.depth,
         level=np.repeat(np.arange(seq.depth + 1), [1] + sizes),
         parent=parent,
-        members=(frozenset(range(space.n)),)
-        + tuple(u.indices for f in fams for u in f),
+        members=stacked(space, (Family(space, (np.arange(space.n),)), *fams)),
         refs=((0, -1),) + tuple((j, i) for j, f in enumerate(fams, 1)
                                 for i in range(len(f))),
     )

@@ -29,6 +29,7 @@ from conetrees import (
     verify_char_seq,
     visual_metric_circle,
 )
+from setcalc import closed_hood, hood, r_multiplicity
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -58,6 +59,13 @@ def pool():
 # criterion 1: neighborhood calculus
 
 
+def _hood(sp, idx, r) -> frozenset:
+    """The open signed-radius r neighborhood of the nonempty index set, as
+    the pipeline computes it: `Family.hoods` of a one-member family."""
+    row = Family(sp, [sorted(idx)]).hoods(r)[0]
+    return frozenset(np.flatnonzero(row).tolist())
+
+
 def test_c01_neighborhood_calculus(pool):
     rng = np.random.default_rng(101)
     bad = 0
@@ -65,32 +73,30 @@ def test_c01_neighborhood_calculus(pool):
     for _ in range(1000):
         sp = pool[int(rng.integers(len(pool)))]
         size = int(rng.integers(1, sp.n + 1))
-        u = sp.subset(rng.choice(sp.n, size=size, replace=False))
+        u = frozenset(rng.choice(sp.n, size=size, replace=False).tolist())
         everything = frozenset(range(sp.n))
         diam = sp.diameter
         s = float(rng.uniform(0.01, 0.6)) * diam
         t = s + float(rng.uniform(0.01, 0.6)) * diam  # 0 < s < t
 
         # growing by t - s lands inside the s-erosion of the t-growth
-        ok_inclusion = (
-            u.neighborhood(t - s).indices
-            <= u.neighborhood(t).neighborhood(-s).indices
-        )
+        ok_inclusion = _hood(sp, u, t - s) <= _hood(sp, _hood(sp, u, t), -s)
 
         # monotone in the signed radius
         r1 = float(rng.uniform(-1.0, 1.0)) * diam
         r2 = r1 + float(rng.uniform(0.0, 0.5)) * diam
-        ok_monotone = u.neighborhood(r1).indices <= u.neighborhood(r2).indices
+        ok_monotone = _hood(sp, u, r1) <= _hood(sp, u, r2)
 
-        # erosion is the complement of the closed growth of the complement
-        comp = everything - u.indices
+        # erosion is the complement of the closed growth of the complement,
+        # which the oracle computes
+        comp = everything - u
         if comp:
-            dual = everything - sp.subset(comp).closed_neighborhood(s).indices
-            ok_duality = u.neighborhood(-s).indices == dual
+            dual = everything - closed_hood(sp, comp, s)
+            ok_duality = _hood(sp, u, -s) == dual
         else:
-            ok_duality = u.neighborhood(-s).indices == u.indices
+            ok_duality = _hood(sp, u, -s) == u
 
-        ok_identity = u.neighborhood(0.0).indices == u.indices
+        ok_identity = _hood(sp, u, 0.0) == u
         bad += not (ok_inclusion and ok_monotone and ok_duality and ok_identity)
     elapsed = time.perf_counter() - start
     report(
@@ -115,10 +121,8 @@ def _random_covering(sp, rng) -> Family:
         cell = np.flatnonzero(owner == c)
         if cell.size == 0:
             continue
-        u = sp.subset(cell)
-        if grow > 0:
-            u = u.closed_neighborhood(grow)
-        members.append(u)
+        members.append(sorted(closed_hood(sp, cell, grow)) if grow > 0
+                       else cell)
     return Family(sp, tuple(members))
 
 
@@ -135,7 +139,7 @@ def test_c02_covering_shrink(pool):
         shrunk = fam.shrink(s)
         if not shrunk.covers():
             bad += 1
-        if shrunk.r_multiplicity(s) > fam.multiplicity():
+        if r_multiplicity(sp, shrunk, s) > fam.multiplicity():
             bad += 1
         done += 1
     report("C2 covering shrink", bad == 0, f"violations={bad}/500 coverings")
@@ -161,47 +165,40 @@ def test_c03_merge_dichotomy_and_nesting(pool):
         for z in rng.permutation(sp.n):
             if all(sp.dist[z, w] >= pitch for w in kept):
                 kept.append(int(z))
-        ghat_members = []
-        for z in kept:
-            u = sp.subset([z])
-            if rho > 0:
-                u = u.closed_neighborhood(rho)
-            ghat_members.append(u)
-        ghat = Family(sp, tuple(ghat_members))
-        if ghat.mesh > 2 * s or not ghat.is_r_disjoint(delta * s):
+        ghat = Family(sp, [sorted(closed_hood(sp, [z], rho)) for z in kept])
+        # open delta*s neighborhoods pairwise disjoint, as ast_shrink checks
+        if ghat.mesh > 2 * s or ghat.hoods(delta * s).sum(axis=0).max() > 1:
             continue  # inadmissible draw
 
         # coarse member: union of a few closed balls wide enough to survive
         # the 4s erosion on densely sampled spaces
         radius = s * float(rng.uniform(4.5, 9.0))
         picks = rng.choice(sp.n, size=int(rng.integers(1, 4)), replace=False)
-        u1_idx = frozenset()
+        u1 = frozenset()
         for z in picks:
-            u1_idx |= sp.subset([int(z)]).closed_neighborhood(radius).indices
-        u1 = sp.subset(u1_idx)
+            u1 |= closed_hood(sp, [int(z)], radius)
 
-        star1 = ast_shrink(Family(sp, (u1,)), ghat, s, delta)
+        star1 = ast_shrink(Family(sp, [sorted(u1)]), ghat, s, delta)
         for w in star1:
             nonvacuous += 1
-            if not w.indices <= u1.indices:
+            if not set(w.tolist()) <= u1:
                 bad += 1
         for fine in ghat:
-            grown = fine.neighborhood(delta * s)
+            grown = hood(sp, fine, delta * s)
             for w in star1:
-                overlap = grown.indices & w.indices
-                if overlap and not grown.indices <= w.indices:
+                w = set(w.tolist())
+                if grown & w and not grown <= w:
                     bad += 1
 
         # nesting: any U2 containing the t-growth of U1, with t > 4s
         t = s * float(rng.uniform(4.3, 8.0))
-        u2 = u1.neighborhood(t)
+        u2 = hood(sp, u1, t)
         if rng.random() < 0.3:
-            extra = sp.subset([int(rng.integers(sp.n))]).closed_neighborhood(radius)
-            u2 = sp.subset(u2.indices | extra.indices)
-        star2 = ast_shrink(Family(sp, (u2,)), ghat, s, delta)
+            u2 |= closed_hood(sp, [int(rng.integers(sp.n))], radius)
+        star2 = ast_shrink(Family(sp, [sorted(u2)]), ghat, s, delta)
         if len(star1) == 1:
-            inner = star1[0].neighborhood(t - 4 * s)
-            if len(star2) != 1 or not inner.indices <= star2[0].indices:
+            inner = hood(sp, star1[0], t - 4 * s)
+            if len(star2) != 1 or not inner <= set(star2[0].tolist()):
                 bad += 1
         done += 1
     report(
@@ -219,15 +216,10 @@ def _uncapped_inner_radius(level) -> float:
     """min over points of the deepest containing member, without the mesh
     cap, for levels whose members are singletons (mesh 0)."""
     sp = level.space
-    everything = frozenset(range(sp.n))
     best = np.zeros(sp.n)
-    for u in level.pooled:
-        if not u.indices:
-            continue
-        idx = np.fromiter(u.indices, dtype=int, count=len(u.indices))
-        comp = everything - u.indices
-        if comp:
-            cols = np.fromiter(comp, dtype=int, count=len(comp))
+    for idx in level.pooled:
+        cols = np.setdiff1d(np.arange(sp.n), idx)
+        if cols.size:
             depth = sp.dist[np.ix_(idx, cols)].min(axis=1)
         else:
             depth = np.full(idx.size, np.inf)
@@ -269,7 +261,8 @@ def _check_trees(res) -> str:
         for u in range(1, n):
             p = int(tree.parent[u])
             assert tree.level[p] < tree.level[u]  # levels descend: acyclic
-            assert tree.members[u] <= tree.members[p]  # containment
+            # containment
+            assert set(tree.members[u].tolist()) <= set(tree.members[p].tolist())
             hops, cur = 0, u
             while cur != 0:  # every node reaches the root: connected
                 cur = int(tree.parent[cur])

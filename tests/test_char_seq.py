@@ -32,6 +32,7 @@ from conetrees import (
 )
 from conetrees.char_seq import _pair_margins, _window_level
 from conetrees.harness import generate
+from setcalc import dist_sets, hood
 
 
 def without_kind(sp):
@@ -79,68 +80,112 @@ class TestStandingAssumptions:
 class TestAstShrink:
     def test_erodes_and_absorbs(self):
         sp = line_space(41)
-        u = sp.subset(range(10, 31))
+        u = range(10, 31)
         fam = Family(sp, (u,))
-        ghat = Family(sp, tuple(sp.subset([i]) for i in range(12, 29, 2)))
+        ghat = Family(sp, tuple([i] for i in range(12, 29, 2)))
         out = ast_shrink(fam, ghat, s=1.0, delta=0.5)
         assert len(out.members) == 1
-        assert set(out.members[0].indices) == set(range(14, 27))
+        assert out.members[0].tolist() == list(range(14, 27))
 
     def test_output_inside_input(self):
         sp = line_space(41)
-        u = sp.subset(range(5, 30))
+        u = range(5, 30)
         fam = Family(sp, (u,))
-        ghat = Family(sp, tuple(sp.subset([i]) for i in range(0, 41, 3)))
+        ghat = Family(sp, tuple([i] for i in range(0, 41, 3)))
         out = ast_shrink(fam, ghat, s=1.0, delta=0.5)
         for v in out.members:
-            assert v.indices <= u.indices
+            assert set(v.tolist()) <= set(u)
 
     def test_dichotomy(self):
         sp = line_space(41)
-        fam = Family(sp, (sp.subset(range(10, 31)),))
-        ghat = Family(sp, tuple(sp.subset([i]) for i in range(0, 41, 2)))
+        fam = Family(sp, (range(10, 31),))
+        ghat = Family(sp, tuple([i] for i in range(0, 41, 2)))
         s, delta = 1.0, 0.5
         out = ast_shrink(fam, ghat, s, delta)
         star = out.members[0]
+        star = set(star.tolist())
         for w in ghat:
-            ball = w.neighborhood(delta * s)
-            inside = ball.indices <= star.indices
-            disjoint = not (ball.indices & star.indices)
-            assert inside or disjoint
+            ball = hood(sp, w, delta * s)
+            assert ball <= star or not ball & star
 
     def test_eroded_away_member_dropped(self):
         sp = line_space(41)
-        fam = Family(sp, (sp.subset([5]), sp.subset(range(10, 31))))
-        ghat = Family(sp, (sp.subset([20]),))
+        fam = Family(sp, ([5], range(10, 31)))
+        ghat = Family(sp, ([20],))
         out = ast_shrink(fam, ghat, s=1.0, delta=0.5)
         assert len(out.members) == 1
 
     def test_whole_space_member_survives(self):
         sp = FiniteMetricSpace(np.zeros((1, 1)), ("o",))
-        fam = Family(sp, (sp.whole(),))
-        ghat = Family(sp, (sp.whole(),))
+        fam = Family(sp, (range(sp.n),))
+        ghat = Family(sp, (range(sp.n),))
         out = ast_shrink(fam, ghat, s=1.0, delta=0.5)
-        assert out.members[0].is_whole
+        assert out.members[0].tolist() == [0]
 
     def test_rejects_bad_delta(self):
         sp = line_space(5)
-        fam = Family(sp, (sp.whole(),))
+        fam = Family(sp, (range(sp.n),))
         with pytest.raises(SeparationPreconditionError, match="delta"):
             ast_shrink(fam, fam, s=1.0, delta=0.8)
 
     def test_rejects_coarse_fine_family(self):
         sp = line_space(41)
-        fam = Family(sp, (sp.whole(),))
-        ghat = Family(sp, (sp.subset(range(10)),))
+        fam = Family(sp, (range(sp.n),))
+        ghat = Family(sp, (range(10),))
         with pytest.raises(SeparationPreconditionError, match="mesh"):
             ast_shrink(fam, ghat, s=1.0, delta=0.5)
 
     def test_rejects_crowded_fine_family(self):
         sp = line_space(41)
-        fam = Family(sp, (sp.whole(),))
-        ghat = Family(sp, (sp.subset([0]), sp.subset([2])))
+        fam = Family(sp, (range(sp.n),))
+        ghat = Family(sp, ([0], [2]))
         with pytest.raises(SeparationPreconditionError, match="disjoint"):
             ast_shrink(fam, ghat, s=4.0, delta=0.5)
+
+    # the outputs of the cases above, as pinned before ghat's open
+    # neighborhoods were derived once for the check and the merge
+    PINNED = [
+        ([range(10, 31)], [[i] for i in range(12, 29, 2)],
+         [list(range(14, 27))]),
+        ([range(5, 30)], [[i] for i in range(0, 41, 3)],
+         [list(range(9, 26))]),
+        ([range(10, 31)], [[i] for i in range(0, 41, 2)],
+         [list(range(14, 27))]),
+        ([[5], range(10, 31)], [[20]], [list(range(14, 27))]),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(PINNED)))
+    def test_reads_ghat_rows_once(self, monkeypatch, case):
+        sp = line_space(41)
+        members, fine, want = self.PINNED[case]
+        fam, ghat = Family(sp, members), Family(sp, fine)
+        reads = []
+        dist_rows = Family.dist_rows
+
+        def counted(self):
+            reads.append(self)
+            return dist_rows(self)
+
+        monkeypatch.setattr(Family, "dist_rows", counted)
+        out = ast_shrink(fam, ghat, s=1.0, delta=0.5)
+        assert [u.tolist() for u in out] == want
+        assert sum(r is ghat for r in reads) == 1
+
+    def test_refusal_reads_ghat_rows_once(self, monkeypatch):
+        sp = line_space(41)
+        ghat = Family(sp, ([0], [2]))
+        reads = []
+        dist_rows = Family.dist_rows
+
+        def counted(self):
+            reads.append(self)
+            return dist_rows(self)
+
+        monkeypatch.setattr(Family, "dist_rows", counted)
+        with pytest.raises(SeparationPreconditionError,
+                           match=r"^fine family is not 2-disjoint$"):
+            ast_shrink(Family(sp, (range(sp.n),)), ghat, s=4.0, delta=0.5)
+        assert reads == [ghat]
 
 
 class TestBuildLevel:
@@ -148,7 +193,7 @@ class TestBuildLevel:
         sp = generate("circle", n=16)
         cov = build_level(sp, scale=10.0, m=2)
         assert all(len(c.members) == 1 for c in cov.colors)
-        assert cov.colors[0].members[0].is_whole
+        assert cov.colors[0].members[0].tolist() == list(range(16))
 
     def test_singleton_regime(self):
         sp = generate("circle", n=16)
@@ -224,12 +269,12 @@ def loop_window_level(space, values, pitch, width, count, m, wrap):
         else:
             mask = np.mod(values - start, wrap) <= width + eps
         if mask.any():
-            colors[i % m].append(space.subset(np.flatnonzero(mask)))
+            colors[i % m].append(np.flatnonzero(mask))
     return ColoredCovering(space, tuple(Family(space, tuple(c)) for c in colors))
 
 
 def member_lists(cov):
-    return [list(fam.members) for fam in cov.colors]
+    return [[u.tolist() for u in fam] for fam in cov.colors]
 
 
 class TestWindowLevelOracle:
@@ -336,8 +381,8 @@ class TestSeparate:
         seq = separate(base)
         assert seq.provenance["cascade"] == []
         for a in range(2):
-            got = [m.indices for m in seq.level(1).colors[a].members]
-            want = [m.indices for m in base.level(1).colors[a].members]
+            got = [m.tolist() for m in seq.level(1).colors[a].members]
+            want = [m.tolist() for m in base.level(1).colors[a].members]
             assert got == want
         assert seq.gamma > 0.0
 
@@ -448,10 +493,10 @@ class TestMeasureHoldsNoTable:
     def test_inner_radius_skips_an_empty_color(self):
         sp = line_space(21, spacing=0.5)
         cov = ColoredCovering(sp, (
-            Family(sp, (sp.subset(range(11)), sp.subset(range(11, 21)))),
+            Family(sp, (range(11), range(11, 21))),
             Family(sp, ()),
         ))
-        empty = ColoredCovering(sp, (Family(sp, (sp.whole(),)), Family(sp, ())))
+        empty = ColoredCovering(sp, (Family(sp, (range(sp.n),)), Family(sp, ())))
         seq = CharSequence(sp, 0.5, (cov, empty))
         levels = seq.measurement["levels"]
         assert [st["inner_radius"] for st in levels] == [5.0, np.inf]
@@ -476,12 +521,12 @@ def odd_ladder():
     that is the whole space beside a proper one."""
     sp = line_space(21, spacing=0.5)
     empty = ColoredCovering(sp, (
-        Family(sp, (sp.subset(range(11)), sp.subset(range(9, 21)))),
+        Family(sp, (range(11), range(9, 21))),
         Family(sp, ()),
     ))
     whole = ColoredCovering(sp, (
-        Family(sp, (sp.whole(),)),
-        Family(sp, (sp.subset(range(4)), sp.subset(range(8, 14)))),
+        Family(sp, (range(sp.n),)),
+        Family(sp, (range(4), range(8, 14))),
     ))
     return CharSequence(sp, 0.5, (empty, whole))
 
@@ -518,12 +563,12 @@ class TestSeparationMargins:
     def test_two_block_line(self):
         sp = line_space(21, spacing=0.5)
         blocks = ColoredCovering(sp, (
-            Family(sp, (sp.subset(range(11)), sp.subset(range(11, 21)))),
-            Family(sp, (sp.whole(),)),
+            Family(sp, (range(11), range(11, 21))),
+            Family(sp, (range(sp.n),)),
         ))
         singles = ColoredCovering(sp, (
-            Family(sp, tuple(sp.subset([i]) for i in range(21))),
-            Family(sp, tuple(sp.subset([i]) for i in range(21))),
+            Family(sp, tuple([i] for i in range(21))),
+            Family(sp, tuple([i] for i in range(21))),
         ))
         gamma, records = separation_margins((blocks, singles), r=0.5)
         # binding pair: the two level-1 blocks at distance 0.5, over r^1
@@ -551,7 +596,7 @@ class TestSeparationMargins:
     def test_overlapping_same_color_has_zero_margin(self):
         sp = line_space(21, spacing=0.5)
         cov = ColoredCovering(sp, (
-            Family(sp, (sp.subset(range(12)), sp.subset(range(9, 21)))),
+            Family(sp, (range(12), range(9, 21))),
         ))
         gamma, _ = separation_margins((cov,), r=0.5)
         assert gamma == 0.0
@@ -565,13 +610,14 @@ def brute_pair_margins(fine, coarse, same_level):
     m2 = np.empty_like(m1)
     for i, f in enumerate(fine):
         for k, c in enumerate(coarse):
-            m1[i, k] = f.dist_sets(sp.subset(set(range(sp.n)) - c.indices))
-            m2[i, k] = f.dist_sets(c)
+            c = set(c.tolist())
+            m1[i, k] = dist_sets(sp, f, set(range(sp.n)) - c)
+            m2[i, k] = dist_sets(sp, f, c)
             r = max(m1[i, k], m2[i, k])
             if 0 < r < np.inf:
                 # at the margin the open r-neighborhood sits inside or misses
-                hood = f.neighborhood(r).indices
-                assert hood <= c.indices or not hood & c.indices
+                grown = hood(sp, f, r)
+                assert grown <= c or not grown & c
     margins = np.maximum(m1, m2)
     if same_level:
         for i in range(min(len(fine), len(coarse))):
@@ -580,10 +626,10 @@ def brute_pair_margins(fine, coarse, same_level):
 
 
 def random_family(rng, sp, k):
-    members = [sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
-                                    replace=False)) for _ in range(k)]
+    members = [rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
+                          replace=False) for _ in range(k)]
     if rng.random() < 0.3:
-        members.append(sp.whole())
+        members.append(range(sp.n))
     return Family(sp, tuple(members))
 
 
@@ -622,8 +668,7 @@ def with_fat_member(seq):
     """seq with half the circle added to level 2's first color, a member
     far wider than r**2."""
     sp = seq.space
-    fat = Family(sp, tuple(seq.level(2).colors[0].members)
-                 + (sp.subset(range(sp.n // 2)),))
+    fat = Family(sp, seq.level(2).colors[0].members + (range(sp.n // 2),))
     bad_level = ColoredCovering(sp, (fat,) + seq.level(2).colors[1:])
     return dataclasses.replace(seq, levels=(seq.levels[0], bad_level))
 

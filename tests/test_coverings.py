@@ -6,7 +6,20 @@ import pytest
 
 from conetrees import (ColoredCovering, CoveringError, Family, build_base,
                        separate)
+from conetrees.coverings import _rows_family
 from conetrees.harness import GENERATORS, generate
+from setcalc import dist_sets, dist_to, hood, is_r_disjoint, r_multiplicity
+
+
+def overlap(fam, r):
+    """Max over points of how many of the members' open signed-radius r
+    neighborhoods, `Family.hoods`, hold it."""
+    return int(fam.hoods(r).sum(axis=0).max(initial=0))
+
+
+def as_lists(fam):
+    """The family's members, each as a list of its points in order."""
+    return [u.tolist() for u in fam]
 
 
 def line_space(n=11, spacing=1.0):
@@ -28,7 +41,7 @@ def arc_cover():
             idx = np.where((pos >= lo - 1e-12) & (pos <= hi + 1e-12))[0]
         else:
             idx = np.where((pos >= lo - 1e-12) | (pos <= hi + 1e-12))[0]
-        return sp.subset(idx)
+        return idx
 
     fam = Family(sp, (arc(0, 3), arc(2, 5), arc(4, 7), arc(6, 1)))
     return sp, fam
@@ -37,7 +50,7 @@ def arc_cover():
 class TestFamilyBasics:
     def test_whole_space_family(self):
         sp = line_space(11)
-        fam = Family(sp, (sp.whole(),))
+        fam = Family(sp, (range(sp.n),))
         assert fam.mesh == 10.0
         assert fam.covers()
         assert fam.multiplicity() == 1
@@ -47,7 +60,7 @@ class TestFamilyBasics:
 
     def test_singleton_family(self):
         sp = line_space(5)
-        fam = Family(sp, tuple(sp.subset([i]) for i in range(5)))
+        fam = Family(sp, tuple([i] for i in range(5)))
         assert fam.mesh == 0.0
         assert fam.covers()
         assert fam.lebesgue() == 0.0
@@ -58,28 +71,27 @@ class TestFamilyBasics:
     def test_empty_member_rejected(self):
         sp = line_space(5)
         with pytest.raises(CoveringError, match="empty"):
-            Family(sp, (sp.subset([0]), sp.subset([])))
+            Family(sp, ([0], []))
 
     def test_non_covering(self):
         sp = line_space(5)
-        fam = Family(sp, (sp.subset([0, 1]),))
+        fam = Family(sp, ([0, 1],))
         assert not fam.covers()
         assert fam.lebesgue() == 0.0
 
     def test_multiplicity_counts_overlaps(self):
         sp = line_space(10)
-        fam = Family(sp, (sp.subset(range(6)), sp.subset(range(4, 10)),
-                          sp.subset(range(5, 7))))
+        fam = Family(sp, (range(6), range(4, 10), range(5, 7)))
         # points 5 lies in all three members
         assert fam.multiplicity() == 3
 
     def test_r_multiplicity_grows_with_r(self):
         sp = line_space(10)
-        fam = Family(sp, (sp.subset(range(5)), sp.subset(range(5, 10))))
-        assert fam.multiplicity() == 1
-        assert fam.r_multiplicity(0.5) == 1
+        fam = Family(sp, (range(5), range(5, 10)))
+        assert fam.multiplicity() == overlap(fam, 0.0) == 1
+        assert overlap(fam, 0.5) == r_multiplicity(sp, fam, 0.5) == 1
         # open 1.5-neighborhoods overlap across the split
-        assert fam.r_multiplicity(1.5) == 2
+        assert overlap(fam, 1.5) == r_multiplicity(sp, fam, 1.5) == 2
 
 
 class TestArcCover:
@@ -99,7 +111,7 @@ class TestArcCover:
     def test_multiplicity(self, arc_cover):
         _, fam = arc_cover
         assert fam.multiplicity() == 2
-        assert fam.r_multiplicity(0.1) == 2
+        assert overlap(fam, 0.1) == 2
 
     def test_shrink_still_covers(self, arc_cover):
         _, fam = arc_cover
@@ -107,13 +119,13 @@ class TestArcCover:
         assert shrunk.covers()
         assert len(shrunk.members) == 4
         # multiplicity of grown-back members does not exceed the original
-        assert shrunk.r_multiplicity(0.4) <= fam.multiplicity()
+        assert overlap(shrunk, 0.4) <= fam.multiplicity()
 
     def test_shrink_member_extents(self, arc_cover):
         sp, fam = arc_cover
         shrunk = fam.shrink(0.4)
         pos = np.arange(80) * 0.1
-        first = sorted(shrunk.members[0].indices)
+        first = shrunk.members[0].tolist()
         # [0, 3] erodes to [0.4, 2.6]
         assert pos[first[0]] == pytest.approx(0.4)
         assert pos[first[-1]] == pytest.approx(2.6)
@@ -126,7 +138,7 @@ class TestArcCover:
     def test_shrink_derives_depths_once(self, arc_cover, monkeypatch):
         # one table serves both the Lebesgue bound and the erosion
         _, fam = arc_cover
-        want = fam.shrink(0.4).members
+        want = as_lists(fam.shrink(0.4))
         reads = []
         depths = Family.depths
 
@@ -135,7 +147,7 @@ class TestArcCover:
             return depths.fget(self)
 
         monkeypatch.setattr(Family, "depths", property(counting))
-        assert fam.shrink(0.4).members == want
+        assert as_lists(fam.shrink(0.4)) == want
         assert reads == [id(fam)]
         with pytest.raises(CoveringError, match="Lebesgue"):
             Family(fam.space, ()).shrink(0.4)
@@ -147,58 +159,57 @@ class TestArcCover:
         s = 0.4
         shrunk = fam.shrink(s)
         for i in (0, 2):
-            grown_back = shrunk.members[i].neighborhood(s)
-            assert grown_back.indices <= fam.members[i].indices
+            assert hood(sp, shrunk[i], s) <= set(fam[i].tolist())
         sub = Family(sp, (shrunk.members[0], shrunk.members[2]))
-        assert sub.is_r_disjoint(s)
+        assert overlap(sub, s) == 1 and is_r_disjoint(sp, sub, s)
         assert sub.min_separation() >= 2 * s
 
 
 class TestSeparation:
     def test_min_separation_singletons(self):
         sp = line_space(10)
-        fam = Family(sp, (sp.subset([0]), sp.subset([4]), sp.subset([9])))
+        fam = Family(sp, ([0], [4], [9]))
         assert fam.min_separation() == 4.0
         assert fam.is_separated(4.0)
         assert not fam.is_separated(4.1)
 
     def test_r_disjoint_is_stronger(self):
         sp = line_space(10)
-        fam = Family(sp, (sp.subset([0]), sp.subset([2])))
+        fam = Family(sp, ([0], [2]))
         # distance 2 >= 1.5, but point 1 lies within 1.5 of both
         assert fam.is_separated(1.5)
-        assert not fam.is_r_disjoint(1.5)
-        assert fam.is_r_disjoint(1.0)
+        assert overlap(fam, 1.5) == 2 and not is_r_disjoint(sp, fam, 1.5)
+        assert overlap(fam, 1.0) == 1 and is_r_disjoint(sp, fam, 1.0)
 
 
 class TestStarMerge:
     def test_absorbs_nearby_member(self):
         sp = line_space(25)
-        cores = Family(sp, (sp.subset([5]),))
-        fam = Family(sp, (sp.subset([7]), sp.subset([20])))
+        cores = Family(sp, ([5],))
+        fam = Family(sp, ([7], [20]))
         merged = cores.merged(fam.hoods(3.0), 3.0)
-        assert [set(u.indices) for u in merged] == [set(range(3, 10))]
+        assert as_lists(merged) == [list(range(3, 10))]
 
     def test_no_absorption_when_far(self):
         sp = line_space(25)
-        cores = Family(sp, (sp.subset([5]),))
-        fam = Family(sp, (sp.subset([20]),))
+        cores = Family(sp, ([5],))
+        fam = Family(sp, ([20],))
         merged = cores.merged(fam.hoods(2.0), 2.0)
-        assert [set(u.indices) for u in merged] == [{4, 5, 6}]
+        assert as_lists(merged) == [[4, 5, 6]]
 
     def test_rejects_nonpositive_radius(self):
         sp = line_space(5)
-        fam = Family(sp, (sp.subset([1]),))
+        fam = Family(sp, ([1],))
         for s in (0.0, -1.0):
             with pytest.raises(CoveringError, match="positive"):
-                Family(sp, (sp.subset([0]),)).merged(fam.hoods(1.0), s)
+                Family(sp, ([0],)).merged(fam.hoods(1.0), s)
 
 
 class TestColoredCovering:
     def test_pooled_properties(self):
         sp = line_space(10)
-        c0 = Family(sp, (sp.subset(range(6)),))
-        c1 = Family(sp, (sp.subset(range(4, 10)),))
+        c0 = Family(sp, (range(6),))
+        c1 = Family(sp, (range(4, 10),))
         cc = ColoredCovering(sp, (c0, c1))
         assert cc.mesh == 5.0
         assert cc.multiplicity() == 2
@@ -206,7 +217,7 @@ class TestColoredCovering:
 
     def test_must_cover(self):
         sp = line_space(10)
-        c0 = Family(sp, (sp.subset(range(3)),))
+        c0 = Family(sp, (range(3),))
         with pytest.raises(CoveringError, match="cover"):
             ColoredCovering(sp, (c0,))
 
@@ -221,7 +232,7 @@ def brute_depths(fam):
     rows = np.zeros((len(fam.members), n))
     full = frozenset(range(n))
     for i, u in enumerate(fam.members):
-        comp = full - u.indices
+        comp = full - set(u.tolist())
         if comp:
             cols = np.fromiter(comp, dtype=int, count=len(comp))
             rows[i] = fam.space.dist[:, cols].min(axis=1)
@@ -234,26 +245,27 @@ def brute_dist_rows(fam):
     """Per-member loop: distance from each point to each member."""
     rows = np.empty((len(fam.members), fam.space.n))
     for i, u in enumerate(fam.members):
-        rows[i] = u.dist_to_points()
+        rows[i] = dist_to(fam.space, u)
     return rows
 
 
 def brute_star_merge(core, fam, s):
-    """Per-member loop: ``core`` with every member of ``fam`` whose open
-    s-neighborhood meets its own, grown by s."""
-    d_core = core.dist_to_points()
-    merged = set(core.indices)
+    """Per-member loop: the points of ``core`` with every member of ``fam``
+    whose open s-neighborhood meets its own, grown by s, in order."""
+    sp = fam.space
+    d_core = dist_to(sp, core)
+    merged = set(core.tolist())
     for w in fam:
-        if float(np.maximum(d_core, w.dist_to_points()).min()) < s:
-            merged |= w.indices
-    return core.space.subset(merged).neighborhood(s)
+        if float(np.maximum(d_core, dist_to(sp, w)).min()) < s:
+            merged |= set(w.tolist())
+    return sorted(hood(sp, merged, s))
 
 
 def pure_dist_rows(fam):
     """Pure-Python oracle: entry [i][x] is the min over y in member i of
     d[x, y], the point x first and the member's point second."""
     d = fam.space.dist.tolist()
-    return [[min(d[x][y] for y in u.indices) for x in range(fam.space.n)]
+    return [[min(d[x][y] for y in u.tolist()) for x in range(fam.space.n)]
             for u in fam]
 
 
@@ -283,9 +295,9 @@ def random_family(rng, sp, k, whole=False):
     members = []
     for _ in range(k):
         size = int(rng.choice([1, 2, max(1, sp.n // 3), max(1, sp.n - 1)]))
-        members.append(sp.subset(rng.choice(sp.n, size=size, replace=False)))
+        members.append(rng.choice(sp.n, size=size, replace=False))
     if whole:
-        members.insert(int(rng.integers(0, k + 1)), sp.whole())
+        members.insert(int(rng.integers(0, k + 1)), range(sp.n))
     return Family(sp, tuple(members))
 
 
@@ -297,10 +309,10 @@ def oracle_cases():
         cases.append(random_family(rng, sp, int(rng.integers(1, 9)),
                                    whole=trial % 3 == 0))
     one = random_space(rng, 1, integer=False)
-    cases.append(Family(one, (one.whole(),)))
-    cases.append(Family(one, (one.whole(), one.whole())))
+    cases.append(Family(one, (range(one.n),)))
+    cases.append(Family(one, (range(one.n), range(one.n))))
     sp = line_space(9)
-    cases.append(Family(sp, tuple(sp.subset([i]) for i in range(9))))
+    cases.append(Family(sp, tuple([i] for i in range(9))))
     cases.append(Family(sp, ()))
     return cases
 
@@ -335,22 +347,22 @@ class TestKernelOracles:
     @pytest.mark.parametrize("fam", oracle_cases())
     def test_derived_quantities(self, fam):
         sp, members = fam.space, fam.members
-        seps = [u.dist_sets(v) for i, u in enumerate(members)
+        seps = [dist_sets(sp, u, v) for i, u in enumerate(members)
                 for v in members[i + 1:]]
         assert fam.min_separation() == min(seps, default=np.inf)
         counts = np.zeros(sp.n, dtype=int)
         for u in members:
-            counts[list(u.indices)] += 1
+            counts[u] += 1
         assert fam.multiplicity() == counts.max()
         assert fam.union_size() == np.count_nonzero(counts)
-        for r in (0.05, 0.3, 1.0, -0.2):
-            hoods = np.zeros(sp.n, dtype=int)
-            for u in members:
-                hoods[list(u.neighborhood(r).indices)] += 1
-            assert fam.r_multiplicity(r) == hoods.max()
-            assert fam.is_r_disjoint(r) == (r <= 0 or hoods.max() <= 1)
-        union = sp.subset(set().union(*(u.indices for u in members)))
-        net = union.dist_to_points().max() if members else np.inf
+        for r in (0.05, 0.3, 1.0, -0.2, 0.0):
+            rows = fam.hoods(r)
+            assert rows.shape == (len(fam), sp.n)
+            for row, u in zip(rows, members):
+                assert set(np.flatnonzero(row).tolist()) == hood(sp, u, r)
+            assert overlap(fam, r) == r_multiplicity(sp, members, r)
+        union = set().union(*(u.tolist() for u in members))
+        net = dist_to(sp, union).max() if members else np.inf
         assert fam.net_radius() == net
 
     @pytest.mark.parametrize("fam", oracle_cases())
@@ -360,25 +372,24 @@ class TestKernelOracles:
         # on integer metrics s = 1 and 2 fall on distances, where < and <=
         # part ways
         for s in (0.01, 0.2, 0.7, 1.0, 2.0):
-            want = tuple(v for v in (u.neighborhood(-s) for u in fam)
-                         if not v.is_empty)
-            assert fam.eroded(s).members == want
-            core = sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
-                                        replace=False))
-            merged = Family(sp, (core,)).merged(fam.hoods(s), s)
-            assert merged.members == (brute_star_merge(core, fam, s),)
+            want = [sorted(v) for v in (hood(sp, u, -s) for u in fam) if v]
+            assert as_lists(fam.eroded(s)) == want
+            core = Family(sp, (rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
+                                          replace=False),))
+            merged = core.merged(fam.hoods(s), s)
+            assert as_lists(merged) == [brute_star_merge(core[0], fam, s)]
 
     @pytest.mark.parametrize("fam", oracle_cases())
     def test_batched_merge(self, fam):
         sp = fam.space
         rng = np.random.default_rng(3 * len(fam) + sp.n)
         cores = Family(sp, tuple(
-            sp.subset(rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
-                                 replace=False)) for _ in range(4)))
+            rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
+                       replace=False) for _ in range(4)))
         for s in (0.01, 0.2, 1.0, 2.0):
             got = cores.merged(fam.hoods(s), s)
-            assert got.members == tuple(brute_star_merge(core, fam, s)
-                                        for core in cores)
+            assert as_lists(got) == [brute_star_merge(core, fam, s)
+                                     for core in cores]
         assert Family(sp, ()).merged(fam.hoods(1.0), 1.0).members == ()
         for s in (0.0, -1.0):
             with pytest.raises(CoveringError, match="positive"):
@@ -386,8 +397,7 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("fam", oracle_cases())
     def test_singleton_member_min_is_reduceat(self, fam):
-        singles = Family(fam.space, tuple(fam.space.subset([int(x)])
-                                          for x in fam.indices))
+        singles = Family(fam.space, tuple([int(x)] for x in fam.indices))
         if not singles:
             return
         rng = np.random.default_rng(singles.space.n)
@@ -403,8 +413,8 @@ class TestKernelOracles:
     def test_shrink_matches_member_erosion(self, arc_cover):
         _, fam = arc_cover
         for s in (0.1, 0.35, 0.55):
-            want = [u.neighborhood(-s) for u in fam]
-            assert list(fam.shrink(s).members) == [u for u in want if not u.is_empty]
+            want = [sorted(hood(fam.space, u, -s)) for u in fam]
+            assert as_lists(fam.shrink(s)) == [u for u in want if u]
 
     def test_empty_family_arrays(self):
         sp = line_space(4)
@@ -416,7 +426,105 @@ class TestKernelOracles:
 
     def test_csr_layout(self):
         sp = line_space(6)
-        fam = Family(sp, (sp.subset([4, 1]), sp.subset([0]), sp.whole()))
+        fam = Family(sp, ([4, 1], [0], range(sp.n)))
         assert fam.indptr.tolist() == [0, 2, 3, 9]
+        # each member's points sorted
+        assert fam.indices.tolist() == [1, 4, 0, 0, 1, 2, 3, 4, 5]
         for i, u in enumerate(fam):
-            assert set(fam.indices[fam.indptr[i]:fam.indptr[i + 1]]) == u.indices
+            assert np.array_equal(fam.indices[fam.indptr[i]:fam.indptr[i + 1]], u)
+
+
+# ---------------------------------------------------------------------------
+# the Family contract: CSR arrays, checked once on construction
+
+
+class TestFamilyContract:
+    @pytest.mark.parametrize("members,match", [
+        ([[0, -1]], r"outside 0\.\.4"),
+        ([[5]], r"outside 0\.\.4"),
+        ([[1], [2, 7]], r"outside 0\.\.4"),
+        ([np.array([2**63], dtype=np.uint64)], r"outside 0\.\.4"),
+        ([[1], []], "empty member"),
+        ([range(0)], "empty member"),
+        ([[0, 1], [2, 3, 2]], "repeats a point"),
+        ([np.array([4, 4])], "repeats a point"),
+        ([[0.5]], "flat collection of integers"),
+        ([[True, False]], "flat collection of integers"),
+        ([3], "flat collection of integers"),
+        ([{1, 2}], "flat collection of integers"),
+        ([[[1, 2]]], "flat collection of integers"),
+    ])
+    def test_refuses(self, members, match):
+        with pytest.raises(CoveringError, match=match):
+            Family(line_space(5), members)
+
+    def test_every_input_form_gives_the_same_arrays(self):
+        sp = line_space(8)
+        want = [[2, 5, 6], [0], [1, 2, 3, 4]]
+        base = Family(sp, want)
+        for members in (
+                [[6, 2, 5], [0], [4, 3, 2, 1]],
+                ([2, 5, 6], range(1), range(1, 5)),
+                [np.array([5, 6, 2]), np.array([0], np.int32),
+                 np.arange(1, 5, dtype=np.uint8)],
+                base.members,
+                iter(base)):
+            fam = Family(sp, members)
+            assert fam.indptr.tolist() == [0, 3, 4, 8]
+            assert fam.indices.dtype == np.intp
+            assert np.array_equal(fam.indptr, base.indptr)
+            assert np.array_equal(fam.indices, base.indices)
+            assert as_lists(fam) == want
+
+    def test_members_are_read_only_sorted_views(self):
+        sp = line_space(6)
+        fam = Family(sp, ([4, 1], [0], range(6)))
+        assert len(fam) == 3
+        assert [len(u) for u in fam.members] == [2, 1, 6]
+        assert fam[0].tolist() == [1, 4]
+        assert fam[-1].tolist() == list(range(6))
+        for u in (*fam.members, fam[1], fam.indices):
+            assert not u.flags.writeable
+        with pytest.raises(IndexError):
+            fam[3]
+        assert Family(sp, ()).members == ()
+        assert len(Family(sp, ())) == 0
+
+    def test_part_is_a_family(self):
+        sp = line_space(6)
+        fam = Family(sp, ([4, 1], [0], range(6), [3]))
+        for lo, hi in ((0, 4), (1, 3), (2, 2), (3, 4), (0, 0), (4, 4)):
+            part = fam.part(lo, hi)
+            assert isinstance(part, Family) and part.space is sp
+            assert as_lists(part) == as_lists(fam)[lo:hi]
+            assert part.indptr[0] == 0 and part.indptr[-1] == len(part.indices)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_family_equals_constructor(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        rows = rng.random((int(rng.integers(0, 9)), n)) < rng.random()
+        rows[rng.random(len(rows)) < 0.3] = False  # some rows empty
+        sp = line_space(n)
+        got = _rows_family(sp, rows)
+        want = Family(sp, [np.flatnonzero(row) for row in rows if row.any()])
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert len(got) == int(rows.any(axis=1).sum())
+
+    @pytest.mark.parametrize("kind,params,depth", [
+        ("circle", {"n": 192}, 4), ("random_circle", {"n": 160, "seed": 0}, 3)],
+        ids=["flagship", "cascade"])
+    def test_bench_lebesgue_call_equals_pooled(self, kind, params, depth):
+        # the benchmark rebuilds each pooled level from its members
+        base = build_base(generate(kind, **params), r=0.125, depth=depth,
+                          colors=2)
+        built = 0
+        for seq in (base, separate(base)):
+            for cov in seq.levels:
+                pooled = cov.pooled
+                again = Family(seq.space, pooled.members)
+                assert np.array_equal(again.indices, pooled.indices)
+                assert again.lebesgue() == pooled.lebesgue() == cov.lebesgue()
+                built += pooled.mesh > 0
+        assert built >= (0 if kind == "circle" else 4)

@@ -5,14 +5,15 @@ import pytest
 
 import conetrees.io as bundle_io
 from conetrees import (
+    Family,
     FiniteMetricSpace,
     LadderConstructionError,
     MetricError,
-    Subset,
     build_level,
     metric_core,
 )
 from conetrees.harness import GENERATORS, generate
+from setcalc import closed_hood, diameter, dist_sets, dist_to, hood
 
 
 def line_space(n=11, spacing=1.0):
@@ -260,6 +261,20 @@ class TestCirculantMinPath:
         d = bundle_io.read_space(path).dist
         assert np.array_equal(metric_core._min_path(d), loop_min_path(d))
 
+    @pytest.mark.parametrize("kind", ["circle", "random_circle"])
+    def test_circulance_is_decided_once(self, monkeypatch, kind):
+        # once to pick the path, and never again inside it
+        calls = []
+        is_circulant = metric_core._is_circulant
+
+        def counted(d):
+            calls.append(d.shape[0])
+            return is_circulant(d)
+
+        monkeypatch.setattr(metric_core, "_is_circulant", counted)
+        assert generate(kind, n=64).n == 64
+        assert calls == [64]
+
     def test_circle_never_runs_the_loop(self, monkeypatch):
         monkeypatch.setattr(metric_core, "_min_path_loop", _refuse_loop)
         assert generate("circle", n=1024).n == 1024
@@ -501,52 +516,41 @@ class TestSpaceProperties:
         with pytest.raises(LadderConstructionError, match="empty space"):
             build_level(sp, 1.0, 2)
 
-    def test_subset_view(self):
-        sp = line_space(11)
-        sub = sp.subset([0, 2, 4])
-        assert len(sub) == 3
-        assert 2 in sub and 3 not in sub
-        assert sub.diameter() == 4.0
-
 
 class TestNeighborhoods:
+    """The set calculus of `setcalc`, the tests' oracle, against brute
+    force, and `Family.hoods` against both."""
+
     def test_open_ball_strict(self):
         sp = line_space(11)
-        u = Subset(sp, frozenset({3}))
         # open radius 1.5 reaches exactly one step either way
-        assert set(u.neighborhood(1.5).indices) == {2, 3, 4}
+        assert hood(sp, {3}, 1.5) == {2, 3, 4}
         # boundary is excluded: radius 1.0 reaches nothing new
-        assert set(u.neighborhood(1.0).indices) == {3}
+        assert hood(sp, {3}, 1.0) == {3}
 
     def test_zero_radius_is_identity(self):
         sp = line_space(11)
-        u = Subset(sp, frozenset({1, 5}))
-        assert u.neighborhood(0.0).indices == u.indices
-        assert u.closed_neighborhood(0.0).indices == u.indices
+        assert hood(sp, {1, 5}, 0.0) == {1, 5}
+        assert closed_hood(sp, {1, 5}, 0.0) == {1, 5}
 
     def test_erosion(self):
         sp = line_space(11)
-        u = Subset(sp, frozenset(range(6)))
         # complement starts at 6; keep points strictly deeper than 2
-        assert set(u.neighborhood(-2.0).indices) == {0, 1, 2, 3}
+        assert hood(sp, range(6), -2.0) == {0, 1, 2, 3}
 
     def test_erosion_of_whole_space_is_identity(self):
         sp = line_space(11)
-        w = sp.whole()
-        assert w.neighborhood(-100.0).indices == w.indices
+        assert hood(sp, range(11), -100.0) == frozenset(range(11))
+        assert Family(sp, [range(11)]).hoods(-100.0).all()
 
     def test_closed_ball_includes_boundary(self):
         sp = line_space(11)
-        u = Subset(sp, frozenset({3}))
-        assert set(u.closed_neighborhood(1.0).indices) == {2, 3, 4}
+        assert closed_hood(sp, {3}, 1.0) == {2, 3, 4}
 
     def test_empty_subset(self):
         sp = line_space(5)
-        e = Subset(sp, frozenset())
-        assert e.is_empty
-        assert e.neighborhood(3.0).is_empty
-        assert e.dist_to_points() is not None
-        assert np.all(np.isinf(e.dist_to_points()))
+        assert hood(sp, (), 3.0) == frozenset()
+        assert np.all(np.isinf(dist_to(sp, ())))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -554,10 +558,15 @@ class TestNeighborhoods:
         for _ in range(50):
             k = rng.integers(1, 10)
             idx = frozenset(rng.choice(40, size=k, replace=False).tolist())
-            u = Subset(sp, idx)
             r = float(rng.uniform(0, 1.2))
-            assert set(u.neighborhood(r).indices) == brute_open_ball(sp, idx, r)
-            assert set(u.neighborhood(-r).indices) == brute_erosion(sp, idx, r)
+            assert hood(sp, idx, r) == brute_open_ball(sp, idx, r)
+            assert hood(sp, idx, -r) == brute_erosion(sp, idx, r)
+            if r > 0:
+                fam = Family(sp, [sorted(idx)])
+                assert set(np.flatnonzero(fam.hoods(r)[0])) == \
+                    brute_open_ball(sp, idx, r)
+                assert set(np.flatnonzero(fam.hoods(-r)[0])) == \
+                    brute_erosion(sp, idx, r)
 
     def test_inclusion_lemma(self):
         # growing an eroded set by no more than the erosion radius stays inside
@@ -566,47 +575,28 @@ class TestNeighborhoods:
         for _ in range(50):
             k = rng.integers(1, 20)
             idx = frozenset(rng.choice(30, size=k, replace=False).tolist())
-            u = Subset(sp, idx)
             m = float(rng.uniform(0.1, 4.0))
             t = float(rng.uniform(0.0, m))
-            grown = u.neighborhood(-m).neighborhood(t)
-            assert grown.indices <= u.indices
-
-
-class TestLambdaNet:
-    def test_grid_net(self):
-        coords = np.linspace(0, 10, 21)
-        d = np.abs(coords[:, None] - coords[None, :])
-        sp = FiniteMetricSpace(d, tuple(f"g{i}" for i in range(21)))
-        x = Subset(sp, frozenset({0, 10, 20}))  # coords 0, 5, 10
-        assert x.is_lambda_net(2.5)
-        assert not x.is_lambda_net(2.4)
-
-    def test_whole_space_is_zero_net(self):
-        sp = line_space(5)
-        assert sp.whole().is_lambda_net(0.0)
+            grown = hood(sp, hood(sp, idx, -m), t)
+            assert grown <= idx
 
 
 class TestDistances:
     def test_dist_sets(self):
         sp = line_space(11)
-        a = Subset(sp, frozenset({0, 1}))
-        b = Subset(sp, frozenset({5, 9}))
-        assert a.dist_sets(b) == 4.0
+        assert dist_sets(sp, {0, 1}, {5, 9}) == 4.0
 
     def test_dist_sets_overlapping_is_zero(self):
         sp = line_space(11)
-        a = Subset(sp, frozenset({0, 1, 2}))
-        b = Subset(sp, frozenset({2, 3}))
-        assert a.dist_sets(b) == 0.0
+        assert dist_sets(sp, {0, 1, 2}, {2, 3}) == 0.0
 
     def test_dist_sets_empty_is_inf(self):
         sp = line_space(11)
-        a = Subset(sp, frozenset({0}))
-        e = Subset(sp, frozenset())
-        assert np.isinf(a.dist_sets(e))
+        assert np.isinf(dist_sets(sp, {0}, ()))
 
     def test_subset_diameter(self):
         sp = line_space(11)
-        assert Subset(sp, frozenset({2, 5, 7})).diameter() == 5.0
-        assert Subset(sp, frozenset({4})).diameter() == 0.0
+        assert diameter(sp, {2, 5, 7}) == 5.0
+        assert diameter(sp, {4}) == 0.0
+        assert Family(sp, [[2, 5, 7]]).mesh == 5.0
+        assert Family(sp, [[4]]).mesh == 0.0

@@ -1,5 +1,6 @@
 """Rooted trees over a separated ladder and the product embedding."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -48,9 +49,7 @@ def embed_point(tree, z, j):
         raise TreeError(f"tree has no nodes at level {j}")
     best, best_d = -1, np.inf
     for nid in ids:
-        cols = np.fromiter(tree.members[nid], dtype=int,
-                           count=len(tree.members[nid]))
-        d = float(tree.space.dist[z, cols].min())
+        d = float(tree.space.dist[z, tree.members[nid]].min())
         if d < best_d:
             best, best_d = int(nid), d
     return best
@@ -75,7 +74,7 @@ class TestTreeStructure:
         for tree in small_trees:
             assert tree.level[0] == 0
             assert tree.parent[0] == -1
-            assert tree.members[0] == frozenset(range(32))
+            assert tree.members[0].tolist() == list(range(32))
 
     def test_parent_levels_decrease(self, small_trees):
         for tree in small_trees:
@@ -85,7 +84,8 @@ class TestTreeStructure:
     def test_containment(self, small_trees):
         for tree in small_trees:
             for u in range(1, tree.n_nodes):
-                assert tree.members[u] <= tree.members[tree.parent[u]]
+                assert (set(tree.members[u].tolist())
+                        <= set(tree.members[tree.parent[u]].tolist()))
 
     def test_node_count(self, small__seq, small_trees):
         for a, tree in enumerate(small_trees):
@@ -107,6 +107,7 @@ class TestTreeStructure:
     def test_validate_passes(self, small_trees):
         for tree in small_trees:
             tree.validate()
+            assert scalar_validate(tree) is None
 
     def test_distance_matches_chain_walk(self, small_trees):
         tree = small_trees[0]
@@ -135,6 +136,54 @@ class TestTreeStructure:
         assert tree.level[node] <= 1
 
 
+def scalar_validate(tree):
+    """`RootedTree.validate`'s node checks one node at a time, on sets:
+    the message of the first node whose parent is invalid, not lower in
+    level, or not a superset of it, or whose member is empty; None if every
+    node passes."""
+    members = [set(u.tolist()) for u in tree.members]
+    for u in range(1, tree.n_nodes):
+        p = int(tree.parent[u])
+        if not 0 <= p < tree.n_nodes:
+            return f"node {u} has invalid parent {p}"
+        if tree.level[p] >= tree.level[u]:
+            return f"node {u} does not descend in level"
+        if not members[u] <= members[p]:
+            return f"node {u} is not contained in its parent"
+        if not members[u]:
+            return f"node {u} has an empty member"
+    return None
+
+
+def tampered(tree, seed):
+    """A copy of the tree with a few parents or members changed at random:
+    a parent out of range or at the same level, or a member with a point
+    added, removed or emptied."""
+    rng = np.random.default_rng(seed)
+    parent = tree.parent.copy()
+    members = [u.tolist() for u in tree.members]
+    n = tree.space.n
+    for _ in range(int(rng.integers(1, 4))):
+        u = int(rng.integers(1, tree.n_nodes))
+        how = int(rng.integers(0, 6))
+        if how == 0:
+            parent[u] = rng.choice([-1, tree.n_nodes, -5])
+        elif how == 1:
+            parent[u] = u
+        elif how == 2:
+            members[u] = sorted(set(members[u]) | {int(rng.integers(n))})
+        elif how == 3 and len(members[u]) > 1:
+            members[u] = members[u][1:]
+        elif how == 4:
+            members[u] = []
+        else:
+            members[u] = list(range(n))
+    sizes = [len(m) for m in members]
+    fam = Family._of(tree.space, np.cumsum([0] + sizes),
+                  np.array([x for m in members for x in m], dtype=np.intp))
+    return dataclasses.replace(tree, parent=parent, members=fam)
+
+
 def skipping_tree():
     """Color 0 of a hand-built ladder on 10 line points.  {4} at level 3
     skips level 2 to hang under {4,5,6}; {7,8} at level 2 and {9} at level
@@ -143,11 +192,11 @@ def skipping_tree():
     coords = np.arange(10, dtype=float)
     d = np.abs(coords[:, None] - coords[None, :])
     sp = FiniteMetricSpace(d, tuple(f"x{i}" for i in range(10)))
-    singles = Family(sp, tuple(sp.subset([i]) for i in range(10)))
+    singles = Family(sp, tuple([i] for i in range(10)))
 
     def level(*members):
         return ColoredCovering(sp, (
-            Family(sp, tuple(sp.subset(m) for m in members)), singles))
+            Family(sp, tuple(m for m in members)), singles))
 
     seq = CharSequence(sp, 0.5, (
         level([0, 1, 2, 3], [4, 5, 6]),
@@ -155,6 +204,41 @@ def skipping_tree():
         level([0], [4], [8], [9]),
     ))
     return build_tree(seq, 0)
+
+
+class TestValidate:
+    def test_refuses_node_outside_its_parent(self):
+        sp = FiniteMetricSpace(np.abs(np.arange(3.0)[:, None]
+                                      - np.arange(3.0)[None, :]),
+                               ("a", "b", "c"))
+        tree = RootedTree(
+            space=sp, color=0, depth=2, level=np.array([0, 1, 2, 2]),
+            parent=np.array([-1, 0, 1, 1]),
+            members=Family(sp, (range(3), [0, 1], [1], [1, 2])),
+            refs=((0, -1), (1, 0), (2, 0), (2, 1)))
+        with pytest.raises(TreeError,
+                           match="^node 3 is not contained in its parent$"):
+            tree.validate()
+
+    def test_tampered_trees_get_the_scalar_verdict(self, small_trees):
+        verdicts = []
+        for tree in (*small_trees, skipping_tree()):
+            for seed in range(40):
+                bad = tampered(tree, seed)
+                want = scalar_validate(bad)
+                if want is None:
+                    bad.validate()
+                else:
+                    with pytest.raises(TreeError) as err:
+                        bad.validate()
+                    assert str(err.value) == want
+                verdicts.append(want)
+        # every check refuses some tree, and some tampered tree passes
+        faults = ("has invalid parent", "does not descend in level",
+                  "is not contained in its parent", "has an empty member")
+        for fault in faults:
+            assert sum(fault in (v or "") for v in verdicts) >= 3, fault
+        assert None in verdicts
 
 
 class TestAncestorTable:
@@ -188,7 +272,7 @@ class TestAncestorTable:
         tree = RootedTree(
             space=sp, color=0, depth=2, level=np.array([0, 2, 1]),
             parent=np.array([-1, 2, 0]),
-            members=(frozenset({0, 1}), frozenset({0}), frozenset({0, 1})),
+            members=Family(sp, ([0, 1], [0], [0, 1])),
             refs=((0, -1), (2, 0), (1, 0)))
         with pytest.raises(TreeError, match="level order"):
             tree.validate()
@@ -213,7 +297,7 @@ def scalar_parents(seq, color):
     several members at its level."""
     nodes = [(0, frozenset(range(seq.space.n)))]
     for j in range(1, seq.depth + 1):
-        nodes += [(j, u.indices) for u in seq.level(j).colors[color]]
+        nodes += [(j, frozenset(u.tolist())) for u in seq.level(j).colors[color]]
     parent = [-1]
     for j, mem in nodes[1:]:
         chosen = 0
@@ -244,9 +328,9 @@ def line_ladder(*levels):
     coords = np.arange(10, dtype=float)
     sp = FiniteMetricSpace(np.abs(coords[:, None] - coords[None, :]),
                            tuple(f"x{i}" for i in range(10)))
-    singles = Family(sp, tuple(sp.subset([i]) for i in range(10)))
+    singles = Family(sp, tuple([i] for i in range(10)))
     return CharSequence(sp, 0.5, tuple(
-        ColoredCovering(sp, (Family(sp, tuple(sp.subset(m) for m in members)),
+        ColoredCovering(sp, (Family(sp, tuple(m for m in members)),
                              singles))
         for members in levels))
 
@@ -285,10 +369,10 @@ class TestAmbiguity:
         d = np.abs(coords[:, None] - coords[None, :])
         sp = FiniteMetricSpace(d, tuple(f"x{i}" for i in range(10)))
         lvl1 = ColoredCovering(sp, (
-            Family(sp, (sp.subset(range(0, 7)), sp.subset(range(4, 10)))),
+            Family(sp, (range(0, 7), range(4, 10))),
         ))
         lvl2 = ColoredCovering(sp, (
-            Family(sp, tuple(sp.subset([i]) for i in range(10))),
+            Family(sp, tuple([i] for i in range(10))),
         ))
         seq = CharSequence(sp, 0.5, (lvl1, lvl2))
         with pytest.raises(TreeError, match="ambiguous"):
@@ -313,7 +397,7 @@ class TestEmbedding:
         d = np.abs(coords[:, None] - coords[None, :])
         sp = FiniteMetricSpace(d, tuple(f"x{i}" for i in range(5)))
         lvl = ColoredCovering(sp, (
-            Family(sp, (sp.subset([0, 1, 2]), sp.subset([2, 3, 4]))),
+            Family(sp, ([0, 1, 2], [2, 3, 4])),
         ))
         seq = CharSequence(sp, 0.5, (lvl,))
         tree = build_tree(seq, 0)
