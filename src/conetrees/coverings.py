@@ -88,7 +88,8 @@ class Family:
 
     @property
     def members(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.split(self.indices, self.indptr[1:-1])) if len(self) else ()
+        ptr = self.indptr.tolist()
+        return tuple(self.indices[a:b] for a, b in zip(ptr, ptr[1:]))
 
     def __iter__(self):
         return iter(self.members)
@@ -150,6 +151,8 @@ class Family:
     def mesh(self) -> float:
         if self.indptr[-1] == len(self):  # no member has two points
             return 0.0
+        if (np.diff(self.indptr) == self.space.n).any():  # the whole space
+            return self.space.diameter
         return max(float(self.space.dist[np.ix_(u, u)].max()) for u in self)
 
     def multiplicity(self) -> int:

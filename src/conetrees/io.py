@@ -4,11 +4,14 @@ Everything is written canonically: JSON with sorted keys and a fixed indent,
 CSV with fixed columns, no timestamps or absolute paths, so rerunning the
 same deterministic pipeline reproduces every file byte for byte.  The JSON
 text is `json.dumps(value, sort_keys=True, indent=2) + "\n"`, written by
-the stdlib, with one value written by hand: a space's distance matrix.
-With an indent the stdlib takes its pure-Python encoder, which turns every
-float into text anew, and the matrix is n**2 floats, each off-diagonal value
-twice, so `_matrix` turns each distinct value into text once.  The tests
-and CI hold it to the stdlib's bytes.
+the stdlib, with two array values written by hand: a space's distance
+matrix and a ladder's member lists.  With an indent the stdlib takes its
+pure-Python encoder, which is slow on big lists of numbers, so `_list`
+writes a list of item texts made once each: the matrix's distinct floats,
+and each member's points, read off its Family's CSR arrays.  `_spliced`
+puts such a text into the stdlib's text of the rest of its object.  The
+tests and CI hold both to the stdlib's bytes.  A tree's CSV reads its
+members' points off the same arrays.
 `bundle_files` is the one description of a bundle, as bytes: `write_bundle`
 writes them, and `conetrees verify` compares a replay's with the stored ones.
 """
@@ -28,28 +31,60 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+def _list(items: list[str], depth: int) -> str:
+    """The JSON list of the item texts ``items`` as `json.dumps(...,
+    indent=2)` writes a list ``depth`` levels into its value: one item a
+    line, or "[]" when there is none."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _spliced(value: dict, key: str, text: str) -> str:
+    """`_dumps` of the object ``value`` with the JSON text ``text`` as the
+    value of its key ``key``: the stdlib writes null under the key, and the
+    key's line, the one line two spaces in that starts with it, takes the
+    text in place of the null."""
+    head, line, tail = _dumps({**value, key: None}).partition(
+        f"\n  {json.dumps(key)}: null")
+    return head + line[:-len("null")] + text + tail
+
+
 def _matrix(d: np.ndarray) -> str:
     """The 2-D float array d as `json.dumps(d.tolist(), indent=2)` writes it
     one level into an object, each distinct value turned into text once.
     np.unique merges 0.0 and -0.0, and float.__repr__ writes NaN and inf as
-    JSON does not, so an array that is empty or holds -0.0, NaN or inf is
-    written by the stdlib."""
-    if (not d.size or not np.isfinite(d).all()
-            or np.signbit(d[d == 0]).any()):
+    JSON does not, so an array that holds -0.0, NaN or inf is written by
+    the stdlib."""
+    if not np.isfinite(d).all() or np.signbit(d[d == 0]).any():
         return json.dumps(d.tolist(), indent=2).replace("\n", "\n  ")
     distinct, index = np.unique(d, return_inverse=True)
     texts = list(map(float.__repr__, distinct.tolist()))
-    rows = ["[\n      " + ",\n      ".join(map(texts.__getitem__, row))
-            + "\n    ]" for row in index.reshape(d.shape).tolist()]
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+    return _list([_list(list(map(texts.__getitem__, row)), 2)
+                  for row in index.reshape(d.shape).tolist()], 1)
+
+
+def _member_texts(family) -> list[list[str]]:
+    """Each member of a Family as its points' texts: one `tolist` of its
+    indices, turned into text in one pass and sliced at its `indptr`."""
+    texts = list(map(str, family.indices.tolist()))
+    ptr = family.indptr.tolist()
+    return [texts[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def _levels_text(seq) -> str:
+    """A ladder's member lists, level by color by member, as
+    `json.dumps(..., indent=2)` writes them one level into an object."""
+    return _list([_list([_list([_list(u, 4) for u in _member_texts(fam)], 3)
+                         for fam in cov.colors], 2)
+                  for cov in seq.levels], 1)
 
 
 def _space_text(space: FiniteMetricSpace) -> str:
-    """A space's JSON text: its matrix by `_matrix`, under "dist", which
-    sorts first, then its other fields by `_dumps`."""
-    rest = _dumps({"meta": space.meta, "point_ids": space.point_ids,
-                   "rel_tol": space.rel_tol})
-    return '{\n  "dist": ' + _matrix(space.dist) + ",\n" + rest[2:]
+    """A space's JSON text: its matrix by `_matrix`, spliced under "dist"."""
+    return _spliced({"meta": space.meta, "point_ids": space.point_ids,
+                     "rel_tol": space.rel_tol}, "dist", _matrix(space.dist))
 
 
 def _write_text(path, text: str) -> None:
@@ -103,11 +138,10 @@ def read_profile(path) -> dict:
 
 def render_tree(tree) -> str:
     lines = ["node,level,parent,ref_level,ref_member,points"]
-    for u, (level, parent, members, (rl, rm)) in enumerate(zip(
-            tree.level.tolist(), tree.parent.tolist(), tree.members,
-            tree.refs)):
-        pts = ";".join(map(str, members.tolist()))
-        lines.append(f"{u},{level},{parent},{rl},{rm},{pts}")
+    for u, (level, parent, points, (rl, rm)) in enumerate(zip(
+            tree.level.tolist(), tree.parent.tolist(),
+            _member_texts(tree.members), tree.refs)):
+        lines.append(f"{u},{level},{parent},{rl},{rm},{';'.join(points)}")
     return "\n".join(lines) + "\n"
 
 
@@ -136,18 +170,16 @@ def bundle_files(result) -> dict[str, bytes]:
     texts = {
         "config.json": _dumps(result.config.echo()),
         "space.json": _space_text(result.space),
-        "charseq.json": _dumps({
+        "charseq.json": _spliced({
             "r": seq.r,
             "depth": seq.depth,
             "colors": seq.n_colors,
             "delta": m["delta"],
             "lam": m["lam"],
             "gamma": m["gamma"],
-            "levels": [[[u.tolist() for u in fam.members]
-                        for fam in cov.colors] for cov in seq.levels],
             "provenance": {**seq.provenance, **{
                 k: m[k] for k in ("levels", "gamma_records") if k in m}},
-        }),
+        }, "levels", _levels_text(seq)),
         "embedding.csv": render_embedding(result.embedding),
         "qireport.json": _dumps({
             "qi": {"lam": qi.lam, "sigma": qi.sigma, "n_pairs": qi.n_pairs,

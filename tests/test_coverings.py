@@ -1,6 +1,8 @@
 """Families of subsets: mesh, multiplicity, Lebesgue number, shrinking, and
 the member-merging operation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -366,6 +368,31 @@ class TestKernelOracles:
         assert fam.net_radius() == net
 
     @pytest.mark.parametrize("fam", oracle_cases())
+    def test_mesh_is_the_gathered_maximum(self, fam):
+        gathered = [float(fam.space.dist[np.ix_(u, u)].max()) for u in fam]
+        assert fam.mesh == max(gathered, default=0.0)
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_whole_space_mesh_is_the_diameter(self, kind):
+        sp = generate(kind, **LADDER_SPACES[kind])
+        whole = np.arange(sp.n)
+        gathered = float(sp.dist[np.ix_(whole, whole)].max())
+        for members in ((whole,), ([0, 1], whole), (whole, [2])):
+            assert Family(sp, members).mesh == gathered
+
+    def test_whole_space_mesh_gathers_nothing(self):
+        sp = generate("circle", n=2048)
+        fam = Family(sp, (range(sp.n),))
+        tracemalloc.start()
+        try:
+            mesh = fam.mesh
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh == float(sp.dist.max())
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("fam", oracle_cases())
     def test_erosion_and_merge(self, fam):
         sp = fam.space
         rng = np.random.default_rng(len(fam) + sp.n)
@@ -489,6 +516,23 @@ class TestFamilyContract:
             fam[3]
         assert Family(sp, ()).members == ()
         assert len(Family(sp, ())) == 0
+
+    def test_members_are_np_split_pieces(self):
+        # seeded oracle families and row families, the empty ones included
+        rng = np.random.default_rng(17)
+        fams = [*oracle_cases(), *(
+            _rows_family(line_space(9), rng.random((k, 9)) < rng.random())
+            for k in range(8))]
+        assert any(len(f) == 0 for f in fams)
+        for fam in fams:
+            want = np.split(fam.indices, fam.indptr[1:-1]) if len(fam) else []
+            got = fam.members
+            assert isinstance(got, tuple) and len(got) == len(want)
+            for u, v in zip(got, want):
+                assert u.dtype == v.dtype and np.array_equal(u, v)
+                assert not u.flags.writeable
+                assert np.shares_memory(u, fam.indices)
+            assert all(np.array_equal(u, v) for u, v in zip(fam, want))
 
     def test_part_is_a_family(self):
         sp = line_space(6)

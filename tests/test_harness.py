@@ -421,6 +421,54 @@ def _stdlib(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+def _oracle_charseq(text: str, seq) -> str:
+    """charseq.json as the stdlib writes it whole, with its "levels" from
+    the ladder's members, one `tolist` each, and the rest read off ``text``."""
+    levels = [[[u.tolist() for u in fam.members] for fam in cov.colors]
+              for cov in seq.levels]
+    return _stdlib({**json.loads(text), "levels": levels})
+
+
+def _oracle_tree(tree) -> str:
+    """tree_<a>.csv with each node's points through their own `tolist`."""
+    lines = ["node,level,parent,ref_level,ref_member,points"]
+    for u, (level, parent, members, (rl, rm)) in enumerate(zip(
+            tree.level.tolist(), tree.parent.tolist(), tree.members,
+            tree.refs)):
+        pts = ";".join(map(str, members.tolist()))
+        lines.append(f"{u},{level},{parent},{rl},{rm},{pts}")
+    return "\n".join(lines) + "\n"
+
+
+def _random_int_lists(rng, depth):
+    """A random list nested ``depth`` deep around ints, empty lists and
+    lists of empty lists among them."""
+    size = int(rng.choice([0, 1, 1, 2, 5]))
+    if depth == 1:
+        return rng.integers(-3, 10 ** 6, size).tolist()
+    return [_random_int_lists(rng, depth - 1) for _ in range(size)]
+
+
+def _by_list(value, depth):
+    """``value``'s text with every list written by `io._list`, ``depth``
+    levels into an object."""
+    if isinstance(value, list):
+        return bundle_io._list([_by_list(v, depth + 1) for v in value], depth)
+    return json.dumps(value)
+
+
+# the pipelines whose member lists and trees are held to the oracle: the
+# workloads, cascade dropping a member, and CI's tree_boundary, cantor and
+# interval configurations
+RENDER_CONFIGS = {
+    **WORKLOAD_CONFIGS,
+    "tree_boundary": {"generator": "tree_boundary", "params": {"depth": 7},
+                      "depth": 4},
+    "cantor": {"generator": "cantor", "params": {"depth": 7}, "depth": 4},
+    "interval": {"generator": "interval", "params": {"n": 512}, "depth": 3},
+}
+
+
 # one small space per generator
 SPACE_PARAMS = {"circle": {"n": 24}, "interval": {"n": 20},
                 "cantor": {"depth": 4}, "tree_boundary": {"depth": 4},
@@ -496,6 +544,47 @@ class TestCanonicalJSON:
             if file.endswith(".json"):
                 text = content.decode("utf-8")
                 assert _stdlib(json.loads(text)) == text
+
+    def test_list_is_the_stdlib_list(self):
+        # at each depth the bundle writes a list: a matrix's rows, levels,
+        # colors and members
+        rng = np.random.default_rng(5)
+        for depth in (1, 2, 3, 4):
+            values = [[], [[]], [[], []], [[[]], []]]
+            values += [_random_int_lists(rng, int(rng.integers(1, 5)))
+                       for _ in range(300)]
+            for value in values:
+                assert _by_list(value, depth) == json.dumps(
+                    value, indent=2).replace("\n", "\n" + "  " * depth)
+
+    def test_member_texts(self):
+        sp = generate("circle", n=12)
+        for members in ((), ([3],), ([0, 11], range(12), [5], [7, 2, 9])):
+            fam = Family(sp, members)
+            assert bundle_io._member_texts(fam) == [
+                list(map(str, u.tolist())) for u in fam]
+
+    def test_spliced(self):
+        # a nested key of the same name, and a string holding the key's line
+        value = {"a": [1, {"levels": None}], "levels": 0,
+                 "z": '\n  "levels": null'}
+        text = json.dumps([7, []], indent=2).replace("\n", "\n  ")
+        for key in ("levels", "a", "z", "new"):
+            assert bundle_io._spliced(value, key, text) == _stdlib(
+                {**value, key: [7, []]})
+
+    @pytest.mark.parametrize("name", sorted(RENDER_CONFIGS))
+    def test_member_lists_and_trees_match_the_oracle(self, name):
+        cfg = RENDER_CONFIGS[name]
+        result = run_pipeline(PipelineConfig(
+            **{**cfg, "params": dict(cfg["params"])}))
+        if name == "cascade":
+            assert result.charseq.provenance["dropped_members"] > 0
+        files = bundle_io.bundle_files(result)
+        text = files["charseq.json"].decode("utf-8")
+        assert text == _oracle_charseq(text, result.charseq)
+        for a, tree in enumerate(result.trees):
+            assert files[f"tree_{a}.csv"].decode("utf-8") == _oracle_tree(tree)
 
     def test_profile(self, tmp_path):
         prof = capacity_profile(generate("random_circle", n=100),
