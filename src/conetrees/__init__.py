@@ -7,25 +7,15 @@ from .char_seq import (
     CharSequence,
     LadderConstructionError,
     SeparationPreconditionError,
-    ast_shrink,
     build_base,
     build_level,
     margin_trace,
     separate,
-    separation_margins,
     standing_assumptions,
     verify_base,
     verify_char_seq,
 )
-from .hyp_cone import (
-    ConeError,
-    ConeGrid,
-    ConePoint,
-    build_grid,
-    cone_dist,
-    cone_metric,
-    sphere_dist,
-)
+from .hyp_cone import ConeError, ConeGrid, build_grid
 from .tree_embed import (
     ProductEmbedding,
     RadialCheckError,
@@ -59,11 +49,9 @@ __all__ = [
     "FiniteMetricSpace", "MetricError",
     "ColoredCovering", "CoveringError", "Family",
     "CharSequence", "LadderConstructionError", "SeparationPreconditionError",
-    "ast_shrink", "build_base", "build_level",
-    "margin_trace", "separate", "separation_margins",
+    "build_base", "build_level", "margin_trace", "separate",
     "standing_assumptions", "verify_base", "verify_char_seq",
-    "ConeError", "ConeGrid", "ConePoint", "build_grid", "cone_dist",
-    "cone_metric", "sphere_dist",
+    "ConeError", "ConeGrid", "build_grid",
     "ProductEmbedding", "RadialCheckError", "RootedTree", "TreeError",
     "build_tree", "embed_grid", "radial_check",
     "QIReport", "delta_hyperbolicity", "fit_qi",

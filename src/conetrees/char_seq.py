@@ -53,9 +53,6 @@ class CharSequence:
     def n_colors(self) -> int:
         return self.levels[0].n_colors
 
-    def scale(self, j: int) -> float:
-        return self.r ** j
-
     def level(self, j: int) -> ColoredCovering:
         if not 1 <= j <= self.depth:
             raise IndexError(f"level {j} outside 1..{self.depth}")
@@ -95,32 +92,6 @@ def margin_trace(r: float, delta: float, depth: int) -> dict[int, float]:
             g -= 2.0 * r ** (k - j)
         out[j] = g
     return out
-
-
-def ast_shrink(fam: Family, ghat: Family, s: float, delta: float) -> Family:
-    """One merge step at full strength: erode each member of ``fam`` by 4s,
-    then absorb every member of ``ghat`` whose open delta*s neighborhood
-    meets that of the eroded core, and grow the union by delta*s.
-
-    Requires delta in (0, 2/3], mesh(ghat) <= 2s, and the open delta*s
-    neighborhoods of ghat members pairwise disjoint.
-    Each output member is contained in its input member, and every open
-    delta*s neighborhood of a ghat member is either inside or disjoint from
-    every output member.  Eroded-away members are dropped.
-    """
-    if not 0 < delta <= 2 / 3:
-        raise SeparationPreconditionError(f"delta must be in (0, 2/3], got {delta}")
-    if s <= 0:
-        raise SeparationPreconditionError(f"step scale must be positive, got {s}")
-    if ghat.mesh > 2 * s * (1 + 1e-12):
-        raise SeparationPreconditionError(
-            f"fine family mesh {ghat.mesh:.6g} exceeds 2s = {2 * s:.6g}"
-        )
-    hoods = ghat.hoods(delta * s)  # for the check and the merge
-    if hoods.sum(axis=0).max(initial=0) > 1:
-        raise SeparationPreconditionError(
-            f"fine family is not {delta * s:.6g}-disjoint")
-    return fam.eroded(4 * s).merged(hoods, delta * s)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +277,9 @@ def build_level(space: FiniteMetricSpace, scale: float, m: int,
     scale dominates the diameter, all singletons in every color once the
     scale's depth target drops below the sampling resolution.
     """
-    if scale <= 0:
-        raise LadderConstructionError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise LadderConstructionError(
+            f"scale must be positive and finite, got {scale}")
     if m < 2:
         raise LadderConstructionError(f"need at least 2 colors, got {m}")
     if space.n == 0:
@@ -456,19 +428,6 @@ def _pair_margins(fine: Family, rows: np.ndarray, depths: np.ndarray,
         # identical members never compete with themselves
         np.fill_diagonal(margins, np.inf)
     return float(margins.min()), desc
-
-
-def separation_margins(levels: tuple[ColoredCovering, ...],
-                       r: float) -> tuple[float, list[dict]]:
-    """Measured separation quality gamma over all same-color level pairs.
-
-    gamma is the largest value such that, with radius gamma * r**j at fine
-    level j, every same-color pair at levels j' <= j satisfies the dichotomy
-    and every coarser member contains such a neighborhood of a finer member.
-    Colors holding the same fine and coarse families share one computation.
-    """
-    out = _measure(levels, r, margins=True)
-    return out["gamma"], out["gamma_records"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ sorted and free of repeats.  Builders pass the arrays they hold, and
 erosion and merge read theirs off a bool table (`_rows_family`).  Two
 kernels answer every per-member distance question: `dist_rows()`, each
 point's distance to each member, and `depths`, each point's distance to
-each member's complement.  Multiplicity, Lebesgue number, capacity,
-separation, uniform erosion (shrink) and the absorb-and-grow merge that
-pushes separated coverings down a scale ladder are array operations on
-those two (k, n) matrices.  A ColoredCovering's constants come from its
-color families, each distinct one's tables derived once; `pooled`, all its
-members as one Family, is only the tests' oracle for them.
+each member's complement.  The Lebesgue number, separation, erosion and
+the absorb-and-grow merge that pushes separated coverings down a scale
+ladder are array operations on those two (k, n) matrices.  A
+ColoredCovering's constants come from its color families, each distinct
+one's tables derived once; `pooled`, all its members as one Family, is read
+only by the benchmark and by the tests, as an oracle for them.
 
 `dist_rows`, like every per-member minimum here, is `member_min`: the
 minimum over each member's rows of an (n, m) array, which on a family of
@@ -140,13 +140,6 @@ class Family:
         out[member, self.indices] = rows.min(axis=1, initial=np.inf)
         return out
 
-    def union_size(self) -> int:
-        """Number of points in some member."""
-        return int(np.count_nonzero(np.bincount(self.indices, minlength=self.space.n)))
-
-    def covers(self) -> bool:
-        return self.union_size() == self.space.n
-
     @cached_property
     def mesh(self) -> float:
         if self.indptr[-1] == len(self):  # no member has two points
@@ -154,9 +147,6 @@ class Family:
         if (np.diff(self.indptr) == self.space.n).any():  # the whole space
             return self.space.diameter
         return max(float(self.space.dist[np.ix_(u, u)].max()) for u in self)
-
-    def multiplicity(self) -> int:
-        return int(np.bincount(self.indices, minlength=self.space.n).max())
 
     def hoods(self, r: float) -> np.ndarray:
         """(k, n) bool: row i marks the open signed-radius r neighborhood of
@@ -166,45 +156,20 @@ class Family:
 
     def lebesgue(self) -> float:
         """min over points of min(best inscribed depth, mesh)."""
-        return self._lebesgue(self.depths) if len(self) else 0.0
-
-    def _lebesgue(self, depths: np.ndarray) -> float:
-        """`lebesgue` of a nonempty family, read off its `depths` table."""
-        return float(min(depths.max(axis=0).min(), self.mesh))
-
-    def capacity(self) -> float:
-        """Lebesgue number relative to mesh; 1.0 by convention at mesh 0."""
-        if self.mesh == 0:
-            return 1.0
-        return self.lebesgue() / self.mesh
-
-    def net_radius(self) -> float:
-        """Max over space points of the distance to the union of members."""
-        return float(self.dist_rows().min(axis=0, initial=np.inf).max())
-
-    def min_separation(self) -> float:
-        """Min distance between distinct members; +inf if fewer than 2."""
-        return self._separation(self.dist_rows())
+        return float(min(self.depths.max(axis=0).min(), self.mesh)) if len(self) else 0.0
 
     def _separation(self, rows: np.ndarray) -> float:
-        """`min_separation` read off the family's `dist_rows()`; the member
-        distances are exactly symmetric, as the space's matrix is."""
+        """Min distance between distinct members, +inf if fewer than 2,
+        read off the family's `dist_rows()`; the member distances are
+        exactly symmetric, as the space's matrix is."""
         sep = self.member_min(rows.T)  # [i, l]: min over x in i of d(x, l)
         np.fill_diagonal(sep, np.inf)
         return float(sep.min(initial=np.inf))
 
-    def is_separated(self, s: float) -> bool:
-        """Pairwise distance between distinct members is >= s."""
-        return self.min_separation() >= s
-
     def eroded(self, s: float) -> "Family":
         """Each member eroded by s > 0, i.e. its points farther than s from
         its complement, in order; members the erosion empties are dropped."""
-        return self._eroded(self.depths, s)
-
-    def _eroded(self, depths: np.ndarray, s: float) -> "Family":
-        """`eroded` read off the family's `depths` table."""
-        return _rows_family(self.space, depths > s)
+        return _rows_family(self.space, self.depths > s)
 
     def merged(self, hoods: np.ndarray, s: float) -> "Family":
         """Each member, a core, absorbs every member of a fine family whose
@@ -222,19 +187,6 @@ class Family:
         # open s-neighborhoods intersect iff some point is < s from both
         absorbed = (near @ h.T > 0).astype(np.float32)
         return _rows_family(self.space, (near > 0) | (absorbed @ h > 0))
-
-    def shrink(self, s: float) -> "Family":
-        """Erode every member by s.  Requires 0 < s < Lebesgue number, which
-        guarantees the eroded family still covers; empty members are dropped.
-        The `depths` table is derived once, for both.
-        """
-        depths = self.depths
-        leb = self._lebesgue(depths) if len(self) else 0.0
-        if not 0 < s < leb:
-            raise CoveringError(
-                f"shrink step {s:.6g} exceeds Lebesgue number {leb:.6g}"
-            )
-        return self._eroded(depths, s)
 
     def __repr__(self):
         return f"Family(k={len(self)}, mesh={self.mesh:.6g})"
@@ -300,8 +252,6 @@ class ColoredCovering:
         the max over all members is the max over the colors of theirs."""
         best = reduce(np.maximum, peaks, np.zeros(self.space.n))
         return float(min(best.min(initial=np.inf), self.mesh))
-
-    capacity = Family.capacity  # read off this covering's mesh and lebesgue
 
     def __repr__(self):
         sizes = ",".join(str(len(f)) for f in self.colors)

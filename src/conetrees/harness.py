@@ -217,7 +217,7 @@ def capacity_profile(space: FiniteMetricSpace, scales, colors=(2,)) -> dict:
     for m in colors:
         for tau in scales:
             cov = build_level(space, tau, m, allow_more_colors=True)
-            # capacity as ColoredCovering.capacity, with no second depths pass
+            # capacity, Lebesgue number over mesh: 1 by convention at mesh 0
             mesh, leb = cov.mesh, cov.lebesgue()
             rec = {
                 "colors": m,
@@ -255,13 +255,17 @@ class PipelineConfig:
     tree_delta_check: bool = True
 
     def __post_init__(self):
-        """Refuse a field of the wrong type; params are left to `generate`
-        (through `generator_params`), which fails the generate stage."""
+        """Refuse a field of the wrong type or a NaN or infinite float, which
+        passes every gate and is no JSON number; params are left to
+        `generate` (through `generator_params`), which fails that stage."""
         for name, kind in typing.get_type_hints(type(self)).items():
             value = getattr(self, name)
             if name != "params" and not _fits(value, kind):
                 raise ValueError(f"config field {name} must be "
                                  f"{getattr(kind, '__name__', kind)}, got "
+                                 f"{value!r}")
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"config field {name} must be finite, got "
                                  f"{value!r}")
 
     def echo(self) -> dict:

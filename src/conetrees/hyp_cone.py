@@ -14,11 +14,11 @@ On the radial grid the radii are the levels' j*R, so the distance of (j, z)
 and (j', z') depends only on (j, j', d_Z(z, z')).  The one row kernel,
 `ConeGrid.level_rows`, gives a row range of one level, from a first column
 on, from sin(a/2)**2, taken once on the base, and two numbers per level
-pair, with the same operations as `cone_metric`, which stays the
-general-points function and the tests' oracle.  Callers that read every
-pair i < k stream bounded row blocks over the columns right of their first
-row, so nothing below the diagonal is computed; `ConeGrid.dist_matrix`
-stacks the full levels into the whole matrix, for the tests.
+pair, bit for bit as the tests' oracle over arbitrary cone points,
+`cone_metric` in tests/oracles.py.  Callers that read every pair i < k
+stream bounded row blocks over the columns right of their first row, so
+nothing below the diagonal is computed; `ConeGrid.dist_matrix` stacks the
+full levels into the whole matrix.
 """
 
 from __future__ import annotations
@@ -35,59 +35,7 @@ RADIUS_CAP = 40.0
 
 
 class ConeError(ValueError):
-    """Raised for invalid cone points or grid parameters."""
-
-
-@dataclass(frozen=True)
-class ConePoint:
-    """Index of a base point and a radius.  The apex is any (z, 0)."""
-
-    z: int
-    t: float
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ConeError(f"radius must be nonnegative, got {self.t}")
-
-
-def cone_dist(space: FiniteMetricSpace, p: ConePoint, q: ConePoint) -> float:
-    """Distance between two cone points over the given space."""
-    for c in (p, q):
-        if not 0 <= c.z < space.n:
-            raise ConeError(f"point index {c.z} outside space of {space.n}")
-    dt = p.t - q.t
-    if space.diameter == 0 or p.z == q.z:
-        return abs(dt)
-    alpha = math.pi / space.diameter * float(space.dist[p.z, q.z])
-    s = math.sinh(0.5 * dt) ** 2 + (
-        math.sinh(p.t) * math.sinh(q.t) * math.sin(0.5 * alpha) ** 2
-    )
-    return 2.0 * math.asinh(math.sqrt(s))
-
-
-def cone_metric(space: FiniteMetricSpace, points) -> np.ndarray:
-    """Full distance matrix over an iterable of cone points."""
-    pts = tuple(points)
-    t = np.array([p.t for p in pts])
-    zi = np.array([p.z for p in pts], dtype=int)
-    if zi.size and (zi.min() < 0 or zi.max() >= space.n):
-        raise ConeError("cone point index out of range")
-    if space.diameter == 0:
-        return np.abs(t[:, None] - t[None, :])
-    mu = math.pi / space.diameter
-    half = 0.5 * mu * space.dist[np.ix_(zi, zi)]
-    sh = np.sinh(t)
-    s = np.sinh(0.5 * (t[:, None] - t[None, :])) ** 2 + np.outer(sh, sh) * np.sin(half) ** 2
-    return 2.0 * np.arcsinh(np.sqrt(s))
-
-
-def sphere_dist(t: float, tau: float) -> float:
-    """Distance between two points at common radius t and angle tau."""
-    if t < 0:
-        raise ConeError(f"radius must be nonnegative, got {t}")
-    if not 0 <= tau <= math.pi + 1e-12:
-        raise ConeError(f"angle must lie in [0, pi], got {tau}")
-    return 2.0 * math.asinh(math.sinh(t) * math.sin(0.5 * min(tau, math.pi)))
+    """Raised for invalid grid parameters or level rows."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +73,6 @@ class ConeGrid:
         return 1 + self.depth * self.space.n
 
     @cached_property
-    def points(self) -> tuple[ConePoint, ...]:
-        out = [ConePoint(0, 0.0)]
-        for j in range(1, self.depth + 1):
-            t = j * self.R
-            out.extend(ConePoint(z, t) for z in range(self.space.n))
-        return tuple(out)
-
-    @cached_property
     def point_level(self) -> np.ndarray:
         return np.concatenate(([0], np.repeat(np.arange(1, self.depth + 1),
                                               self.space.n)))
@@ -167,16 +107,16 @@ class ConeGrid:
 
     def level_rows(self, j: int, lo: int = 0, hi: int | None = None,
                    start: int = 0) -> np.ndarray:
-        """`cone_metric`'s entries for rows [lo, hi) of level j, over the
-        grid points [start, n_points), bit for bit: a (hi - lo,
-        n_points - start) array.  The apex (j = 0) is a level of one row,
-        any other level has n; by default every row and every column.
+        """The cone distances of rows [lo, hi) of level j to the grid
+        points [start, n_points): a (hi - lo, n_points - start) array.  The
+        apex (j = 0) is a level of one row, any other level has n; by
+        default every row and every column.
 
         The entry of (j, z) and (j', z') is 2*asinh(sqrt(A + B*S)), with A
         and B at (j, j') and S at (z, z'); the apex sits at base point 0.
         The columns are taken one level j' at a time, each a slice of S's
-        rows; the factors and ufuncs are `cone_metric`'s, in its order, and
-        every entry is computed rather than mirrored."""
+        rows; the factors and ufuncs are the tests' `cone_metric`'s, in its
+        order, bit for bit, and every entry is computed rather than mirrored."""
         if not 0 <= j <= self.depth:
             raise ConeError(f"level {j} outside 0..{self.depth}")
         n, n_points = self.space.n, self.n_points
@@ -205,9 +145,9 @@ class ConeGrid:
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:
-        """`cone_metric` over `points`: the `level_rows` of every level,
-        stacked.  The pipeline streams the rows instead; this whole matrix
-        is the tests' oracle."""
+        """The whole grid's cone distances: the `level_rows` of every
+        level, stacked, so bit for bit the tests' `cone_metric` oracle over
+        the grid points.  The pipeline streams the rows instead."""
         out = np.empty((self.n_points, self.n_points))
         for j in range(self.depth + 1):
             rows = self.level_rows(j)

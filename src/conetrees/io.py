@@ -1,4 +1,4 @@
-"""Readers and writers for spaces, profiles, and bundles.
+"""Readers and writers for spaces and bundles, and the profile writer.
 
 Everything is written canonically: JSON with sorted keys and a fixed indent,
 CSV with fixed columns, no timestamps or absolute paths, so rerunning the
@@ -132,10 +132,6 @@ def write_profile(path, profile: dict) -> None:
     _write_text(path, _dumps(profile))
 
 
-def read_profile(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def render_tree(tree) -> str:
     lines = ["node,level,parent,ref_level,ref_member,points"]
     for u, (level, parent, points, (rl, rm)) in enumerate(zip(
@@ -150,7 +146,7 @@ def render_embedding(embedding) -> str:
     ids = grid.space.point_ids
     header = "level,point_id,t," + ",".join(
         f"v{a}" for a in range(embedding.n_trees))
-    # a grid point's t, as `ConeGrid.points` holds it, per level
+    # a grid point's radius t = j * R, per level
     ts = [repr(j * grid.R) for j in range(grid.depth + 1)]
     lines = [header]
     for j, z, nodes in zip(grid.point_level.tolist(), grid.point_z.tolist(),

@@ -53,11 +53,6 @@ def _circulant_min_path(d: np.ndarray) -> np.ndarray:
     return circulant((d[0][:, None] + d).min(axis=0))
 
 
-def _min_path(d: np.ndarray) -> np.ndarray:
-    """best[i, k] = min_j (d[i, j] + d[j, k]), by `_validate_matrix`'s route."""
-    return _circulant_min_path(d) if _is_circulant(d) else _min_path_loop(d)
-
-
 def _meta_floats(meta: dict, key: str, n: int) -> np.ndarray | None:
     """meta[key] as an (n,) array of finite float64 values, or None."""
     try:

@@ -66,9 +66,6 @@ class RootedTree:
     def n_nodes(self) -> int:
         return len(self.members)
 
-    def children(self, u: int) -> np.ndarray:
-        return np.flatnonzero(self.parent == u)
-
     def nodes_at_level(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.level == j)
 
@@ -87,13 +84,6 @@ class RootedTree:
             anc[rows[live], self.level[cur[live]]] = cur[live]
             cur[live] = self.parent[cur[live]]
         return anc
-
-    def lca_level(self, u: int, v: int) -> int:
-        au, av = self.ancestors[u], self.ancestors[v]
-        return int(np.flatnonzero((au == av) & (au >= 0))[-1])
-
-    def dist(self, u: int, v: int) -> int:
-        return int(self.level[u] + self.level[v] - 2 * self.lca_level(u, v))
 
     @cached_property
     def all_pairs_dist(self) -> np.ndarray:
@@ -127,13 +117,6 @@ class RootedTree:
         lca += lv[:, None]
         lca += lv[None, :]
         return lca
-
-    def steps_to_level(self, u: int, i: int) -> int:
-        """Parent hops from u until the level drops to i or below: the
-        number of u's ancestors, u included, above level i."""
-        if i < 0:
-            raise TreeError("walked past the root")
-        return int(np.count_nonzero(self.ancestors[u, i + 1:] >= 0))
 
     def validate(self) -> None:
         """Raise TreeError at the first node with an invalid parent, one not
@@ -227,12 +210,6 @@ class ProductEmbedding:
     def n_trees(self) -> int:
         return len(self.trees)
 
-    def product_dist(self, i: int, k: int) -> int:
-        return int(sum(
-            t.dist(int(self.table[i, a]), int(self.table[k, a]))
-            for a, t in enumerate(self.trees)
-        ))
-
     @cached_property
     def all_pairs_dist(self) -> np.ndarray:
         """(n_points, n_points) int32 l1 product distances: the sum over
@@ -288,8 +265,8 @@ def radial_check(emb: ProductEmbedding) -> dict:
     """
     m = emb.n_trees
     grid = emb.grid
-    # steps[idx, i]: the slowest tree's steps_to_level from grid point idx
-    # to level i, read off suffix counts of each tree's ancestor table
+    # steps[idx, i]: the most parent hops, over trees, from idx's node down to
+    # level <= i: the node's ancestors above level i, a suffix count per tree
     steps = np.zeros((grid.n_points, grid.depth + 1), dtype=np.int64)
     for a, tree in enumerate(emb.trees):
         present = tree.ancestors >= 0

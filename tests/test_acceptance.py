@@ -15,21 +15,18 @@ import numpy as np
 import pytest
 
 from conetrees import (
-    ConePoint,
     Family,
     PipelineConfig,
-    ast_shrink,
-    cone_dist,
     delta_hyperbolicity,
     generate,
     radial_check,
     run_pipeline,
-    sphere_dist,
     sphere_ratio_check,
     verify_char_seq,
     visual_metric_circle,
 )
-from setcalc import closed_hood, hood, r_multiplicity
+from oracles import ast_shrink, cone_metric
+from setcalc import closed_hood, dist_to, hood, r_multiplicity
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -136,10 +133,11 @@ def test_c02_covering_shrink(pool):
         if leb <= 0:
             continue
         s = leb * float(rng.uniform(0.05, 0.95))
-        shrunk = fam.shrink(s)
-        if not shrunk.covers():
+        # the erosion the cascade runs, by 0 < s < the Lebesgue number
+        shrunk = fam.eroded(s)
+        if not np.bincount(shrunk.indices, minlength=sp.n).all():  # covers
             bad += 1
-        if r_multiplicity(sp, shrunk, s) > fam.multiplicity():
+        if r_multiplicity(sp, shrunk, s) > r_multiplicity(sp, fam, 0.0):
             bad += 1
         done += 1
     report("C2 covering shrink", bad == 0, f"violations={bad}/500 coverings")
@@ -217,7 +215,7 @@ def _uncapped_inner_radius(level) -> float:
     cap, for levels whose members are singletons (mesh 0)."""
     sp = level.space
     best = np.zeros(sp.n)
-    for idx in level.pooled:
+    for idx in (u for fam in level.colors for u in fam):
         cols = np.setdiff1d(np.arange(sp.n), idx)
         if cols.size:
             depth = sp.dist[np.ix_(idx, cols)].min(axis=1)
@@ -234,7 +232,7 @@ def _check_ladder_constants(res) -> str:
     assert gamma >= delta / 4 - 1e-12, (gamma, delta)
     for j in range(1, seq.depth + 1):
         level = seq.level(j)
-        scale = seq.scale(j)
+        scale = seq.r ** j
         if level.mesh > 0:
             assert level.lebesgue() >= delta * scale / 2 - 1e-12, j
         else:
@@ -242,7 +240,8 @@ def _check_ladder_constants(res) -> str:
             # so measure the inscribed depth directly
             assert _uncapped_inner_radius(level) >= delta * scale / 2 - 1e-12, j
         for fam in level.colors:
-            assert fam.net_radius() <= (lam + 1) * scale + 1e-12, j
+            net = float(dist_to(level.space, fam.indices).max())
+            assert net <= (lam + 1) * scale + 1e-12, j
     assert res.runtime < 120.0, res.runtime
     return (
         f"delta={delta:.6g}, lam={lam:.6g}, gamma={gamma:.6g}, "
@@ -275,36 +274,58 @@ def _check_trees(res) -> str:
     return f"trees={len(res.trees)}, hyperbolicity defects={deltas} (exact zeros)"
 
 
-def _check_cone_metric(res) -> str:
-    sp = res.space
-    mu = math.pi / sp.diameter
-    rng = np.random.default_rng(606)
-    worst = 0.0
-    for _ in range(10_000):
-        z1 = int(rng.integers(sp.n))
-        z2 = int(rng.integers(sp.n - 1))
-        if z2 >= z1:
-            z2 += 1
-        p = ConePoint(z1, float(rng.uniform(0.0, 20.0)))
-        q = ConePoint(z2, float(rng.uniform(0.0, 20.0)))
-        got = cone_dist(sp, p, q)
-        # textbook two-sheet form, computed naively
-        arg = math.cosh(p.t) * math.cosh(q.t) - math.sinh(p.t) * math.sinh(
-            q.t
-        ) * math.cos(mu * float(sp.dist[z1, z2]))
-        want = math.acosh(max(1.0, arg))
-        worst = max(worst, abs(got - want) / max(want, 1e-30))
-    assert worst <= 1e-9, worst
+def _textbook_cone_dist(t1, t2, alpha) -> float:
+    """The textbook two-sheet form, computed naively."""
+    arg = math.cosh(t1) * math.cosh(t2) - math.sinh(t1) * math.sinh(t2) * math.cos(alpha)
+    return math.acosh(max(1.0, arg))
 
-    rng2 = np.random.default_rng(660)
+
+def _check_cone_metric(res) -> str:
+    sp, grid = res.space, res.grid
+    mu = math.pi / sp.diameter
+    level, z = grid.point_level, grid.point_z
+    rows = [grid.level_rows(j) for j in range(grid.depth + 1)]  # the run's kernel
+
+    def grid_dist(i, k):
+        return float(rows[level[i]][z[i], k])  # the apex's one row is base point 0
+
+    # grid pairs on distinct base points against the textbook form
+    rng = np.random.default_rng(616)
+    grid_worst = 0.0
+    for _ in range(10_000):
+        i = int(rng.integers(grid.n_points))
+        k = int(rng.integers(grid.n_points))
+        while z[k] == z[i]:
+            k = int(rng.integers(grid.n_points))
+        want = _textbook_cone_dist(level[i] * grid.R, level[k] * grid.R,
+                                   mu * float(sp.dist[z[i], z[k]]))
+        grid_worst = max(grid_worst, abs(grid_dist(i, k) - want) / max(want, 1e-30))
+    assert grid_worst <= 1e-9, grid_worst
+
+    # same-level grid pairs against sinh(d/2) = sinh(jR) * sin(tau/2)
+    rng2 = np.random.default_rng(661)
     sphere_worst = 0.0
     for _ in range(2000):
-        t = float(rng2.uniform(0.0, 20.0))
-        tau = float(rng2.uniform(0.0, math.pi))
-        lhs = math.sinh(sphere_dist(t, tau) / 2.0)
-        rhs = math.sinh(t) * math.sin(tau / 2.0)
+        j = int(rng2.integers(1, grid.depth + 1))
+        z1, z2 = (int(v) for v in rng2.integers(sp.n, size=2))
+        lhs = math.sinh(grid_dist(grid.index(j, z1), grid.index(j, z2)) / 2.0)
+        rhs = math.sinh(j * grid.R) * math.sin(mu * float(sp.dist[z1, z2]) / 2.0)
         sphere_worst = max(sphere_worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     assert sphere_worst <= 1e-9, sphere_worst
+
+    # the cone distance oracle at random radii against the textbook form
+    rng3 = np.random.default_rng(606)
+    worst = 0.0
+    for _ in range(10_000):
+        z1 = int(rng3.integers(sp.n))
+        z2 = int(rng3.integers(sp.n - 1))
+        if z2 >= z1:
+            z2 += 1
+        t1, t2 = float(rng3.uniform(0.0, 20.0)), float(rng3.uniform(0.0, 20.0))
+        got = float(cone_metric(sp, [z1, z2], [t1, t2])[0, 1])
+        want = _textbook_cone_dist(t1, t2, mu * float(sp.dist[z1, z2]))
+        worst = max(worst, abs(got - want) / max(want, 1e-30))
+    assert worst <= 1e-9, worst
 
     sph = sphere_ratio_check(res.grid)
     c = sph["bound"]
@@ -313,9 +334,10 @@ def _check_cone_metric(res) -> str:
     assert sph["min_ratio"] >= 1 / c - 1e-12
     assert sph["max_ratio"] <= c + 1e-12
     return (
-        f"oracle rel err {worst:.2e} (tol 1e-9), sphere identity rel err "
-        f"{sphere_worst:.2e}, ratios [{sph['min_ratio']:.6g}, "
-        f"{sph['max_ratio']:.6g}] within [1/C, C], C={c:.6g}"
+        f"grid rel err {grid_worst:.2e} and oracle rel err {worst:.2e} "
+        f"(tol 1e-9), grid sphere identity rel err {sphere_worst:.2e}, "
+        f"ratios [{sph['min_ratio']:.6g}, {sph['max_ratio']:.6g}] within "
+        f"[1/C, C], C={c:.6g}"
     )
 
 

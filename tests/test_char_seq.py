@@ -17,7 +17,6 @@ from conetrees import (
     PipelineConfig,
     SeparationPreconditionError,
     StageError,
-    ast_shrink,
     build_base,
     build_level,
     char_seq,
@@ -25,13 +24,13 @@ from conetrees import (
     margin_trace,
     run_pipeline,
     separate,
-    separation_margins,
     standing_assumptions,
     verify_base,
     verify_char_seq,
 )
-from conetrees.char_seq import _pair_margins, _window_level
+from conetrees.char_seq import _measure, _pair_margins, _window_level
 from conetrees.harness import generate
+from oracles import ast_shrink
 from setcalc import dist_sets, hood
 
 
@@ -205,7 +204,7 @@ class TestBuildLevel:
         sp = generate("circle", n=16)
         cov = build_level(sp, scale=3.0, m=2)
         assert 0.0 < cov.mesh <= 3.0
-        assert cov.pooled.covers()
+        assert np.unique(cov.pooled.indices).size == sp.n  # covers
         assert cov.lebesgue() > 0.0
 
     def test_mesh_never_exceeds_scale(self):
@@ -215,6 +214,14 @@ class TestBuildLevel:
             for scale in (0.6, 0.3, 0.08):
                 cov = build_level(sp, scale=scale * sp.diameter, m=2)
                 assert cov.mesh <= scale * sp.diameter * (1 + 1e-9)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_refuses_scale_that_is_not_positive_and_finite(self, scale):
+        # NaN fails every comparison, so only a range test refuses it
+        sp = generate("circle", n=64)
+        with pytest.raises(LadderConstructionError) as exc:
+            build_level(sp, scale, 2)
+        assert str(exc.value) == f"scale must be positive and finite, got {scale}"
 
     def test_greedy_depth_guarantee(self):
         sp = without_kind(generate("random_circle", n=120, seed=5))
@@ -545,11 +552,10 @@ class TestCoveringConstantsOracle:
                 pooled = cov.pooled
                 assert cov.mesh == st["mesh"] == pooled.mesh
                 assert cov.multiplicity() == st["multiplicity"] \
-                    == pooled.multiplicity()
+                    == np.bincount(pooled.indices).max()
                 assert cov.lebesgue() == st["lebesgue"] == pooled.lebesgue()
-                assert cov.capacity() == pooled.capacity()
                 for fam in cov.colors:
-                    assert fam.min_separation() == triu_separation(fam)
+                    assert fam._separation(fam.dist_rows()) == triu_separation(fam)
                 assert st["separation"] == min(triu_separation(f)
                                                for f in cov.colors)
 
@@ -570,7 +576,8 @@ class TestSeparationMargins:
             Family(sp, tuple([i] for i in range(21))),
             Family(sp, tuple([i] for i in range(21))),
         ))
-        gamma, records = separation_margins((blocks, singles), r=0.5)
+        out = _measure((blocks, singles), 0.5, margins=True)
+        gamma, records = out["gamma"], out["gamma_records"]
         # binding pair: the two level-1 blocks at distance 0.5, over r^1
         assert gamma == pytest.approx(1.0)
         assert all(rec["pair_margin"] >= 0.5 for rec in records
@@ -589,7 +596,7 @@ class TestSeparationMargins:
             return _pair_margins(fine, rows, depths, same_level)
 
         monkeypatch.setattr(char_seq, "_pair_margins", counting)
-        _, records = separation_margins(seq.levels, seq.r)
+        records = _measure(seq.levels, seq.r, margins=True)["gamma_records"]
         assert len(calls) == 5
         assert len(records) == 6
 
@@ -598,7 +605,7 @@ class TestSeparationMargins:
         cov = ColoredCovering(sp, (
             Family(sp, (range(12), range(9, 21))),
         ))
-        gamma, _ = separation_margins((cov,), r=0.5)
+        gamma = _measure((cov,), 0.5, margins=True)["gamma"]
         assert gamma == 0.0
 
 

@@ -1,5 +1,5 @@
-"""Families of subsets: mesh, multiplicity, Lebesgue number, shrinking, and
-the member-merging operation."""
+"""Families of subsets: mesh, multiplicity, Lebesgue number, separation,
+erosion, and the member-merging operation."""
 
 import tracemalloc
 
@@ -8,6 +8,7 @@ import pytest
 
 from conetrees import (ColoredCovering, CoveringError, Family, build_base,
                        separate)
+from conetrees.char_seq import _measure
 from conetrees.coverings import _rows_family
 from conetrees.harness import GENERATORS, generate
 from setcalc import dist_sets, dist_to, hood, is_r_disjoint, r_multiplicity
@@ -22,6 +23,26 @@ def overlap(fam, r):
 def as_lists(fam):
     """The family's members, each as a list of its points in order."""
     return [u.tolist() for u in fam]
+
+
+def covers(fam):
+    return np.unique(fam.indices).size == fam.space.n
+
+
+def separation(fam):
+    """Min distance between distinct members, as the ladder measures it."""
+    return fam._separation(fam.dist_rows())
+
+
+def multiplicity(fam):
+    """Most members holding one point, as the covering of fam counts it."""
+    return ColoredCovering(fam.space, (fam,)).multiplicity()
+
+
+def net_radius(fam):
+    """fam's net radius as the ladder measures it, beside the whole space."""
+    level = ColoredCovering(fam.space, (fam, Family(fam.space, (range(fam.space.n),))))
+    return _measure((level,), 0.5, margins=False)["levels"][0]["net_radius"]
 
 
 def line_space(n=11, spacing=1.0):
@@ -54,21 +75,18 @@ class TestFamilyBasics:
         sp = line_space(11)
         fam = Family(sp, (range(sp.n),))
         assert fam.mesh == 10.0
-        assert fam.covers()
-        assert fam.multiplicity() == 1
+        assert covers(fam)
+        assert multiplicity(fam) == 1
         # the single member has no complement, so every point is infinitely deep
         assert fam.lebesgue() == 10.0
-        assert fam.capacity() == 1.0
 
     def test_singleton_family(self):
         sp = line_space(5)
         fam = Family(sp, tuple([i] for i in range(5)))
         assert fam.mesh == 0.0
-        assert fam.covers()
+        assert covers(fam)
         assert fam.lebesgue() == 0.0
-        # mesh zero counts as perfectly fine by convention
-        assert fam.capacity() == 1.0
-        assert fam.min_separation() == 1.0
+        assert separation(fam) == 1.0
 
     def test_empty_member_rejected(self):
         sp = line_space(5)
@@ -78,19 +96,19 @@ class TestFamilyBasics:
     def test_non_covering(self):
         sp = line_space(5)
         fam = Family(sp, ([0, 1],))
-        assert not fam.covers()
+        assert not covers(fam)
         assert fam.lebesgue() == 0.0
 
     def test_multiplicity_counts_overlaps(self):
         sp = line_space(10)
         fam = Family(sp, (range(6), range(4, 10), range(5, 7)))
         # points 5 lies in all three members
-        assert fam.multiplicity() == 3
+        assert multiplicity(fam) == 3
 
     def test_r_multiplicity_grows_with_r(self):
         sp = line_space(10)
         fam = Family(sp, (range(5), range(5, 10)))
-        assert fam.multiplicity() == overlap(fam, 0.0) == 1
+        assert multiplicity(fam) == overlap(fam, 0.0) == 1
         assert overlap(fam, 0.5) == r_multiplicity(sp, fam, 0.5) == 1
         # open 1.5-neighborhoods overlap across the split
         assert overlap(fam, 1.5) == r_multiplicity(sp, fam, 1.5) == 2
@@ -106,41 +124,32 @@ class TestArcCover:
         _, fam = arc_cover
         assert fam.lebesgue() == pytest.approx(0.6)
 
-    def test_capacity(self, arc_cover):
-        _, fam = arc_cover
-        assert fam.capacity() == pytest.approx(0.2)
-
     def test_multiplicity(self, arc_cover):
         _, fam = arc_cover
-        assert fam.multiplicity() == 2
+        assert multiplicity(fam) == 2
         assert overlap(fam, 0.1) == 2
 
     def test_shrink_still_covers(self, arc_cover):
         _, fam = arc_cover
-        shrunk = fam.shrink(0.4)
-        assert shrunk.covers()
+        # erosion by 0.4, below the Lebesgue number 0.6
+        shrunk = fam.eroded(0.4)
+        assert covers(shrunk)
         assert len(shrunk.members) == 4
         # multiplicity of grown-back members does not exceed the original
-        assert overlap(shrunk, 0.4) <= fam.multiplicity()
+        assert overlap(shrunk, 0.4) <= multiplicity(fam)
 
     def test_shrink_member_extents(self, arc_cover):
         sp, fam = arc_cover
-        shrunk = fam.shrink(0.4)
+        shrunk = fam.eroded(0.4)
         pos = np.arange(80) * 0.1
         first = shrunk.members[0].tolist()
         # [0, 3] erodes to [0.4, 2.6]
         assert pos[first[0]] == pytest.approx(0.4)
         assert pos[first[-1]] == pytest.approx(2.6)
 
-    def test_shrink_above_lebesgue_rejected(self, arc_cover):
-        _, fam = arc_cover
-        with pytest.raises(CoveringError, match="Lebesgue"):
-            fam.shrink(0.7)
-
     def test_shrink_derives_depths_once(self, arc_cover, monkeypatch):
-        # one table serves both the Lebesgue bound and the erosion
         _, fam = arc_cover
-        want = as_lists(fam.shrink(0.4))
+        want = as_lists(fam.eroded(0.4))
         reads = []
         depths = Family.depths
 
@@ -149,37 +158,33 @@ class TestArcCover:
             return depths.fget(self)
 
         monkeypatch.setattr(Family, "depths", property(counting))
-        assert as_lists(fam.shrink(0.4)) == want
+        assert as_lists(fam.eroded(0.4)) == want
         assert reads == [id(fam)]
-        with pytest.raises(CoveringError, match="Lebesgue"):
-            Family(fam.space, ()).shrink(0.4)
 
     def test_disjoint_pairs_become_s_disjoint(self, arc_cover):
         # arcs 0 and 2 are disjoint; after shrinking by s their open
         # s-neighborhoods stay inside the originals, hence stay disjoint
         sp, fam = arc_cover
         s = 0.4
-        shrunk = fam.shrink(s)
+        shrunk = fam.eroded(s)
         for i in (0, 2):
             assert hood(sp, shrunk[i], s) <= set(fam[i].tolist())
         sub = Family(sp, (shrunk.members[0], shrunk.members[2]))
         assert overlap(sub, s) == 1 and is_r_disjoint(sp, sub, s)
-        assert sub.min_separation() >= 2 * s
+        assert separation(sub) >= 2 * s
 
 
 class TestSeparation:
     def test_min_separation_singletons(self):
         sp = line_space(10)
         fam = Family(sp, ([0], [4], [9]))
-        assert fam.min_separation() == 4.0
-        assert fam.is_separated(4.0)
-        assert not fam.is_separated(4.1)
+        assert separation(fam) == 4.0
 
     def test_r_disjoint_is_stronger(self):
         sp = line_space(10)
         fam = Family(sp, ([0], [2]))
         # distance 2 >= 1.5, but point 1 lies within 1.5 of both
-        assert fam.is_separated(1.5)
+        assert separation(fam) >= 1.5
         assert overlap(fam, 1.5) == 2 and not is_r_disjoint(sp, fam, 1.5)
         assert overlap(fam, 1.0) == 1 and is_r_disjoint(sp, fam, 1.0)
 
@@ -215,7 +220,7 @@ class TestColoredCovering:
         cc = ColoredCovering(sp, (c0, c1))
         assert cc.mesh == 5.0
         assert cc.multiplicity() == 2
-        assert cc.pooled.covers()
+        assert covers(cc.pooled)
 
     def test_must_cover(self):
         sp = line_space(10)
@@ -351,12 +356,12 @@ class TestKernelOracles:
         sp, members = fam.space, fam.members
         seps = [dist_sets(sp, u, v) for i, u in enumerate(members)
                 for v in members[i + 1:]]
-        assert fam.min_separation() == min(seps, default=np.inf)
+        assert separation(fam) == min(seps, default=np.inf)
         counts = np.zeros(sp.n, dtype=int)
         for u in members:
             counts[u] += 1
-        assert fam.multiplicity() == counts.max()
-        assert fam.union_size() == np.count_nonzero(counts)
+        if counts.all():  # a covering, whose multiplicity the pipeline counts
+            assert multiplicity(fam) == counts.max()
         for r in (0.05, 0.3, 1.0, -0.2, 0.0):
             rows = fam.hoods(r)
             assert rows.shape == (len(fam), sp.n)
@@ -365,7 +370,7 @@ class TestKernelOracles:
             assert overlap(fam, r) == r_multiplicity(sp, members, r)
         union = set().union(*(u.tolist() for u in members))
         net = dist_to(sp, union).max() if members else np.inf
-        assert fam.net_radius() == net
+        assert net_radius(fam) == net
 
     @pytest.mark.parametrize("fam", oracle_cases())
     def test_mesh_is_the_gathered_maximum(self, fam):
@@ -441,15 +446,15 @@ class TestKernelOracles:
         _, fam = arc_cover
         for s in (0.1, 0.35, 0.55):
             want = [sorted(hood(fam.space, u, -s)) for u in fam]
-            assert as_lists(fam.shrink(s)) == [u for u in want if u]
+            assert as_lists(fam.eroded(s)) == [u for u in want if u]
 
     def test_empty_family_arrays(self):
         sp = line_space(4)
         fam = Family(sp, ())
         assert fam.indices.shape == (0,)
         assert fam.depths.shape == fam.dist_rows().shape == (0, 4)
-        assert fam.net_radius() == np.inf
-        assert not fam.covers()
+        assert net_radius(fam) == np.inf
+        assert not covers(fam)
 
     def test_csr_layout(self):
         sp = line_space(6)

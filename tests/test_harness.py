@@ -22,7 +22,6 @@ from conetrees import (
     build_level,
     capacity_profile,
     char_seq,
-    cone_metric,
     fit_qi,
     generate,
     harness,
@@ -31,6 +30,7 @@ from conetrees import (
     sphere_ratio_check,
 )
 from conetrees.cli import main as cli_main
+from oracles import cone_metric
 
 
 def _workload_configs() -> dict:
@@ -206,6 +206,18 @@ class TestPipeline:
         with pytest.raises(ValueError, match=f"config field {field} must be"):
             PipelineConfig.from_dict({"generator": "circle", field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("r", math.nan), ("r", math.inf), ("delta_target", math.nan),
+        ("delta_target", -math.inf),
+    ], ids=["r_nan", "r_inf", "delta_target_nan", "delta_target_minus_inf"])
+    def test_non_finite_config_float_refused(self, field, value):
+        # a NaN target would fail every `<` gate, so pass every one, and
+        # NaN and inf are no JSON numbers
+        with pytest.raises(ValueError) as exc:
+            PipelineConfig.from_dict({"generator": "circle", field: value})
+        assert str(exc.value) == (
+            f"config field {field} must be finite, got {value!r}")
+
     def test_optional_fields_take_none(self):
         cfg = PipelineConfig.from_dict({"generator": "circle", "r": 1 / 8,
                                         "delta_target": None, "outdir": None})
@@ -266,8 +278,9 @@ class TestPipeline:
         res = run_pipeline(PipelineConfig(generator="circle",
                                           params={"n": 48}, depth=3))
         assert "_level_factors" not in res.grid.__dict__
-        assert np.array_equal(res.grid.dist_matrix,
-                              cone_metric(res.grid.space, res.grid.points))
+        grid = res.grid
+        assert np.array_equal(grid.dist_matrix, cone_metric(
+            grid.space, grid.point_z, grid.point_level * grid.R))
 
     def test_result_fields(self, flagship_result):
         res = flagship_result
@@ -370,7 +383,7 @@ class TestBundleIO:
         prof = capacity_profile(sp, [0.5, 0.1], colors=(2,))
         path = tmp_path / "profile.json"
         bundle_io.write_profile(path, prof)
-        back = bundle_io.read_profile(path)
+        back = json.loads(path.read_text(encoding="utf-8"))
         assert back["records"] == prof["records"]
 
     def test_bundle_files(self, flagship_outdir, flagship_result):
@@ -620,7 +633,7 @@ class TestCLI:
         rc = cli_main(["profile", "--kind", "circle", "--n", "64",
                        "--r", "0.25", "--depth", "2", "--out", str(out)])
         assert rc == 0
-        prof = bundle_io.read_profile(out)
+        prof = json.loads(out.read_text(encoding="utf-8"))
         assert len(prof["records"]) == 2
 
     def test_pipeline_with_config_and_override(self, tmp_path, capsys):
@@ -649,6 +662,31 @@ class TestCLI:
         assert capsys.readouterr().err == (
             "error: config field depth must be int, got '2'\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta-target", "nan"), ("--delta-target", "-inf"),
+        ("--r", "nan"), ("--r", "inf"),
+    ])
+    def test_pipeline_refuses_non_finite_float(self, tmp_path, capsys, flag,
+                                               value):
+        out = tmp_path / "out"
+        rc = cli_main(["pipeline", "--generator", "circle", "--n", "64",
+                       "--depth", "2", f"{flag}={value}", "--outdir", str(out)])
+        assert rc == 1
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: config field {field} must be finite, got {float(value)!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_profile_refuses_non_finite_scale(self, tmp_path, capsys, scale):
+        out = tmp_path / "prof.json"
+        rc = cli_main(["profile", "--kind", "circle", "--n", "64", "--scales",
+                       scale, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: scale must be positive and finite, got {float(scale)}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", '"circle"'],
                              ids=["list", "number", "null", "string"])

@@ -1,21 +1,14 @@
-"""Hyperbolic cone distances, sphere distances, and the radial grid."""
+"""The cone distance oracle, sphere distances, and the radial grid."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conetrees import (
-    ConeError,
-    ConeGrid,
-    ConePoint,
-    build_grid,
-    cone_dist,
-    cone_metric,
-    sphere_dist,
-)
+from conetrees import ConeError, build_grid
 from conetrees.harness import generate
 from conetrees.hyp_cone import RADIUS_CAP
+from oracles import cone_metric
 
 
 def hyperboloid_oracle(t1, t2, alpha):
@@ -23,6 +16,16 @@ def hyperboloid_oracle(t1, t2, alpha):
     model at radii t1, t2 with angle alpha between them."""
     q = math.cosh(t1) * math.cosh(t2) - math.sinh(t1) * math.sinh(t2) * math.cos(alpha)
     return math.acosh(max(q, 1.0))
+
+
+def cone_dist(space, z1, t1, z2, t2):
+    """One entry of `cone_metric`: the distance of (z1, t1) and (z2, t2)."""
+    return float(cone_metric(space, [z1, z2], [t1, t2])[0, 1])
+
+
+def grid_metric(grid):
+    """`cone_metric` over the grid's points, in grid point order."""
+    return cone_metric(grid.space, grid.point_z, grid.point_level * grid.R)
 
 
 def stacked_level_rows(grid):
@@ -36,38 +39,32 @@ def quarter_circle():
     return generate("circle", n=4)
 
 
-class TestConeDist:
+class TestConeMetricOracle:
     def test_apex_distance_is_radius(self, quarter_circle):
-        sp = quarter_circle
-        apex = ConePoint(0, 0.0)
-        assert cone_dist(sp, apex, ConePoint(2, 3.5)) == pytest.approx(3.5)
+        assert cone_dist(quarter_circle, 0, 0.0, 2, 3.5) == pytest.approx(3.5)
 
     def test_same_point_radial(self, quarter_circle):
-        sp = quarter_circle
-        d = cone_dist(sp, ConePoint(1, 0.7), ConePoint(1, 2.2))
+        d = cone_dist(quarter_circle, 1, 0.7, 1, 2.2)
         assert d == pytest.approx(1.5, abs=1e-15)
 
     def test_right_angle_closed_form(self, quarter_circle):
         # angle pi/2 at equal radii 1: cosh d = 1 + sinh(1)^2 = cosh(1)^2
-        sp = quarter_circle
-        d = cone_dist(sp, ConePoint(0, 1.0), ConePoint(1, 1.0))
+        d = cone_dist(quarter_circle, 0, 1.0, 1, 1.0)
         assert d == pytest.approx(math.acosh(math.cosh(1.0) ** 2), rel=1e-12)
 
     def test_symmetry(self, quarter_circle):
-        sp = quarter_circle
-        p, q = ConePoint(0, 1.3), ConePoint(3, 0.4)
-        assert cone_dist(sp, p, q) == cone_dist(sp, q, p)
+        m = cone_metric(quarter_circle, [0, 3], [1.3, 0.4])
+        assert m[0, 1] == m[1, 0]
 
     def test_monotone_in_angle(self):
         sp = generate("circle", n=16)
-        base = ConePoint(0, 2.0)
-        dists = [cone_dist(sp, base, ConePoint(z, 2.0)) for z in range(9)]
+        dists = [cone_dist(sp, 0, 2.0, z, 2.0) for z in range(9)]
         assert all(a < b for a, b in zip(dists, dists[1:]))
 
     def test_single_point_space_is_ray(self):
         from conetrees import FiniteMetricSpace
         sp = FiniteMetricSpace(np.zeros((1, 1)), ("o",))
-        assert cone_dist(sp, ConePoint(0, 1.0), ConePoint(0, 4.0)) == 3.0
+        assert cone_dist(sp, 0, 1.0, 0, 4.0) == 3.0
 
     def test_matches_hyperboloid_oracle(self):
         sp = generate("circle", n=64)
@@ -76,65 +73,46 @@ class TestConeDist:
         for _ in range(300):
             z1, z2 = rng.integers(0, 64, size=2)
             t1, t2 = rng.uniform(0, 12, size=2)
-            got = cone_dist(sp, ConePoint(int(z1), t1), ConePoint(int(z2), t2))
+            got = cone_dist(sp, int(z1), t1, int(z2), t2)
             if z1 == z2:
                 assert got == pytest.approx(abs(t1 - t2), abs=1e-12)
             else:
                 want = hyperboloid_oracle(t1, t2, mu * sp.dist[z1, z2])
                 assert got == pytest.approx(want, rel=1e-9)
 
-    def test_rejects_bad_index(self, quarter_circle):
-        with pytest.raises(ConeError, match="index"):
-            cone_dist(quarter_circle, ConePoint(0, 1.0), ConePoint(9, 1.0))
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ConeError, match="radius"):
-            ConePoint(0, -1.0)
-
-
-class TestConeMetric:
-    def test_matrix_matches_scalar(self, quarter_circle):
-        sp = quarter_circle
-        pts = [ConePoint(z, t) for z, t in
-               [(0, 0.0), (0, 1.0), (1, 1.0), (2, 2.0), (3, 0.5)]]
-        m = cone_metric(sp, pts)
-        for i, p in enumerate(pts):
-            for j, q in enumerate(pts):
-                assert m[i, j] == pytest.approx(cone_dist(sp, p, q), abs=1e-12)
-
     def test_triangle_inequality(self):
         sp = generate("circle", n=12)
         rng = np.random.default_rng(9)
-        pts = [ConePoint(int(z), float(t)) for z, t in
-               zip(rng.integers(0, 12, 40), rng.uniform(0, 6, 40))]
-        m = cone_metric(sp, pts)
+        m = cone_metric(sp, rng.integers(0, 12, 40), rng.uniform(0, 6, 40))
         slack = 1e-9 * (1 + m.max())
         for i in range(40):
             for j in range(40):
                 assert np.all(m[i, j] <= m[i] + m[:, j] + slack)
 
 
-class TestSphereDist:
-    def test_half_turn_identity(self):
+class TestSphereDistance:
+    """Two points at a common radius t and angle tau are at distance d with
+    sinh(d/2) = sinh(t) * sin(tau/2)."""
+
+    def test_half_turn_identity(self, quarter_circle):
+        # points 0 and 2 of the quarter circle sit at angle pi
         r = math.log(8.0)
         want = 2.0 * math.asinh(63.0 / 16.0)
-        assert sphere_dist(r, math.pi) == pytest.approx(want, rel=1e-12)
+        assert cone_dist(quarter_circle, 0, r, 2, r) == pytest.approx(want, rel=1e-12)
 
-    def test_zero_angle(self):
-        assert sphere_dist(2.0, 0.0) == 0.0
+    def test_zero_angle(self, quarter_circle):
+        assert cone_dist(quarter_circle, 1, 2.0, 1, 2.0) == 0.0
 
     def test_defining_identity(self):
+        sp = generate("random_circle", n=200, seed=4)
+        mu = math.pi / sp.diameter
         rng = np.random.default_rng(4)
         for _ in range(200):
             t = float(rng.uniform(0.1, 25.0))
-            tau = float(rng.uniform(0.0, math.pi))
-            d = sphere_dist(t, tau)
+            z1, z2 = (int(v) for v in rng.integers(0, sp.n, size=2))
+            d = cone_dist(sp, z1, t, z2, t)
             assert math.sinh(d / 2) == pytest.approx(
-                math.sinh(t) * math.sin(tau / 2), rel=1e-9)
-
-    def test_rejects_angle_above_pi(self):
-        with pytest.raises(ConeError, match="angle"):
-            sphere_dist(1.0, 4.0)
+                math.sinh(t) * math.sin(mu * sp.dist[z1, z2] / 2), rel=1e-9)
 
 
 class TestConeGrid:
@@ -143,11 +121,11 @@ class TestConeGrid:
         grid = build_grid(sp, r=0.25, depth=3)
         assert grid.n_points == 1 + 3 * 8
         assert grid.R == pytest.approx(math.log(4.0))
-        assert grid.points[0] == ConePoint(0, 0.0)
-        assert grid.point_level[0] == 0
+        # the apex is base point 0 at radius 0
+        assert grid.point_z[0] == 0 and grid.point_level[0] == 0
         # level j sits at radius j * R
         idx = grid.index(2, 5)
-        assert grid.points[idx] == ConePoint(5, 2 * grid.R)
+        assert grid.point_level[idx] * grid.R == 2 * grid.R
         assert grid.point_level[idx] == 2
         assert grid.point_z[idx] == 5
 
@@ -171,7 +149,7 @@ class TestConeGrid:
             "depth12"])
     def test_dist_matrix_equals_cone_metric(self, kind, params, depth):
         grid = build_grid(generate(kind, **params), r=0.125, depth=depth)
-        oracle = cone_metric(grid.space, grid.points)
+        oracle = grid_metric(grid)
         assert np.array_equal(stacked_level_rows(grid), oracle)
         assert np.array_equal(grid.dist_matrix, oracle)
 
@@ -206,7 +184,7 @@ class TestConeGrid:
         # rows [lo, hi) of level j over columns [start, n_points), bit for
         # bit, for every range, the empty ones included
         grid = build_grid(generate(kind, **params), r=0.125, depth=depth)
-        oracle = cone_metric(grid.space, grid.points)
+        oracle = grid_metric(grid)
         for j in range(depth + 1):
             first, size = grid.index(j, 0), (grid.space.n if j else 1)
             for lo in range(size + 1):

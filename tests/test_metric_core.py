@@ -227,14 +227,16 @@ class TestCirculant:
 
 
 class TestCirculantMinPath:
-    """`_min_path` against the loop, which stays the oracle."""
+    """`_circulant_min_path` against the loop, which stays the oracle, on
+    matrices that `_is_circulant` routes to it."""
 
     def test_best_equals_loop(self):
         violating = 0
         for seed in SEEDS:
             d = seeded_circulant(seed)
             best = loop_min_path(d)
-            assert np.array_equal(metric_core._min_path(d), best), seed
+            assert metric_core._is_circulant(d), seed
+            assert np.array_equal(metric_core._circulant_min_path(d), best), seed
             violating += loop_triangle_message(d) is not None
         assert 40 <= violating <= 80
 
@@ -252,14 +254,16 @@ class TestCirculantMinPath:
 
     def test_circle(self):
         d = generate("circle", n=192).dist
-        assert np.array_equal(metric_core._min_path(d), loop_min_path(d))
+        assert metric_core._is_circulant(d)
+        assert np.array_equal(metric_core._circulant_min_path(d), loop_min_path(d))
 
     def test_circle_read_back_from_space_file(self, tmp_path, monkeypatch):
         path = tmp_path / "space.json"
         bundle_io.write_space(path, generate("circle", n=96))
         monkeypatch.setattr(metric_core, "_min_path_loop", _refuse_loop)
         d = bundle_io.read_space(path).dist
-        assert np.array_equal(metric_core._min_path(d), loop_min_path(d))
+        assert metric_core._is_circulant(d)
+        assert np.array_equal(metric_core._circulant_min_path(d), loop_min_path(d))
 
     @pytest.mark.parametrize("kind", ["circle", "random_circle"])
     def test_circulance_is_decided_once(self, monkeypatch, kind):
