@@ -12,13 +12,14 @@ A cone grid point (z, j*R) maps, in each tree, to the level-j node nearest
 to z; the product metric is the l1 sum over trees.
 
 Node ids run level by level (the root, then each level's members), which
-`RootedTree.validate` checks, so the nodes of level >= l are a suffix of
-the ids.  `RootedTree.all_pairs_dist` compares, at level l, only that
-suffix, in one reused bool buffer, and finishes its int16 result in place.
-`ProductEmbedding.all_pairs_dist` adds a tree whose table column is the
-identity straight into its int32 sum, and gathers any other tree in row
-blocks of at most BLOCK_ENTRIES entries, so neither kernel makes an n x n
-transient beyond its result and that buffer.
+`RootedTree.validate` checks, so every parent's row of the lca-level table
+is finished before its children's.  `RootedTree.all_pairs_dist` copies
+each node's row from its parent's, since the two agree outside the node's
+subtree, writes the node's level over that subtree, and finishes its int16
+result in place.  Both it and `ProductEmbedding.all_pairs_dist`, which
+adds a tree whose table column is the identity straight into its int32
+sum, gather rows in blocks of at most BLOCK_ENTRIES entries, so neither
+kernel makes an n x n transient beyond its result.
 """
 
 from __future__ import annotations
@@ -88,30 +89,28 @@ class RootedTree:
     @cached_property
     def all_pairs_dist(self) -> np.ndarray:
         """(n_nodes, n_nodes) int16 tree distances level[u] + level[v] -
-        2*lca, where lca is the largest level l with ancestors[u, l] ==
-        ancestors[v, l] >= 0.  Every pair shares the root at level 0; at
-        level l >= 1 only the nodes of level >= l can match, and they are
-        the suffix of the ids from the first level-l node, so one equality
-        pass per level covers that suffix's square, in one reused bool
-        buffer.  Each column is compared in the narrowest signed type that
-        holds the node ids and -2.  The result is finished in place, so the
-        kernel holds only it and the buffer.  Raises TreeError when the ids
-        are not in non-decreasing level order."""
+        2*lca, lca the level of u's and v's deepest common ancestor.  The
+        lca table is built level by level, a parent's row before its
+        children's: outside u's subtree lca(u, v) = lca(parent(u), v), so
+        u's row starts as its parent's, gathered in row blocks of at most
+        BLOCK_ENTRIES entries, and inside it lca(u, v) = level[u], written
+        at (ancestors[v, l], v) for every v with an ancestor at level l.
+        The result is finished in place, so the kernel holds only it and
+        one block.  Raises TreeError when the ids are not in non-decreasing
+        level order."""
         if np.any(self.level[1:] < self.level[:-1]):
             raise TreeError("node ids are not in non-decreasing level order")
-        anc = self.ancestors
-        ids = np.min_scalar_type(-self.n_nodes)
-        lca = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int16)
-        first = np.searchsorted(self.level, np.arange(1, self.depth + 1))
-        size = self.n_nodes - int(first[0]) if first.size else 0
-        buf = np.empty(size * size, dtype=bool)
-        for lvl, lo in enumerate(first.tolist(), 1):
-            m = self.n_nodes - lo
-            col = anc[lo:, lvl].astype(ids)
-            match = buf[:m * m].reshape(m, m)
-            # -1 on one side against -2 on the other: skipped levels never match
-            np.equal(col[:, None], np.where(col < 0, -2, col)[None, :], out=match)
-            np.copyto(lca[lo:, lo:], lvl, where=match)
+        n, anc = self.n_nodes, self.ancestors
+        lca = np.empty((n, n), dtype=np.int16)
+        lca[0] = 0
+        rows = max(1, BLOCK_ENTRIES // n)
+        ends = np.searchsorted(self.level, np.arange(1, self.depth + 2)).tolist()
+        for lvl, (lo, hi) in enumerate(zip(ends, ends[1:]), 1):
+            for a in range(lo, hi, rows):
+                b = min(a + rows, hi)
+                lca[a:b] = lca[self.parent[a:b]]
+            v = np.flatnonzero(anc[:, lvl] >= 0)
+            lca[anc[v, lvl], v] = lvl
         lv = self.level.astype(np.int16)
         lca *= -2
         lca += lv[:, None]

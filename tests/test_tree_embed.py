@@ -605,18 +605,25 @@ def random_table(grid, trees, seed):
                      for t in trees], axis=1)
 
 
+PIPELINE_LADDERS = pytest.mark.parametrize("generator, params, depth", [
+    ("circle", {"n": 32}, 3),       # under 128 nodes
+    ("circle", {"n": 192}, 4),      # the flagship ladder
+    ("circle", {"n": 40}, 12),      # many levels
+    ("random_circle", {"n": 160, "seed": 0}, 3),  # every level built
+    ("cantor", {"depth": 7}, 4),    # the component-level builder
+    ("tree_boundary", {"depth": 7}, 4),
+])
+
+
+def pipeline_ladder(generator, params, depth):
+    return separate(build_base(generate(generator, **params), r=0.125,
+                               depth=depth, colors=2))
+
+
 class TestPairKernelsAgainstReference:
-    @pytest.mark.parametrize("generator, params, depth", [
-        ("circle", {"n": 32}, 3),       # under 128 nodes: int8 node ids
-        ("circle", {"n": 192}, 4),      # the flagship ladder: int16 ids
-        ("circle", {"n": 40}, 12),      # many levels
-        ("random_circle", {"n": 160, "seed": 0}, 3),  # every level built
-        ("cantor", {"depth": 7}, 4),    # the component-level builder
-        ("tree_boundary", {"depth": 7}, 4),
-    ])
+    @PIPELINE_LADDERS
     def test_pipeline_ladders(self, generator, params, depth):
-        seq = separate(build_base(generate(generator, **params), r=0.125,
-                                  depth=depth, colors=2))
+        seq = pipeline_ladder(generator, params, depth)
         trees = tuple(build_tree(seq, a) for a in range(2))
         for tree in trees:
             got = tree.all_pairs_dist
@@ -676,15 +683,36 @@ class TestPairKernelsAgainstReference:
             assert np.array_equal(emb.all_pairs_dist,
                                   reference_product_pairs(emb))
 
-    def test_tree_kernel_holds_its_result_and_one_suffix_buffer(self):
+    @pytest.mark.parametrize("rows", ["one", "mid_level", "default"])
+    @PIPELINE_LADDERS
+    def test_tree_row_blocks(self, monkeypatch, generator, params, depth,
+                             rows):
+        # 3-row blocks split every level of more than three nodes, the
+        # skipping tree's level 3 among them
+        trees = [*(build_tree(pipeline_ladder(generator, params, depth), a)
+                   for a in range(2)), skipping_tree()]
+        for tree in trees:
+            if rows != "default":
+                monkeypatch.setattr(tree_embed, "BLOCK_ENTRIES",
+                                    {"one": 1, "mid_level": 3}[rows]
+                                    * tree.n_nodes)
+            got = tree.all_pairs_dist
+            assert got.dtype == np.int16
+            assert np.array_equal(got, reference_tree_pairs(tree))
+
+    def test_tree_kernel_holds_its_result_and_one_row_block(self,
+                                                            monkeypatch):
         seq = separate(build_base(generate("circle", n=192), r=0.125,
                                   depth=4, colors=2))
         tree = build_tree(seq, 0)
-        n = tree.n_nodes
-        # int16 result, the bool buffer over the nodes below the root, and
-        # O(n) columns
-        bound = 2 * n * n + (n - 1) ** 2 + 64 * n + (1 << 16)
+        n, rows = tree.n_nodes, 16
+        monkeypatch.setattr(tree_embed, "BLOCK_ENTRIES", rows * n)
+        # int16 result, one gathered int16 row block, and O(n) columns (the
+        # ancestor table among them); an (n - 1)^2 bool buffer is over it
+        bound = 2 * n * n + 2 * rows * n + 64 * n + (1 << 16)
+        assert bound < 2 * n * n + (n - 1) ** 2
         assert traced_peak(lambda: tree.all_pairs_dist) <= bound
+        assert np.array_equal(tree.all_pairs_dist, reference_tree_pairs(tree))
 
     @pytest.mark.parametrize("identity", [True, False])
     def test_product_holds_its_result_and_one_block(self, monkeypatch,
