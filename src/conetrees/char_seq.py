@@ -19,7 +19,7 @@ from operator import itemgetter
 import numpy as np
 
 from .coverings import ColoredCovering, CoveringError, Family, stacked
-from .metric_core import FiniteMetricSpace
+from .metric_core import FiniteMetricSpace, _meta_floats
 
 
 class LadderConstructionError(ValueError):
@@ -143,14 +143,35 @@ def _window_level(space: FiniteMetricSpace, values: np.ndarray, pitch: float,
         for lo, hi, c0, c1 in zip(ends[:-1], ends[1:], cuts[:-1], cuts[1:])))
 
 
+def _point_floats(space: FiniteMetricSpace, key: str) -> np.ndarray:
+    """meta[key] as the space's n finite floats, or LadderConstructionError
+    naming the kind and the key: a space file's meta is outside input."""
+    v = _meta_floats(space.meta, key, space.n)
+    if v is None:
+        raise LadderConstructionError(
+            f"{space.meta['kind']} space needs meta {key} as {space.n} finite "
+            "floats")
+    return v
+
+
+def _meta_length(space: FiniteMetricSpace, key: str, default: float) -> float:
+    """meta[key], or the default when it is absent, as a positive finite
+    float, or LadderConstructionError naming the kind and the key."""
+    v = space.meta.get(key, default)
+    if type(v) not in (int, float) or not 0 < v < math.inf:
+        raise LadderConstructionError(
+            f"{space.meta['kind']} space needs meta {key} as a positive "
+            f"finite float, got {v!r}")
+    return float(v)
+
+
 def _circle_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCovering:
-    meta = space.meta
-    angles = np.asarray(meta["angles"], dtype=float)
-    if meta.get("metric") == "chord":
-        radius = float(meta.get("radius", 1.0))
+    angles = _point_floats(space, "angles")
+    if space.meta.get("metric") == "chord":
+        radius = _meta_length(space, "radius", 1.0)
         theta_scale = 2.0 * math.asin(min(scale, 2.0 * radius) / (2.0 * radius))
     else:
-        circumference = float(meta.get("circumference", 2.0 * math.pi))
+        circumference = _meta_length(space, "circumference", 2.0 * math.pi)
         theta_scale = scale * 2.0 * math.pi / circumference
     theta_l = 2.0 * m / (m + 1) * theta_scale
     per_color = max(2, math.ceil(2.0 * math.pi / theta_l))
@@ -162,7 +183,7 @@ def _circle_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCo
 
 
 def _interval_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCovering:
-    coords = np.asarray(space.meta["coords"], dtype=float)
+    coords = _point_floats(space, "coords")
     lo = float(coords.min())
     length = float(coords.max() - lo)
     p_target = 2.0 / (m + 1) * scale
@@ -172,48 +193,45 @@ def _interval_windows(space: FiniteMetricSpace, scale: float, m: int) -> Colored
     return _window_level(space, coords - lo, p, w, k, m, wrap=None)
 
 
-def _threshold_components(space: FiniteMetricSpace, t: float) -> list[np.ndarray]:
-    """Connected components of the graph linking points at distance <= t."""
-    n = space.n
-    adj = space.dist <= t
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        frontier = np.zeros(n, dtype=bool)
-        frontier[start] = True
-        comp = np.zeros(n, dtype=bool)
-        while frontier.any():
-            comp |= frontier
-            reach = adj[frontier].any(axis=0)
-            frontier = reach & ~comp
-        seen |= comp
-        comps.append(np.flatnonzero(comp))
-    return comps
+def _linkage_family(space: FiniteMetricSpace, t: float) -> Family:
+    """The components of the spanning tree's edges no longer than t, as a
+    Family whose members are ordered by their least point."""
+    _, parent, length = space.spanning_tree
+    points = np.arange(space.n)
+    # up short edges to each component's first point, by pointer doubling
+    comp = np.where(length <= t, parent, points)
+    while not np.array_equal(comp, up := comp[comp]):
+        comp = up
+    least = np.full(space.n, space.n)
+    np.minimum.at(least, comp, points)
+    key = least[comp]
+    points = np.argsort(key, kind="stable")
+    heads = np.flatnonzero(np.diff(key[points], prepend=-1))
+    return Family._of(space, np.append(heads, space.n), points)
 
 
 def _component_level(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCovering:
-    """Clustered level for spaces with well-separated cluster structure:
-    pick the largest linkage threshold whose components all have diameter
-    at most the scale, and hand every component to every color."""
-    iu = np.triu_indices(space.n, k=1)
-    cand = np.unique(space.dist[iu])
-    cand = cand[cand <= scale]
-    # threshold 0 always works (singleton components); search the largest
-    # candidate that still respects the mesh bound
-    best = 0.0
-    lo, hi = 0, len(cand) - 1
+    """Clustered level: every color holds the single-linkage components at
+    the largest threshold whose components all have diameter <= scale.
+
+    At threshold t they are the components of the minimum spanning tree's
+    edges <= t (Gower & Ross 1969), as no pair across the cut that a tree
+    edge makes is nearer than the edge.  So partitions change only at the
+    tree's edge lengths, and as the mesh grows with t, a binary search over
+    those <= scale finds the partition of the largest passing pairwise
+    distance; threshold 0 gives singletons."""
+    edges = space.spanning_tree[2][1:]  # point 0 joins through none
+    cuts = np.unique(edges[edges <= scale]).tolist()
+    best = _linkage_family(space, 0.0)
+    lo, hi = 0, len(cuts) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        comps = _threshold_components(space, float(cand[mid]))
-        if Family(space, comps).mesh <= scale:
-            best = float(cand[mid])
-            lo = mid + 1
+        fam = _linkage_family(space, cuts[mid])
+        if fam.mesh <= scale:
+            best, lo = fam, mid + 1
         else:
             hi = mid - 1
-    comps = _threshold_components(space, best)
-    return _shared_level(Family(space, comps), m)
+    return _shared_level(best, m)
 
 
 def _greedy_level(space: FiniteMetricSpace, scale: float, m: int,

@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import io as bundle_io
@@ -103,20 +103,11 @@ def _cmd_pipeline(args) -> int:
     if args.config:
         cfg = _object(json.loads(Path(args.config).read_text(encoding="utf-8")),
                       "config")
-    overrides = {
-        "generator": args.generator,
-        "r": args.r,
-        "depth": args.depth,
-        "colors": args.colors,
-        "delta_target": args.delta_target,
-        "seed": args.seed,
-        "outdir": args.outdir,
-        "enforce_assumptions": args.enforce_assumptions,
-        "tree_delta_check": args.tree_delta_check,
-    }
-    for k, v in overrides.items():
-        if v is not None:
-            cfg[k] = v
+    # each flag's dest is the config field it sets; --params and --n merge
+    # into params below
+    settable = {f.name for f in fields(PipelineConfig)} - {"params"}
+    cfg.update((k, v) for k, v in vars(args).items()
+               if k in settable and v is not None)
     if args.params or args.n is not None:
         params = {**_object(cfg.get("params", {}), "config params"),
                   **_params_flag(args)}

@@ -33,7 +33,13 @@ from .char_seq import (
 )
 from .coverings import CoveringError
 from .hyp_cone import ConeError, ConeGrid, build_grid
-from .metric_core import FiniteMetricSpace, MetricError, circulant
+from .metric_core import (
+    FiniteMetricSpace,
+    MetricError,
+    chord_metric,
+    circulant,
+    line_metric,
+)
 from .qi_verify import (
     BLOCK_ENTRIES,
     QIReport,
@@ -77,7 +83,7 @@ def _interval(n: int, length: float = 1.0) -> FiniteMetricSpace:
     if length <= 0:
         raise ValueError(f"length must be positive, got {length}")
     x = np.linspace(0.0, length, n)
-    d = np.abs(x[:, None] - x[None, :])
+    d = line_metric(x)
     ids = tuple(f"p{i:04d}" for i in range(n))
     meta = {"kind": "interval", "length": length, "coords": x.tolist()}
     return FiniteMetricSpace(dist=d, point_ids=ids, meta=meta)
@@ -90,7 +96,7 @@ def _cantor(depth: int) -> FiniteMetricSpace:
     for i in range(1, depth + 1):
         xs = [x + c / 3.0 ** i for x in xs for c in (0.0, 2.0)]
     x = np.sort(np.array(xs))
-    d = np.abs(x[:, None] - x[None, :])
+    d = line_metric(x)
     ids = tuple(f"p{i:04d}" for i in range(len(x)))
     meta = {"kind": "cantor", "depth": depth, "coords": x.tolist()}
     return FiniteMetricSpace(dist=d, point_ids=ids, meta=meta)
@@ -116,7 +122,6 @@ def _tree_boundary(depth: int, branching: int = 2) -> FiniteMetricSpace:
         agree &= digits[:, pos][:, None] == digits[:, pos][None, :]
         common += agree
     d = (depth - common) / depth
-    np.fill_diagonal(d, 0.0)
     ids = tuple("t" + "".join(str(c) for c in row) for row in digits)
     meta = {"kind": "tree_boundary", "depth": depth, "branching": branching}
     return FiniteMetricSpace(dist=d, point_ids=ids, meta=meta)
@@ -127,10 +132,7 @@ def _random_circle(n: int, seed: int = 0) -> FiniteMetricSpace:
         raise ValueError(f"random circle needs at least 3 points, got {n}")
     rng = np.random.default_rng(seed)
     angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
-    diff = np.abs(angles[:, None] - angles[None, :])
-    diff = np.minimum(diff, 2.0 * math.pi - diff)
-    d = 2.0 * np.sin(diff / 2.0)
-    np.fill_diagonal(d, 0.0)
+    d = chord_metric(angles, 1.0)
     ids = tuple(f"p{i:04d}" for i in range(n))
     meta = {
         "kind": "random_circle",
@@ -148,10 +150,7 @@ def visual_metric_circle(n: int) -> FiniteMetricSpace:
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
     angles = 2.0 * math.pi * np.arange(n) / n
-    diff = np.abs(angles[:, None] - angles[None, :])
-    diff = np.minimum(diff, 2.0 * math.pi - diff)
-    d = np.sin(diff / 2.0)
-    np.fill_diagonal(d, 0.0)
+    d = chord_metric(angles, 0.5)
     ids = tuple(f"v{i:04d}" for i in range(n))
     meta = {
         "kind": "visual_circle",

@@ -11,6 +11,11 @@ u = 2**-53, rounding breaks a triangle of a chord metric (`random_circle`,
 rel_tol >= 2**-40 * radius; of a line metric (`interval`, `cantor`) by
 under 3u * d[i, k], so that one needs rel_tol >= 4u; and of an ultrametric
 (`tree_boundary`) never.
+
+The chord and line formulas are written once, in `chord_metric` and
+`line_metric`, for the generators and for the certificates that recompute
+them from meta.  `spanning_tree` is the only single-linkage code: the
+ultrametric certificate and the component level builder read its tree.
 """
 
 from __future__ import annotations
@@ -53,6 +58,36 @@ def _circulant_min_path(d: np.ndarray) -> np.ndarray:
     return circulant((d[0][:, None] + d).min(axis=0))
 
 
+def chord_metric(angles: np.ndarray, radius: float) -> np.ndarray:
+    """2R sin(min(|a_i - a_k|, 2 pi - |a_i - a_k|) / 2) for every two of the
+    (n,) angles a on a circle of radius R."""
+    diff = np.abs(angles[:, None] - angles[None, :])
+    diff = np.minimum(diff, 2.0 * math.pi - diff)
+    return (2.0 * radius) * np.sin(diff / 2.0)
+
+
+def line_metric(x: np.ndarray) -> np.ndarray:
+    """|x_i - x_k| for every two of the (n,) coordinates x."""
+    return np.abs(x[:, None] - x[None, :])
+
+
+def spanning_tree(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prim's minimum spanning tree of d from point 0: the order points join
+    it, each one's parent (point 0 its own) and d[parent, point].  Ties go
+    to the lowest index, and a point keeps its earliest nearest parent."""
+    n = len(d)
+    order, parent = np.zeros((2, n), dtype=np.intp)
+    in_tree = np.arange(n) == 0
+    key = np.where(in_tree, np.inf, d[0]) if n else np.zeros(0)
+    for i in range(1, n):
+        v = order[i] = int(np.argmin(key))
+        in_tree[v], key[v] = True, np.inf
+        closer = (d[v] < key) & ~in_tree
+        key[closer] = d[v, closer]
+        parent[closer] = v
+    return order, parent, d[parent, np.arange(n)]
+
+
 def _meta_floats(meta: dict, key: str, n: int) -> np.ndarray | None:
     """meta[key] as an (n,) array of finite float64 values, or None."""
     try:
@@ -66,8 +101,8 @@ def _meta_floats(meta: dict, key: str, n: int) -> np.ndarray | None:
 
 def _chord_certificate(d: np.ndarray, meta: dict, rel_tol: float) -> bool:
     """d is the chord metric of points at meta["angles"] on a circle of
-    meta["radius"], bit for bit as `random_circle` and `visual_circle`
-    compute it.
+    meta["radius"], bit for bit as `chord_metric` computes it for
+    `random_circle` and `visual_circle`.
 
     Bound.  With u = 2**-53, R a normal float, angles in [0, fl(2*pi)]
     and np.sin within 4 ulp, each entry is within E = 40*u*R of the exact
@@ -91,14 +126,12 @@ def _chord_certificate(d: np.ndarray, meta: dict, rel_tol: float) -> bool:
     a = _meta_floats(meta, "angles", len(d))
     if a is None or not np.all((a >= 0) & (a <= 2.0 * math.pi)):
         return False
-    diff = np.abs(a[:, None] - a[None, :])
-    diff = np.minimum(diff, 2.0 * math.pi - diff)
-    return np.array_equal(d, (2.0 * radius) * np.sin(diff / 2.0))
+    return np.array_equal(d, chord_metric(a, radius))
 
 
 def _line_certificate(d: np.ndarray, meta: dict, rel_tol: float) -> bool:
-    """d is |x_i - x_k| for x = meta["coords"], bit for bit as `interval`
-    and `cantor` compute it.
+    """d is |x_i - x_k| for x = meta["coords"], bit for bit as
+    `line_metric` computes it for `interval` and `cantor`.
 
     Bound.  Take x_i <= x_k.  For j outside [x_i, x_k], rounding is
     monotone, so one of d[i, j], d[j, k] is already >= d[i, k] and the
@@ -116,40 +149,25 @@ def _line_certificate(d: np.ndarray, meta: dict, rel_tol: float) -> bool:
         return False
     # differences past the float range come out inf and match no entry
     with np.errstate(over="ignore"):
-        return np.array_equal(d, np.abs(x[:, None] - x[None, :]))
+        return np.array_equal(d, line_metric(x))
 
 
 def _ultrametric_certificate(d: np.ndarray, meta: dict,
                              rel_tol: float) -> bool:
     """d equals its subdominant ultrametric: the largest edge on the path
-    between two points in a minimum spanning tree.
+    between two points in a minimum spanning tree, `spanning_tree`'s.
 
     Prim's algorithm adds each point v through an edge of length w to a
     tree point p, and the path from v to any tree point t runs through p,
     so the subdominant value at (v, t) is max(d[p, t], w) once the rows
-    already added have passed.  O(n^2) comparisons, no arithmetic, so it
+    added before have passed.  O(n^2) comparisons, no arithmetic, so it
     is exact.  Bound: none.  An ultrametric has d[i, k] <= max(d[i, j],
     d[j, k]) <= fl(d[i, j] + d[j, k]) for nonnegative entries, so it
     passes the loop at every rel_tol >= 0."""
-    n = len(d)
-    if not n:
-        return True
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    key = d[0].copy()
-    key[0] = np.inf
-    parent = np.zeros(n, dtype=np.intp)
-    for _ in range(n - 1):
-        v = int(np.argmin(key))
-        p, w = parent[v], key[v]
-        if not np.array_equal(d[v, in_tree], np.maximum(d[p, in_tree], w)):
-            return False
-        in_tree[v] = True
-        key[v] = np.inf
-        closer = (d[v] < key) & ~in_tree
-        key[closer] = d[v, closer]
-        parent[closer] = v
-    return True
+    order, parent, length = spanning_tree(d)
+    return all(np.array_equal(d[v, order[:i]],
+                              np.maximum(d[parent[v], order[:i]], length[v]))
+               for i, v in enumerate(order))
 
 
 # Each reads only (d, meta, rel_tol) and vouches for the triangle inequality
@@ -256,6 +274,11 @@ class FiniteMetricSpace:
     @cached_property
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
+
+    @cached_property
+    def spanning_tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`spanning_tree` of the matrix: Prim order, parents, edge lengths."""
+        return spanning_tree(self.dist)
 
     @cached_property
     def min_gap(self) -> float:

@@ -32,7 +32,7 @@ SHARED = {
     ("ColoredCovering", "lebesgue"): (
         "src/conetrees/harness.py", "cov.lebesgue()"),
     ("Family", "mesh"): (
-        "src/conetrees/char_seq.py", "Family(space, comps).mesh"),
+        "src/conetrees/char_seq.py", "fam.mesh <= scale"),
     ("ColoredCovering", "mesh"): (
         "src/conetrees/char_seq.py", "cov.mesh > scale"),
     ("CharSequence", "n_colors"): (

@@ -30,7 +30,12 @@ from conetrees import (
 )
 from conetrees.char_seq import _measure, _pair_margins, _window_level
 from conetrees.harness import generate
-from oracles import ast_shrink
+from oracles import (
+    ast_shrink,
+    component_level,
+    threshold_components,
+    threshold_families,
+)
 from setcalc import dist_sets, hood
 
 
@@ -263,6 +268,74 @@ class TestBuildLevel:
                  if {len(u) for fam in cov.colors for u in fam.members}
                  not in ({1}, {sp.n})]
         assert built
+
+
+def assert_linkage_matches_oracle(kind, params, stride=1):
+    """`linkage_sweep` of a stock space.  CI runs stride 1 on the cantor
+    depths that tier-1 samples."""
+    linkage_sweep(generate(kind, **params), stride)
+
+
+def linkage_sweep(sp, stride=1):
+    """`_component_level` at every stride-th of the space's distinct pairwise
+    distances and the midpoints between neighbouring ones, ascending, holds
+    the oracle's members in every color."""
+    dist = np.unique(sp.dist[np.triu_indices(sp.n, k=1)])
+    scales = np.sort(np.concatenate([dist, (dist[1:] + dist[:-1]) / 2]))
+    table = threshold_families(sp)
+    for scale in scales[::stride].tolist():
+        want = component_level(sp, scale, table.__getitem__)
+        for fam in char_seq._component_level(sp, scale, 3).colors:
+            assert np.array_equal(fam.indptr, want.indptr), scale
+            assert np.array_equal(fam.indices, want.indices), scale
+
+
+def shuffled(kind, params, seed):
+    """The stock space with its points in a seeded random order, so that a
+    component's first point in Prim order need not be its least."""
+    sp = generate(kind, **params)
+    p = np.random.default_rng(seed).permutation(sp.n)
+    meta = dict(sp.meta)
+    if "coords" in meta:
+        meta["coords"] = [meta["coords"][i] for i in p]
+    return FiniteMetricSpace(sp.dist[np.ix_(p, p)],
+                             tuple(sp.point_ids[i] for i in p), meta)
+
+
+class TestComponentLevelOracle:
+    @pytest.mark.parametrize("kind, params, stride", [
+        *(("cantor", {"depth": d}, 1) for d in range(1, 7)),
+        ("cantor", {"depth": 7}, 21),
+        ("cantor", {"depth": 8}, 63),
+        ("cantor", {"depth": 9}, 211),
+        *(("tree_boundary", {"depth": d}, 1) for d in range(1, 9)),
+        ("tree_boundary", {"depth": 4, "branching": 3}, 1),
+    ])
+    def test_every_distance_and_midpoint(self, kind, params, stride):
+        assert_linkage_matches_oracle(kind, params, stride)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("cantor", {"depth": 5}), ("tree_boundary", {"depth": 4}),
+        ("tree_boundary", {"depth": 3, "branching": 3})])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_points(self, kind, params, seed):
+        linkage_sweep(shuffled(kind, params, seed))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("cantor", {"depth": 4}), ("tree_boundary", {"depth": 3, "branching": 3})])
+    def test_oracle_table_is_a_cache_of_the_search(self, kind, params):
+        # every entry, and the oracle through it, as fresh searches give them
+        sp = generate(kind, **params)
+        table = threshold_families(sp)
+        pairs = [(fam, Family(sp, threshold_components(sp, t)))
+                 for t, fam in table.items()]
+        dist = sorted(table)
+        pairs += [(component_level(sp, s, table.__getitem__),
+                   component_level(sp, s))
+                  for s in dist + [(a + b) / 2 for a, b in zip(dist, dist[1:])]]
+        for got, want in pairs:
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
 
 
 def loop_window_level(space, values, pitch, width, count, m, wrap):

@@ -775,6 +775,54 @@ class TestCLI:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "profile.json").exists()
 
+    @pytest.mark.parametrize("meta, message", [
+        ({"kind": "interval"},
+         "interval space needs meta coords as 40 finite floats"),
+        ({"kind": "interval", "coords": [0.0] * 45},
+         "interval space needs meta coords as 40 finite floats"),
+        ({"kind": "random_circle", "metric": "chord", "radius": 0.0,
+          "angles": [0.1 * i for i in range(40)]},
+         "random_circle space needs meta radius as a positive finite float, "
+         "got 0.0"),
+        ({"kind": "circle", "circumference": -1.0,
+          "angles": [0.1 * i for i in range(40)]},
+         "circle space needs meta circumference as a positive finite float, "
+         "got -1.0"),
+        ({"kind": "visual_circle", "metric": "chord", "radius": 0.5},
+         "visual_circle space needs meta angles as 40 finite floats"),
+    ], ids=["no_coords", "coords_45", "radius_0", "circumference_negative",
+            "no_angles"])
+    def test_profile_refuses_stock_kind_meta_it_cannot_read(
+            self, tmp_path, capsys, meta, message):
+        # an n=40 interval's matrix, under meta its builder cannot use
+        sp = generate("interval", n=40)
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({
+            "dist": sp.dist.tolist(), "point_ids": list(sp.point_ids),
+            "meta": meta}), encoding="utf-8")
+        rc = cli_main(["profile", "--space", str(space_file), "--r", "0.5",
+                       "--depth", "1", "--out", str(tmp_path / "profile.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "profile.json").exists()
+
+    def test_profile_gives_a_kind_that_is_no_string_the_greedy_builder(
+            self, tmp_path):
+        sp = generate("interval", n=40)
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({
+            "dist": sp.dist.tolist(), "point_ids": list(sp.point_ids),
+            "meta": {"kind": ["interval"]}}), encoding="utf-8")
+        out = tmp_path / "profile.json"
+        rc = cli_main(["profile", "--space", str(space_file), "--r", "0.5",
+                       "--depth", "1", "--out", str(out)])
+        assert rc == 0
+        # a kindless space: meta that names no stock kind
+        greedy = capacity_profile(FiniteMetricSpace(sp.dist, sp.point_ids),
+                                  [0.5])
+        assert json.loads(out.read_text(encoding="utf-8"))["records"] == \
+            greedy["records"]
+
     def test_pipeline_failure_exit_code(self, tmp_path, capsys):
         rc = cli_main(["pipeline", "--generator", "circle", "--n", "48",
                        "--r", "0.125", "--depth", "2",

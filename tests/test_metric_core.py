@@ -499,6 +499,79 @@ class TestCertificates:
             generate("cantor", depth=13)
 
 
+def subdominant_ultrametric(d):
+    """The largest ultrametric below d: the least, over paths, of the path's
+    longest step, by one minimax pass per intermediate point."""
+    u = d.copy()
+    for j in range(len(d)):
+        np.minimum(u, np.maximum(u[:, j, None], u[None, j, :]), out=u)
+    return u
+
+
+def random_ultrametric(seed, n=30):
+    """Distances of n points to one another through a random merge tree,
+    with ties: each merge joins two clusters at a height drawn from 1..5
+    above the taller of them."""
+    rng = np.random.default_rng(seed)
+    clusters, height = [[i] for i in range(n)], [0.0] * n
+    d = np.zeros((n, n))
+    while len(clusters) > 1:
+        a, b = sorted(rng.choice(len(clusters), 2, replace=False), reverse=True)
+        h = max(height[a], height[b]) + float(rng.integers(1, 6))
+        d[np.ix_(clusters[a], clusters[b])] = h
+        d[np.ix_(clusters[b], clusters[a])] = h
+        clusters.append(clusters.pop(a) + clusters.pop(b))
+        height.append(h)
+        del height[a], height[b]
+    return d
+
+
+class TestSpanningTree:
+    def test_ties_go_to_the_lowest_index(self):
+        # every distance 1: each point joins in index order, through point 0
+        order, parent, length = metric_core.spanning_tree(1.0 - np.eye(4))
+        assert order.tolist() == [0, 1, 2, 3]
+        assert parent.tolist() == [0, 0, 0, 0]
+        assert length.tolist() == [0.0, 1.0, 1.0, 1.0]
+
+    def test_is_a_minimum_spanning_tree(self):
+        d = _random_matrix(2, 2.0)[0]
+        order, parent, length = metric_core.spanning_tree(d)
+        assert sorted(order.tolist()) == list(range(50))
+        # each parent joins before its child, through that child's distance
+        position = np.argsort(order)
+        assert (position[parent[1:]] < position[1:]).all()
+        assert np.array_equal(length[1:], d[parent[1:], np.arange(1, 50)])
+        # the longest step of the tree path is the minimax distance
+        tree = np.full_like(d, np.inf)
+        tree[parent[1:], np.arange(1, 50)] = length[1:]
+        tree = np.minimum(tree, tree.T)
+        np.fill_diagonal(tree, 0.0)
+        assert np.array_equal(subdominant_ultrametric(tree),
+                              subdominant_ultrametric(d))
+
+    def test_empty_matrix(self):
+        assert all(len(a) == 0 for a in metric_core.spanning_tree(
+            np.zeros((0, 0))))
+        assert metric_core._ultrametric_certificate(np.zeros((0, 0)), {}, 0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ultrametric_certificate_is_d_equals_its_subdominant(self, seed):
+        d = random_ultrametric(seed)
+        assert metric_core._ultrametric_certificate(d, {}, 0.0)
+        # one entry lowered breaks it, one raised past every path too
+        i, k = 3, 17
+        for step in (-0.5, 10.0):
+            e = d.copy()
+            e[i, k] = e[k, i] = d[i, k] + step
+            assert metric_core._ultrametric_certificate(e, {}, 0.0) == \
+                np.array_equal(e, subdominant_ultrametric(e))
+            assert not metric_core._ultrametric_certificate(e, {}, 0.0)
+        # a metric that is no ultrametric
+        m = _random_matrix(seed, 2.0)[0]
+        assert not metric_core._ultrametric_certificate(m, {}, 0.0)
+
+
 class TestSpaceProperties:
     def test_line_diameter(self):
         assert line_space(11).diameter == 10.0
