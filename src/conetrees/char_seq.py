@@ -165,17 +165,28 @@ def _meta_length(space: FiniteMetricSpace, key: str, default: float) -> float:
     return float(v)
 
 
+def _window_count(space: FiniteMetricSpace, key: str, extent: float,
+                  pitch: float, least: int) -> int:
+    """max(least, ceil(extent / pitch)) windows, or LadderConstructionError
+    naming the kind and the meta key unless the ratio is in (0, 2**53]."""
+    count = extent / pitch if pitch > 0 else math.inf
+    if not 0 < count <= 2.0 ** 53:
+        raise LadderConstructionError(
+            f"{space.meta['kind']} space meta {key} gives {count!r} windows, "
+            "not a count in (0, 2**53]")
+    return max(least, math.ceil(count))
+
+
 def _circle_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCovering:
     angles = _point_floats(space, "angles")
     if space.meta.get("metric") == "chord":
-        radius = _meta_length(space, "radius", 1.0)
+        key, radius = "radius", _meta_length(space, "radius", 1.0)
         theta_scale = 2.0 * math.asin(min(scale, 2.0 * radius) / (2.0 * radius))
     else:
-        circumference = _meta_length(space, "circumference", 2.0 * math.pi)
-        theta_scale = scale * 2.0 * math.pi / circumference
+        key = "circumference"
+        theta_scale = scale * 2.0 * math.pi / _meta_length(space, key, 2.0 * math.pi)
     theta_l = 2.0 * m / (m + 1) * theta_scale
-    per_color = max(2, math.ceil(2.0 * math.pi / theta_l))
-    k = m * per_color
+    k = m * _window_count(space, key, 2.0 * math.pi, theta_l, 2)
     theta_p = 2.0 * math.pi / k
     theta_w = (m + 1) / 2.0 * theta_p
     return _window_level(space, np.mod(angles, 2.0 * math.pi), theta_p, theta_w,
@@ -185,9 +196,9 @@ def _circle_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCo
 def _interval_windows(space: FiniteMetricSpace, scale: float, m: int) -> ColoredCovering:
     coords = _point_floats(space, "coords")
     lo = float(coords.min())
-    length = float(coords.max() - lo)
+    length = float(coords.max()) - lo
     p_target = 2.0 / (m + 1) * scale
-    k = max(m, math.ceil(length / p_target))
+    k = _window_count(space, "coords", length, p_target, m)
     p = length / k
     w = (m + 1) / 2.0 * p
     return _window_level(space, coords - lo, p, w, k, m, wrap=None)

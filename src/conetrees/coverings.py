@@ -146,7 +146,7 @@ class Family:
             return 0.0
         if (np.diff(self.indptr) == self.space.n).any():  # the whole space
             return self.space.diameter
-        return max(float(self.space.dist[np.ix_(u, u)].max()) for u in self)
+        return max(float(self.space.dist[u[:, None], u].max()) for u in self)
 
     def hoods(self, r: float) -> np.ndarray:
         """(k, n) bool: row i marks the open signed-radius r neighborhood of

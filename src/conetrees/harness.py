@@ -12,6 +12,7 @@ comparing every file.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import math
 import numbers
@@ -306,6 +307,15 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+@contextlib.contextmanager
+def _stage(name: str, *errors: type[Exception]):
+    """Run the block as stage ``name``, raising any of ``errors`` as StageError."""
+    try:
+        yield
+    except errors as e:
+        raise StageError(name, str(e)) from e
+
+
 @dataclass(eq=False)
 class PipelineResult:
     config: PipelineConfig
@@ -385,47 +395,34 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     when the fit returns; a later read derives either again."""
     t0 = time.perf_counter()
     log: list[str] = []
-    try:
+    with _stage("generate", ValueError, MetricError):
         space = generate(config.generator, **generator_params(
             config.generator, config.params, config.seed))
-    except (ValueError, MetricError) as e:
-        raise StageError("generate", str(e)) from e
     log.append(f"generate: kind={config.generator} n={space.n} "
                f"diameter={space.diameter:.6g}")
-    try:
+    with _stage("build_base", LadderConstructionError, CoveringError):
         base = build_base(space, config.r, config.depth, config.colors,
                           config.delta_target)
         verify_base(base)
-    except (LadderConstructionError, CoveringError) as e:
-        raise StageError("build_base", str(e)) from e
     log.append(f"build_base: depth={base.depth} colors={base.n_colors} "
                f"delta={base.delta:.6g} lam={base.lam:.6g}")
-    try:
+    with _stage("separate", LadderConstructionError,
+                SeparationPreconditionError, CoveringError):
         charseq = separate(base, config.enforce_assumptions)
         verify_char_seq(charseq)
-    except (LadderConstructionError, SeparationPreconditionError, CoveringError) as e:
-        raise StageError("separate", str(e)) from e
     log.append(f"separate: delta={charseq.delta:.6g} lam={charseq.lam:.6g} "
                f"gamma={charseq.gamma:.6g}")
-    try:
+    with _stage("build_tree", TreeError):
         trees = tuple(build_tree(charseq, a) for a in range(charseq.n_colors))
-    except TreeError as e:
-        raise StageError("build_tree", str(e)) from e
     log.append("build_tree: " + " ".join(
         f"tree{a}={t.n_nodes}nodes" for a, t in enumerate(trees)))
-    try:
+    with _stage("build_grid", ConeError):
         grid = build_grid(charseq.space, charseq.r, charseq.depth)
-    except ConeError as e:
-        raise StageError("build_grid", str(e)) from e
     log.append(f"build_grid: points={grid.n_points} R={grid.R:.6g}")
-    try:
+    with _stage("embed_grid", TreeError):
         embedding = embed_grid(charseq, grid, trees)
-    except TreeError as e:
-        raise StageError("embed_grid", str(e)) from e
-    try:
+    with _stage("radial_check", RadialCheckError):
         radial = radial_check(embedding)
-    except RadialCheckError as e:
-        raise StageError("radial_check", str(e)) from e
     log.append(f"radial_check: checks={radial['checks']} "
                f"max_steps={radial['max_steps']}")
     sphere = sphere_ratio_check(grid)

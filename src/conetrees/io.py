@@ -133,11 +133,15 @@ def write_profile(path, profile: dict) -> None:
 
 
 def render_tree(tree) -> str:
+    """A tree's CSV.  A node's ladder reference (ref_level, ref_member) is
+    its level and its index among that level's nodes, (0, -1) at the root."""
+    member = np.arange(tree.n_nodes) - np.searchsorted(tree.level, tree.level)
+    member[0] = -1
     lines = ["node,level,parent,ref_level,ref_member,points"]
-    for u, (level, parent, points, (rl, rm)) in enumerate(zip(
-            tree.level.tolist(), tree.parent.tolist(),
-            _member_texts(tree.members), tree.refs)):
-        lines.append(f"{u},{level},{parent},{rl},{rm},{';'.join(points)}")
+    for u, (lv, parent, rm, points) in enumerate(zip(
+            tree.level.tolist(), tree.parent.tolist(), member.tolist(),
+            _member_texts(tree.members))):
+        lines.append(f"{u},{lv},{parent},{lv},{rm},{';'.join(points)}")
     return "\n".join(lines) + "\n"
 
 

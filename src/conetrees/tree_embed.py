@@ -11,15 +11,15 @@ are weighted by level difference, so tree distance is level[u] + level[v]
 A cone grid point (z, j*R) maps, in each tree, to the level-j node nearest
 to z; the product metric is the l1 sum over trees.
 
-Node ids run level by level (the root, then each level's members), which
-`RootedTree.validate` checks, so every parent's row of the lca-level table
-is finished before its children's.  `RootedTree.all_pairs_dist` copies
-each node's row from its parent's, since the two agree outside the node's
-subtree, writes the node's level over that subtree, and finishes its int16
-result in place.  Both it and `ProductEmbedding.all_pairs_dist`, which
-adds a tree whose table column is the identity straight into its int32
-sum, gather rows in blocks of at most BLOCK_ENTRIES entries, so neither
-kernel makes an n x n transient beyond its result.
+`build_tree` numbers the nodes level by level (the root, then each level's
+members in order, one run of ids per level), and a parent lies at a lower
+level, so a parent's rows of the ancestor and lca-level tables are finished
+before its children's.  The tree's `all_pairs_dist` copies each node's row
+from its parent's, since the two agree outside the node's subtree, writes
+the node's level over that subtree, and finishes its int16 result in place.
+Both it and `ProductEmbedding.all_pairs_dist`, which adds a tree whose table
+column is the identity straight into its int32 sum, gather rows in blocks of
+at most BLOCK_ENTRIES entries: no n x n transient is made beyond the result.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from .char_seq import CharSequence
 from .coverings import Family, stacked
 from .hyp_cone import ConeGrid
-from .metric_core import FiniteMetricSpace
 from .qi_verify import BLOCK_ENTRIES
 
 
@@ -52,38 +51,30 @@ class RootedTree:
         level: per-node depth, root 0.
         parent: per-node parent id, root -1.
         members: a Family, one member per node; the root owns every point.
-        refs: per-node (ladder level, member index), root (0, -1).
     """
 
-    space: FiniteMetricSpace
     color: int
     depth: int
     level: np.ndarray
     parent: np.ndarray
     members: Family
-    refs: tuple[tuple[int, int], ...]
 
     @property
     def n_nodes(self) -> int:
         return len(self.members)
 
-    def nodes_at_level(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.level == j)
-
     @cached_property
     def ancestors(self) -> np.ndarray:
         """(n_nodes, depth+1) ancestor-at-level table: entry [u, l] is u's
         ancestor at level l (u itself at level[u], the root at 0), or -1
-        where u's chain skips level l or l lies below u."""
+        where u's chain skips level l or l lies below u.  Level by level, a
+        node's row is its parent's finished row with itself at its level."""
         anc = np.full((self.n_nodes, self.depth + 1), -1, dtype=np.int64)
-        rows = np.arange(self.n_nodes)
-        cur = rows.copy()
-        # levels drop by at least one per parent hop, so depth+1 steps carry
-        # every chain past the root, where cur becomes -1 and stops
-        for _ in range(self.depth + 1):
-            live = cur >= 0
-            anc[rows[live], self.level[cur[live]]] = cur[live]
-            cur[live] = self.parent[cur[live]]
+        anc[0, 0] = 0
+        ends = np.searchsorted(self.level, np.arange(1, self.depth + 2)).tolist()
+        for lvl, (lo, hi) in enumerate(zip(ends, ends[1:]), 1):
+            anc[lo:hi] = anc[self.parent[lo:hi]]
+            anc[lo:hi, lvl] = np.arange(lo, hi)
         return anc
 
     @cached_property
@@ -96,10 +87,7 @@ class RootedTree:
         BLOCK_ENTRIES entries, and inside it lca(u, v) = level[u], written
         at (ancestors[v, l], v) for every v with an ancestor at level l.
         The result is finished in place, so the kernel holds only it and
-        one block.  Raises TreeError when the ids are not in non-decreasing
-        level order."""
-        if np.any(self.level[1:] < self.level[:-1]):
-            raise TreeError("node ids are not in non-decreasing level order")
+        one block."""
         n, anc = self.n_nodes, self.ancestors
         lca = np.empty((n, n), dtype=np.int16)
         lca[0] = 0
@@ -116,32 +104,6 @@ class RootedTree:
         lca += lv[:, None]
         lca += lv[None, :]
         return lca
-
-    def validate(self) -> None:
-        """Raise TreeError at the first node with an invalid parent, one not
-        lower in level or not holding its member, or an empty member."""
-        if self.level[0] != 0 or self.parent[0] != -1:
-            raise TreeError("node 0 must be the level-0 root")
-        if np.any(self.level[1:] < self.level[:-1]):
-            raise TreeError("node ids are not in non-decreasing level order")
-        if np.count_nonzero(self.level == 0) != 1:
-            raise TreeError("exactly one root expected")
-        nodes, n, sizes = self.n_nodes, self.space.n, np.diff(self.members.indptr)
-        invalid = (self.parent < 0) | (self.parent >= nodes)
-        up = np.where(invalid, 0, self.parent)
-        owner = np.repeat(np.arange(nodes), sizes)
-        keys = owner * n + self.members.indices  # sorted, as members are
-        want = keys + (up[owner] - owner) * n  # each point in its parent
-        found = keys[np.searchsorted(keys, want).clip(max=len(keys) - 1)] == want
-        faults = np.stack([invalid, self.level[up] >= self.level,
-                           np.bincount(owner[~found], minlength=nodes) > 0,
-                           sizes == 0])[:, 1:]
-        if faults.any():
-            u = int(np.flatnonzero(faults.any(axis=0))[0]) + 1
-            raise TreeError(f"node {u} " + (
-                f"has invalid parent {self.parent[u]}", "does not descend in level",
-                "is not contained in its parent", "has an empty member",
-            )[int(np.argmax(faults[:, u - 1]))])
 
     def __repr__(self):
         return f"RootedTree(color={self.color}, nodes={self.n_nodes}, depth={self.depth})"
@@ -179,18 +141,13 @@ def build_tree(seq: CharSequence, color: int) -> RootedTree:
                 f"ambiguous containment at level {j} color {color}: "
                 f"member {i} fits {fit_count[i]} level-{fit_level[i]} members"
             )
-    tree = RootedTree(
-        space=space,
+    return RootedTree(
         color=color,
         depth=seq.depth,
         level=np.repeat(np.arange(seq.depth + 1), [1] + sizes),
         parent=parent,
         members=stacked(space, (Family(space, (np.arange(space.n),)), *fams)),
-        refs=((0, -1),) + tuple((j, i) for j, f in enumerate(fams, 1)
-                                for i in range(len(f))),
     )
-    tree.validate()
-    return tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +209,8 @@ def embed_grid(seq: CharSequence, grid: ConeGrid,
         lo = grid.index(j, 0)
         for a, (tree, fam) in enumerate(zip(trees, fams)):
             # the tree's level-j nodes are this family's members, in order
-            table[lo: lo + seq.space.n, a] = tree.nodes_at_level(j)[nearest[fam]]
+            first = np.searchsorted(tree.level, j)
+            table[lo: lo + seq.space.n, a] = first + nearest[fam]
     return ProductEmbedding(grid=grid, trees=trees, table=table)
 
 

@@ -3,9 +3,11 @@ kernels it does: `cone_metric` over arbitrary cone points, which
 `ConeGrid.level_rows` matches bit for bit on the grid; `ast_shrink`, the
 paper's merge step at full strength, through which the tests check the
 `eroded` and `merged` kernels that `separate` runs with a moat of its own;
-and `component_level`, the component level builder as a search over every
+`component_level`, the component level builder as a search over every
 pairwise distance with a breadth-first search per probe, which the
-spanning-tree cut of `char_seq._component_level` matches member for member.
+spanning-tree cut of `char_seq._component_level` matches member for member;
+and `scalar_validate`, a tree's node properties checked one node at a time,
+which every tree `tree_embed.build_tree` builds satisfies by construction.
 """
 
 import math
@@ -135,3 +137,21 @@ def threshold_families(space) -> dict:
     table = {float(dist[i]): fams[p] for i, p in parts.items()}
     table[0.0] = Family(space, threshold_components(space, 0.0))
     return table
+
+
+def scalar_validate(tree):
+    """A rooted tree's node checks one node at a time, on sets: the message
+    of the first node whose parent is invalid, not lower in level, or not a
+    superset of it, or whose member is empty; None if every node passes."""
+    members = [set(u.tolist()) for u in tree.members]
+    for u in range(1, tree.n_nodes):
+        p = int(tree.parent[u])
+        if not 0 <= p < tree.n_nodes:
+            return f"node {u} has invalid parent {p}"
+        if tree.level[p] >= tree.level[u]:
+            return f"node {u} does not descend in level"
+        if not members[u] <= members[p]:
+            return f"node {u} is not contained in its parent"
+        if not members[u]:
+            return f"node {u} has an empty member"
+    return None

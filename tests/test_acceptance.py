@@ -253,7 +253,6 @@ def _check_trees(res) -> str:
     assert len(res.trees) == res.charseq.n_colors
     deltas = []
     for tree in res.trees:
-        tree.validate()
         n = tree.n_nodes
         assert tree.parent[0] == -1
         assert np.all(tree.parent[1:] >= 0)  # exactly one parent per node

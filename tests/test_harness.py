@@ -442,12 +442,16 @@ def _oracle_charseq(text: str, seq) -> str:
     return _stdlib({**json.loads(text), "levels": levels})
 
 
-def _oracle_tree(tree) -> str:
-    """tree_<a>.csv with each node's points through their own `tolist`."""
+def _oracle_tree(tree, seq) -> str:
+    """tree_<a>.csv with each node's points through their own `tolist`, and
+    its (ref_level, ref_member) from a walk over the ladder's families of
+    the tree's color: the root's (0, -1), then each level's members."""
+    refs = [(0, -1)] + [(j, i) for j in range(1, seq.depth + 1)
+                        for i in range(len(seq.level(j).colors[tree.color]))]
     lines = ["node,level,parent,ref_level,ref_member,points"]
     for u, (level, parent, members, (rl, rm)) in enumerate(zip(
             tree.level.tolist(), tree.parent.tolist(), tree.members,
-            tree.refs)):
+            refs, strict=True)):
         pts = ";".join(map(str, members.tolist()))
         lines.append(f"{u},{level},{parent},{rl},{rm},{pts}")
     return "\n".join(lines) + "\n"
@@ -597,7 +601,8 @@ class TestCanonicalJSON:
         text = files["charseq.json"].decode("utf-8")
         assert text == _oracle_charseq(text, result.charseq)
         for a, tree in enumerate(result.trees):
-            assert files[f"tree_{a}.csv"].decode("utf-8") == _oracle_tree(tree)
+            assert files[f"tree_{a}.csv"].decode("utf-8") == _oracle_tree(
+                tree, result.charseq)
 
     def test_profile(self, tmp_path):
         prof = capacity_profile(generate("random_circle", n=100),
@@ -790,8 +795,21 @@ class TestCLI:
          "got -1.0"),
         ({"kind": "visual_circle", "metric": "chord", "radius": 0.5},
          "visual_circle space needs meta angles as 40 finite floats"),
+        # the values pass, but the length or window count derived from them
+        # does not: zero length, a spread that overflows, too many windows
+        ({"kind": "interval", "coords": [0.5] * 40},
+         "interval space meta coords gives 0.0 windows, not a count in "
+         "(0, 2**53]"),
+        ({"kind": "interval", "coords": [-1.7e308] * 20 + [1.7e308] * 20},
+         "interval space meta coords gives inf windows, not a count in "
+         "(0, 2**53]"),
+        ({"kind": "circle", "circumference": 1e308,
+          "angles": [0.1 * i for i in range(40)]},
+         "circle space meta circumference gives 1.5000000000000002e+308 "
+         "windows, not a count in (0, 2**53]"),
     ], ids=["no_coords", "coords_45", "radius_0", "circumference_negative",
-            "no_angles"])
+            "no_angles", "coords_equal", "coords_overflow",
+            "circumference_1e308"])
     def test_profile_refuses_stock_kind_meta_it_cannot_read(
             self, tmp_path, capsys, meta, message):
         # an n=40 interval's matrix, under meta its builder cannot use

@@ -1,6 +1,5 @@
 """Rooted trees over a separated ladder and the product embedding."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,18 +13,20 @@ from conetrees import (
     PipelineConfig,
     ProductEmbedding,
     RadialCheckError,
-    RootedTree,
+    StageError,
     TreeError,
     build_base,
     build_grid,
     build_tree,
     embed_grid,
+    harness,
     radial_check,
     run_pipeline,
     separate,
     tree_embed,
 )
 from conetrees.harness import generate
+from oracles import scalar_validate
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +45,12 @@ def embed_point(tree, z, j):
     level j nearest to z, ties to the smallest node id."""
     if j == 0:
         return 0
-    ids = tree.nodes_at_level(j)
+    ids = np.flatnonzero(tree.level == j)
     if ids.size == 0:
         raise TreeError(f"tree has no nodes at level {j}")
     best, best_d = -1, np.inf
     for nid in ids:
-        d = float(tree.space.dist[z, tree.members[nid]].min())
+        d = float(tree.members.space.dist[z, tree.members[nid]].min())
         if d < best_d:
             best, best_d = int(nid), d
     return best
@@ -114,8 +115,7 @@ class TestTreeStructure:
         assert seen == set(range(1, tree.n_nodes))
 
     def test_validate_passes(self, small_trees):
-        for tree in small_trees:
-            tree.validate()
+        for tree in (*small_trees, skipping_tree()):
             assert scalar_validate(tree) is None
 
     def test_all_pairs_matches_scalar(self, small_trees):
@@ -125,54 +125,6 @@ class TestTreeStructure:
             for u in range(tree.n_nodes):
                 for v in range(tree.n_nodes):
                     assert ap[u, v] == brute_tree_dist(tree, u, v)
-
-
-def scalar_validate(tree):
-    """`RootedTree.validate`'s node checks one node at a time, on sets:
-    the message of the first node whose parent is invalid, not lower in
-    level, or not a superset of it, or whose member is empty; None if every
-    node passes."""
-    members = [set(u.tolist()) for u in tree.members]
-    for u in range(1, tree.n_nodes):
-        p = int(tree.parent[u])
-        if not 0 <= p < tree.n_nodes:
-            return f"node {u} has invalid parent {p}"
-        if tree.level[p] >= tree.level[u]:
-            return f"node {u} does not descend in level"
-        if not members[u] <= members[p]:
-            return f"node {u} is not contained in its parent"
-        if not members[u]:
-            return f"node {u} has an empty member"
-    return None
-
-
-def tampered(tree, seed):
-    """A copy of the tree with a few parents or members changed at random:
-    a parent out of range or at the same level, or a member with a point
-    added, removed or emptied."""
-    rng = np.random.default_rng(seed)
-    parent = tree.parent.copy()
-    members = [u.tolist() for u in tree.members]
-    n = tree.space.n
-    for _ in range(int(rng.integers(1, 4))):
-        u = int(rng.integers(1, tree.n_nodes))
-        how = int(rng.integers(0, 6))
-        if how == 0:
-            parent[u] = rng.choice([-1, tree.n_nodes, -5])
-        elif how == 1:
-            parent[u] = u
-        elif how == 2:
-            members[u] = sorted(set(members[u]) | {int(rng.integers(n))})
-        elif how == 3 and len(members[u]) > 1:
-            members[u] = members[u][1:]
-        elif how == 4:
-            members[u] = []
-        else:
-            members[u] = list(range(n))
-    sizes = [len(m) for m in members]
-    fam = Family._of(tree.space, np.cumsum([0] + sizes),
-                  np.array([x for m in members for x in m], dtype=np.intp))
-    return dataclasses.replace(tree, parent=parent, members=fam)
 
 
 def skipping_tree():
@@ -197,41 +149,6 @@ def skipping_tree():
     return build_tree(seq, 0)
 
 
-class TestValidate:
-    def test_refuses_node_outside_its_parent(self):
-        sp = FiniteMetricSpace(np.abs(np.arange(3.0)[:, None]
-                                      - np.arange(3.0)[None, :]),
-                               ("a", "b", "c"))
-        tree = RootedTree(
-            space=sp, color=0, depth=2, level=np.array([0, 1, 2, 2]),
-            parent=np.array([-1, 0, 1, 1]),
-            members=Family(sp, (range(3), [0, 1], [1], [1, 2])),
-            refs=((0, -1), (1, 0), (2, 0), (2, 1)))
-        with pytest.raises(TreeError,
-                           match="^node 3 is not contained in its parent$"):
-            tree.validate()
-
-    def test_tampered_trees_get_the_scalar_verdict(self, small_trees):
-        verdicts = []
-        for tree in (*small_trees, skipping_tree()):
-            for seed in range(40):
-                bad = tampered(tree, seed)
-                want = scalar_validate(bad)
-                if want is None:
-                    bad.validate()
-                else:
-                    with pytest.raises(TreeError) as err:
-                        bad.validate()
-                    assert str(err.value) == want
-                verdicts.append(want)
-        # every check refuses some tree, and some tampered tree passes
-        faults = ("has invalid parent", "does not descend in level",
-                  "is not contained in its parent", "has an empty member")
-        for fault in faults:
-            assert sum(fault in (v or "") for v in verdicts) >= 3, fault
-        assert None in verdicts
-
-
 class TestAncestorTable:
     def test_skipped_levels_are_minus_one(self):
         tree = skipping_tree()
@@ -249,6 +166,17 @@ class TestAncestorTable:
             [0, -1, -1, 8],
         ]
 
+    def test_matches_parent_walk(self, small_trees):
+        # every node's chain, walked one parent at a time to the root
+        for tree in (*small_trees, skipping_tree()):
+            want = np.full((tree.n_nodes, tree.depth + 1), -1)
+            for u in range(tree.n_nodes):
+                v = u
+                while v >= 0:
+                    want[u, tree.level[v]] = v
+                    v = tree.parent[v]
+            assert np.array_equal(tree.ancestors, want)
+
     def test_all_pairs_matches_chain_walk_with_skips(self):
         tree = skipping_tree()
         ap = tree.all_pairs_dist
@@ -256,24 +184,11 @@ class TestAncestorTable:
             for v in range(tree.n_nodes):
                 assert ap[u, v] == brute_tree_dist(tree, u, v)
 
-    def test_level_order_is_required(self):
-        # a level-2 node numbered before the level-1 node it hangs under
-        sp = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), ("a", "b"))
-        tree = RootedTree(
-            space=sp, color=0, depth=2, level=np.array([0, 2, 1]),
-            parent=np.array([-1, 2, 0]),
-            members=Family(sp, ([0, 1], [0], [0, 1])),
-            refs=((0, -1), (2, 0), (1, 0)))
-        with pytest.raises(TreeError, match="level order"):
-            tree.validate()
-        with pytest.raises(TreeError, match="level order"):
-            tree.all_pairs_dist
-
     def test_radial_matches_parent_walk_with_skips(self):
         # radial_check's hop counts, read off the ancestor table, against
         # the parent walk, on chains that skip levels
         tree = skipping_tree()
-        grid = build_grid(tree.space, 0.5, tree.depth)
+        grid = build_grid(tree.members.space, 0.5, tree.depth)
         failed = 0
         for seed in range(20):
             table = random_table(grid, (tree, tree), seed)
@@ -313,10 +228,14 @@ def scalar_parents(seq, color):
 
 
 def built_parents(seq, color):
+    """build_tree's parent list, or its error message; a tree it builds
+    passes the node checks of `scalar_validate`."""
     try:
-        return build_tree(seq, color).parent.tolist()
+        tree = build_tree(seq, color)
     except TreeError as e:
         return str(e)
+    assert scalar_validate(tree) is None
+    return tree.parent.tolist()
 
 
 def line_ladder(*levels):
@@ -374,6 +293,24 @@ class TestAmbiguity:
         seq = CharSequence(sp, 0.5, (lvl1, lvl2))
         with pytest.raises(TreeError, match="ambiguous"):
             build_tree(seq, 0)
+
+    def test_pipeline_fails_at_the_build_tree_stage(self, monkeypatch):
+        # the same overlap on the pipeline's own space, past a separation
+        # check that would refuse it first
+        def overlapping(base, enforce_assumptions):
+            sp = base.space
+            return CharSequence(sp, 0.5, (
+                ColoredCovering(sp, (Family(sp, (range(0, 7), range(4, 10))),)),
+                ColoredCovering(sp, (Family(sp, tuple([i] for i in range(10))),)),
+            ), {"cascade": []})  # a cascade record: a separated ladder
+        monkeypatch.setattr(harness, "separate", overlapping)
+        monkeypatch.setattr(harness, "verify_char_seq", lambda seq: None)
+        with pytest.raises(StageError) as exc:
+            run_pipeline(PipelineConfig(generator="interval", params={"n": 10},
+                                        depth=2))
+        assert exc.value.stage == "build_tree"
+        assert str(exc.value) == ("[build_tree] ambiguous containment at level "
+                                  "2 color 0: member 4 fits 2 level-1 members")
 
 
 class TestEmbedding:
@@ -559,7 +496,7 @@ def per_tree_table(seq, grid, trees):
             rows = seq.level(j).colors[tree.color].dist_rows()
             lo = grid.index(j, 0)
             table[lo: lo + seq.space.n, a] = \
-                tree.nodes_at_level(j)[rows.argmin(axis=0)]
+                np.flatnonzero(tree.level == j)[rows.argmin(axis=0)]
     return table
 
 
@@ -675,7 +612,7 @@ class TestPairKernelsAgainstReference:
         table[:, 0] = np.arange(n_points)
         mixed = ProductEmbedding(grid=grid, trees=small_trees, table=table)
         skipping = skipping_tree()
-        skip_grid = build_grid(skipping.space, 0.5, 3)
+        skip_grid = build_grid(skipping.members.space, 0.5, 3)
         skip_emb = ProductEmbedding(
             grid=skip_grid, trees=(skipping, skipping),
             table=random_table(skip_grid, (skipping, skipping), 6))
