@@ -352,47 +352,48 @@ def sphere_ratio_check(grid: ConeGrid) -> dict:
 
 @dataclass(frozen=True)
 class _LevelPairs:
-    """The grid pairs i < k, as fit_qi's re-iterable (ds, dt) blocks, in
-    np.triu_indices's row-major order.  A block is rows [r0, r1) of one
-    level over the columns right of r0: the cone side from
-    `ConeGrid.level_rows`, the product side from the same slice of the
-    product matrix.  Its columns k <= i lie among its own rows, so in its
-    own level, and a mask trims them.  A block computes at most BLOCK_ENTRIES cone entries, or one
-    row when a row is wider, so the cone side holds O(BLOCK_ENTRIES) memory
+    """The grid pairs i < k, as fit_qi's re-iterable blocks, one pair of
+    levels j <= j' at a time: the ds side `ConeGrid.level_pair`'s (values,
+    classes), the dt side the same rows and columns of the product matrix.
+    Within one level only the pairs z < z' are kept.  A level pair's rows
+    are split so that a block spans at most BLOCK_ENTRIES pairs, or one row
+    when a row is wider, so the cone side holds O(BLOCK_ENTRIES) memory
     whatever the grid's size."""
 
     grid: ConeGrid
     product: np.ndarray
 
     def __iter__(self):
-        grid, n_points = self.grid, self.grid.n_points
+        grid, n = self.grid, self.grid.space.n
+        step = max(1, BLOCK_ENTRIES // n)
         for j in range(grid.depth + 1):
-            first, size = grid.index(j, 0), (grid.space.n if j else 1)
-            lo = 0
-            while lo < size:
-                r0 = first + lo
-                width = n_points - r0 - 1
-                hi = min(size, lo + max(1, BLOCK_ENTRIES // max(width, 1)))
-                # row i keeps columns k > i: in block coordinates q >= p
-                keep = np.arange(width)[None, :] >= np.arange(hi - lo)[:, None]
-                # no name keeps the block's rows while the next one is made
-                yield (grid.level_rows(j, lo, hi, r0 + 1)[keep],
-                       self.product[r0: first + hi, r0 + 1:][keep])
-                lo = hi
+            size = n if j else 1
+            # the apex is alone on its level, so it pairs only upward
+            for k in range(max(j, 1), grid.depth + 1):
+                cols = slice(grid.index(k), grid.index(k) + n)
+                for lo in range(0, size, step):
+                    hi = min(size, lo + step)
+                    keep = ... if j < k else (
+                        np.arange(n)[None, :] > np.arange(lo, hi)[:, None])
+                    rows = slice(grid.index(j) + lo, grid.index(j) + hi)
+                    yield (grid.level_pair(j, k, lo, hi, keep),
+                           self.product[rows, cols][keep])
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every stage in order, appending one log line per stage and
     raising StageError on the first failure; see module docstring.
 
-    The QI fit streams the pairs i < k in row blocks of at most
-    BLOCK_ENTRIES cone entries (see `_LevelPairs`), so the cone side holds
-    O(BLOCK_ENTRIES) memory per block, never the whole cone matrix or a
-    whole level's rows.  The product side is one n_points x n_points int32
+    The QI fit streams the pairs i < k one pair of levels at a time, in
+    blocks of at most BLOCK_ENTRIES pairs (see `_LevelPairs`): a block's
+    cone side is n values and a view of the space's class map on a
+    circulant base, at most BLOCK_ENTRIES values on any other, never the
+    whole cone matrix.  The product side is one n_points x n_points int32
     matrix, built without an n_points x n_points transient (see
-    `ProductEmbedding.all_pairs_dist`).  The n x n S table that
-    `ConeGrid.level_rows` derives and the product matrix are both released
-    when the fit returns; a later read derives either again."""
+    `ProductEmbedding.all_pairs_dist`).  The S table that
+    `ConeGrid.level_pair` derives, one entry per distance class, and the
+    product matrix are both released when the fit returns; a later read
+    derives either again."""
     t0 = time.perf_counter()
     log: list[str] = []
     with _stage("generate", ValueError, MetricError):
@@ -435,8 +436,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     log.append(f"sphere_ratio: min={sphere['min_ratio']:.6g} "
                f"max={sphere['max_ratio']:.6g} bound={sphere['bound']:.6g}")
     qi = fit_qi(_LevelPairs(grid, embedding.all_pairs_dist))
-    # S (n x n floats) and the product matrix (n_points**2 int32) are held
-    # by their objects' caches until here, and nothing after reads them
+    # S (n floats on a circulant base, n x n on any other) and the product
+    # matrix (n_points**2 int32) are held by their objects' caches until
+    # here, and nothing after reads them
     grid.__dict__.pop("_level_factors", None)
     embedding.__dict__.pop("all_pairs_dist", None)
     if qi.violations:

@@ -11,14 +11,19 @@ with a = mu * d_Z(z, z'), which stays accurate when a is tiny and the radii
 are large, where the textbook arccosh form loses every significant digit.
 
 On the radial grid the radii are the levels' j*R, so the distance of (j, z)
-and (j', z') depends only on (j, j', d_Z(z, z')).  The one row kernel,
-`ConeGrid.level_rows`, gives a row range of one level, from a first column
-on, from sin(a/2)**2, taken once on the base, and two numbers per level
-pair, bit for bit as the tests' oracle over arbitrary cone points,
-`cone_metric` in tests/oracles.py.  Callers that read every pair i < k
-stream bounded row blocks over the columns right of their first row, so
-nothing below the diagonal is computed; `ConeGrid.dist_matrix` stacks the
-full levels into the whole matrix.
+and (j', z') depends only on (j, j') and the distance class of (z, z'),
+which the space keeps from its validation (`FiniteMetricSpace.classes`):
+the offset (z' - z) mod n on a circulant base such as `circle`, the pair
+itself on any other.  The one kernel, `ConeGrid.level_pair`, gives a row
+range of level j against level j' as (values, classes), the distances
+being values[classes]: on a circulant base the n values of the offsets
+and a view of the space's class map, so n distances are computed for the
+block, on any other base one value per pair.  It takes sin(a/2)**2 once
+per class and two numbers per level pair, bit for bit as the tests'
+oracle over arbitrary cone points, `cone_metric` in tests/oracles.py.
+The QI fit streams the pairs i < k one pair of levels at a time (see
+`harness._LevelPairs`); `ConeGrid.dist_matrix` writes every pair of
+levels into the whole matrix.
 """
 
 from __future__ import annotations
@@ -93,66 +98,69 @@ class ConeGrid:
     @cached_property
     def _level_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A = sinh((t_j - t_j')/2)**2 and B = sinh(t_j)*sinh(t_j') per level
-        pair, the apex being level 0 (t = 0), and S = sin(a/2)**2 on the
-        n x n base; see `level_rows`."""
+        pair, the apex being level 0 (t = 0), and S = sin(a/2)**2 per
+        distance class of the base: the (n,) row 0 of a circulant base, any
+        other base's n x n pairs; see `level_pair`."""
         t = np.arange(self.depth + 1) * self.R
         sh = np.sinh(t)
         a = np.sinh(0.5 * (t[:, None] - t[None, :])) ** 2
         b = np.outer(sh, sh)
-        # sin(0.5 * mu * d)**2, in one n x n array
-        s = 0.5 * self.mu * self.space.dist
+        d = self.space.dist
+        s = 0.5 * self.mu * (d if self.space.classes is None else d[0])
         np.sin(s, out=s)
         np.square(s, out=s)
         return a, b, s
 
-    def level_rows(self, j: int, lo: int = 0, hi: int | None = None,
-                   start: int = 0) -> np.ndarray:
-        """The cone distances of rows [lo, hi) of level j to the grid
-        points [start, n_points): a (hi - lo, n_points - start) array.  The
-        apex (j = 0) is a level of one row, any other level has n; by
-        default every row and every column.
+    def level_pair(self, j: int, k: int, lo: int = 0, hi: int | None = None,
+                   keep=...) -> tuple[np.ndarray, np.ndarray]:
+        """The cone distances of rows [lo, hi) of level j to the columns of
+        level k, as (values, classes): the distances are values[classes].
+        keep selects among that (hi - lo, columns) block, a boolean mask or
+        ... for every entry.  The apex (level 0) is a level of one row and
+        one column, base point 0, any other level has n; by default every
+        row.
 
-        The entry of (j, z) and (j', z') is 2*asinh(sqrt(A + B*S)), with A
-        and B at (j, j') and S at (z, z'); the apex sits at base point 0.
-        The columns are taken one level j' at a time, each a slice of S's
-        rows; the factors and ufuncs are the tests' `cone_metric`'s, in its
-        order, bit for bit, and every entry is computed rather than mirrored."""
-        if not 0 <= j <= self.depth:
-            raise ConeError(f"level {j} outside 0..{self.depth}")
-        n, n_points = self.space.n, self.n_points
-        size = n if j else 1
+        The entry of (j, z) and (k, z') is 2*asinh(sqrt(A + B*S)), with A
+        and B at (j, k) and S at the distance class of (z, z').  On a
+        circulant base the classes are the space's offsets (z' - z) mod n:
+        values holds the n offsets' distances and classes is the kept part
+        of the space's class map, a view unless keep is a mask.  On any
+        other base each pair is its own class: values holds the kept pairs'
+        distances and classes is ..., so values[classes] is values.  The
+        factors and ufuncs are the tests' `cone_metric`'s, in its order, so
+        the distances are its, bit for bit."""
+        if not (0 <= j <= self.depth and 0 <= k <= self.depth):
+            raise ConeError(f"level pair ({j}, {k}) outside 0..{self.depth}")
+        size = self.space.n if j else 1
         hi = size if hi is None else hi
         if not 0 <= lo <= hi <= size:
             raise ConeError(f"rows [{lo}, {hi}) outside level {j}")
-        if not 0 <= start <= n_points:
-            raise ConeError(f"first column {start} outside 0..{n_points}")
         a, b, s = self._level_factors
-        s = s[lo:hi] if j else s[:1]
-        rows = np.empty((hi - lo, n_points - start))
-        # from the level of column start on, level k's columns from base
-        # point z0, one slice of S's rows each; the apex's one column is
-        # base point 0
-        for k in range((start + n - 1) // n, self.depth + 1):
-            first = self.index(k, 0)
-            z0, width = max(start - first, 0), (n if k else 1)
-            part = rows[:, first + z0 - start: first + width - start]
-            np.multiply(b[j, k], s[:, z0:width], out=part)
-            np.add(a[j, k], part, out=part)
-        np.sqrt(rows, out=rows)
-        np.arcsinh(rows, out=rows)
-        rows *= 2.0
-        return rows
+        rows, cols = slice(lo, hi), slice(0, self.space.n if k else 1)
+        classes = self.space.classes
+        if classes is None:  # the kept pairs' own S entries
+            s, classes = s[rows, cols][keep], ...
+        else:
+            classes = classes[rows, cols][keep]
+        values = b[j, k] * s
+        np.add(a[j, k], values, out=values)
+        np.sqrt(values, out=values)
+        np.arcsinh(values, out=values)
+        values *= 2.0
+        return values, classes
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:
-        """The whole grid's cone distances: the `level_rows` of every
-        level, stacked, so bit for bit the tests' `cone_metric` oracle over
-        the grid points.  The pipeline streams the rows instead."""
+        """The whole grid's cone distances, one `level_pair` per pair of
+        levels, so bit for bit the tests' `cone_metric` oracle over the
+        grid points.  The pipeline streams the pairs instead."""
         out = np.empty((self.n_points, self.n_points))
-        for j in range(self.depth + 1):
-            rows = self.level_rows(j)
-            lo = self.index(j, 0)
-            out[lo: lo + len(rows)] = rows
+        spans = [slice(self.index(j), self.index(j) + (self.space.n if j else 1))
+                 for j in range(self.depth + 1)]
+        for j, rows in enumerate(spans):
+            for k, cols in enumerate(spans):
+                values, classes = self.level_pair(j, k)
+                out[rows, cols] = values[classes]
         return out
 
     def __repr__(self):

@@ -5,7 +5,9 @@ satisfying the triangle inequality up to a relative tolerance, so row x of
 the matrix is every point's distance to x.  The triangle inequality costs
 an O(n^3) min-plus loop unless an exact O(n^2) route gives the loop's
 verdict: a circulant matrix (`circle`) has the loop's minimum read off one
-row, and otherwise a certificate proves that the loop would pass.  With
+row, and otherwise a certificate proves that the loop would pass.  The
+space keeps the circulance verdict as its distance classes, one per offset
+(`FiniteMetricSpace.classes`), which the cone grid evaluates once each.  With
 u = 2**-53, rounding breaks a triangle of a chord metric (`random_circle`,
 `visual_circle`) by under 2**-46 * radius, so that certificate needs
 rel_tol >= 2**-40 * radius; of a line metric (`interval`, `cantor`) by
@@ -176,8 +178,9 @@ _CERTIFICATES = (_chord_certificate, _line_certificate,
                  _ultrametric_certificate)
 
 
-def _validate_matrix(d: np.ndarray, rel_tol: float, meta: dict) -> None:
-    """Check the metric axioms on d, raising MetricError at the first failure.
+def _validate_matrix(d: np.ndarray, rel_tol: float, meta: dict) -> bool:
+    """Check the metric axioms on d, raising MetricError at the first failure,
+    and return whether d is circulant.
 
     d must equal its transpose exactly; rel_tol is the triangle inequality's
     slack only.  The triangle inequality is d[i, k] <= min_j (d[i, j] + d[j, k]) with
@@ -226,7 +229,7 @@ def _validate_matrix(d: np.ndarray, rel_tol: float, meta: dict) -> None:
     circulant_d = _is_circulant(d)  # decided once, for both routes
     if not circulant_d and isinstance(meta, dict) and any(
             vouch(d, meta, rel_tol) for vouch in _CERTIFICATES):
-        return
+        return False
     best = _circulant_min_path(d) if circulant_d else _min_path_loop(d)
     slack = rel_tol * np.maximum(d, 1.0)
     bad = d > best + slack
@@ -236,6 +239,7 @@ def _validate_matrix(d: np.ndarray, rel_tol: float, meta: dict) -> None:
             f"triangle inequality fails at ({i},{k}): "
             f"d={d[i, k]:.6g} > min path {best[i, k]:.6g}"
         )
+    return circulant_d
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,12 +251,19 @@ class FiniteMetricSpace:
             construction.
         point_ids: stable string labels, one per point.
         meta: free-form description of where the points came from.
+        classes: the distance classes of the ordered pairs, set by
+            validation.  On a circulant matrix the class of (z, z') is
+            (z' - z) mod n, whose distance is dist[0, class], and this is
+            the read-only view circulant(arange(n)), held in 2n entries.
+            On any other matrix every ordered pair is its own class, and
+            this is None.
     """
 
     dist: np.ndarray
     point_ids: tuple[str, ...]
     meta: dict = field(default_factory=dict)
     rel_tol: float = 1e-9
+    classes: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -261,7 +272,9 @@ class FiniteMetricSpace:
         if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
             raise MetricError(
                 f"rel_tol must be finite and nonnegative, got {self.rel_tol}")
-        _validate_matrix(d, self.rel_tol, self.meta)
+        is_circulant = _validate_matrix(d, self.rel_tol, self.meta)
+        object.__setattr__(self, "classes", circulant(np.arange(len(d)))
+                           if is_circulant else None)
         if len(self.point_ids) != d.shape[0]:
             raise MetricError(
                 f"{len(self.point_ids)} point ids for {d.shape[0]} points"

@@ -4,8 +4,13 @@ fit_qi searches a multiplicative constant over a fixed grid and reports the
 smallest additive defect.  It takes the pairs as re-iterable blocks and
 reads only the least and greatest source distance per target value, which
 integer tree metrics make few, merged over the blocks; it groups integer
-targets without sorting the pairs.  The blocks are passed over once more
-only if an extreme breaks the fitted band, to count the violations.
+targets without sorting the pairs.  A block may give its source distances
+as (values, classes), values[classes], as the cone grid does over a
+circulant base: when the (target, class) presence table is no larger than
+the block, one bincount fills it, and a target value's extremes are those
+of the values of its classes present, so no source distance is read per
+pair.  The blocks are passed over once more only if an extreme breaks the
+fitted band, to count the violations.
 
 delta_hyperbolicity measures the base-point four-point defect on the
 doubled Gromov products a, in exact integers whenever the input matrix is
@@ -161,43 +166,74 @@ def _sigma_curve(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return sig
 
 
-def _extremes(ds: np.ndarray, dt: np.ndarray):
+def _by_presence(width: int, n_classes: int, size: int) -> bool:
+    """Whether a block of size pairs over n_classes distance classes, its
+    integer dt spread over width values, is reduced through its (dt, class)
+    presence table: when that table is no larger than the block."""
+    return width * n_classes <= size
+
+
+def _extremes(values: np.ndarray, classes, dt: np.ndarray,
+              key: np.ndarray):
     """The distinct values v of dt as floats, ascending, and the least and
-    greatest ds over the pairs with dt == v.  Integer dt whose range holds
-    at most one value per pair is grouped by offset from its minimum,
-    without sorting the pairs; any other dt by np.unique."""
-    if (np.issubdtype(dt.dtype, np.integer)
-            and int(dt.max()) - int(dt.min()) < dt.size):
+    greatest ds = values[classes] over the pairs with dt == v.
+
+    Integer dt whose range holds at most one value per pair is grouped by
+    offset from its minimum, without sorting the pairs: by one bincount
+    over offset * len(values) + class where classes index values and
+    `_by_presence` allows, each offset's extremes then those of the values
+    of its classes present, since a class is one ds; else by minimum.at
+    and maximum.at over values[classes].  Any other dt by np.unique.  key
+    is an intp buffer of at least dt.size entries, for the codes."""
+    integer = np.issubdtype(dt.dtype, np.integer)
+    if integer:
         base = int(dt.min())
-        codes = np.subtract(dt, base, dtype=np.intp)
-        present = np.flatnonzero(np.bincount(codes))
-        values = (present + base).astype(float)
+        width = int(dt.max()) - base + 1
+    if integer and width <= dt.size:
+        flat = key[:dt.size]
+        codes = flat.reshape(dt.shape)
+        np.subtract(dt, base, out=codes, dtype=np.intp)
+        if classes is not ... and _by_presence(width, values.size, dt.size):
+            np.multiply(codes, values.size, out=codes)
+            np.add(codes, classes, out=codes)
+            table = np.bincount(flat, minlength=width * values.size) != 0
+            table = table.reshape(width, values.size)
+            present = np.flatnonzero(table.any(axis=1))
+            table = table[present]
+            with np.errstate(invalid="ignore"):  # fit_qi refuses a NaN
+                lo = np.where(table, values, np.inf).min(axis=1)
+                hi = np.where(table, values, -np.inf).max(axis=1)
+            return (present + base).astype(float), lo, hi
+        present = np.flatnonzero(np.bincount(flat))
+        dt_values = (present + base).astype(float)
+        codes = flat
     else:
-        values, codes = np.unique(np.asarray(dt, dtype=float),
-                                  return_inverse=True)
-        present = np.arange(len(values))
+        dt_values, codes = np.unique(np.asarray(dt, dtype=float),
+                                     return_inverse=True)
+        present = np.arange(len(dt_values))
+    # flat, as ufunc.at is fastest over one-dimensional operands
+    codes, ds = codes.ravel(), values[classes].ravel()
     lo = np.full(present[-1] + 1, np.inf)
     hi = np.full(present[-1] + 1, -np.inf)
     with np.errstate(invalid="ignore"):  # fit_qi refuses a NaN extreme
         np.minimum.at(lo, codes, ds)
         np.maximum.at(hi, codes, ds)
-    return values, lo[present], hi[present]
+    return dt_values, lo[present], hi[present]
 
 
 def _aligned(block):
-    """One (ds, dt) block as flat aligned arrays, ds as floats."""
+    """One block as (values, classes, dt), ds = values[classes] of dt's
+    shape.  A (ds, dt) block's ds is an array, read as (ds, ...) with ds
+    and dt flattened, or a (values, classes) tuple: an integer index array
+    into 1-d values, or ... for values itself."""
     ds, dt = block
-    ds = np.asarray(ds, dtype=float).ravel()
-    dt = np.asarray(dt).ravel()
-    if ds.shape != dt.shape:
+    if not isinstance(ds, tuple):
+        ds, dt = (np.ravel(ds), ...), np.ravel(dt)
+    values, classes = ds
+    values, dt = np.asarray(values, dtype=float), np.asarray(dt)
+    if np.shape(values if classes is ... else classes) != dt.shape:
         raise ValueError("ds and dt must align")
-    return ds, dt
-
-
-def _block_extremes(block):
-    """One block's pair count and `_extremes`, None for an empty block."""
-    ds, dt = _aligned(block)
-    return ds.size, _extremes(ds, dt) if ds.size else None
+    return values, classes, dt
 
 
 def fit_qi(blocks) -> QIReport:
@@ -205,7 +241,9 @@ def fit_qi(blocks) -> QIReport:
 
     blocks is a re-iterable of (ds, dt): source and target distances of
     some of the pairs, as aligned arrays; arrays held in memory are passed
-    as [(ds, dt)].  Everything is read from the least and greatest ds per dt
+    as [(ds, dt)].  A block may give its ds as (values, classes), meaning
+    values[classes], when many pairs share a few distances (see
+    `_extremes`).  Everything is read from the least and greatest ds per dt
     value, of which there are few for integer tree metrics, taken per block
     and merged: sigma(lam) = max over values v of v - lam*lo_v, hi_v/lam - v
     and 0, ties on sigma pick the smallest lam, and sigma_upper and
@@ -220,10 +258,19 @@ def fit_qi(blocks) -> QIReport:
     if iter(blocks) is blocks:
         raise TypeError("fit_qi needs re-iterable blocks, such as a list, "
                         "not a one-shot iterator")
-    # map binds no name to a block, so each is freed before the next is made
-    per_block = list(map(_block_extremes, blocks))
-    n_pairs = sum(size for size, _ in per_block)
-    parts = [ext for _, ext in per_block if ext is not None]
+    # one code buffer for the fit, reallocated only for a block larger than
+    # every block before it
+    key = np.empty(0, dtype=np.intp)
+    n_pairs, parts = 0, []
+    for block in blocks:
+        values, classes, dt = _aligned(block)
+        if dt.size > key.size:
+            key = np.empty(dt.size, dtype=np.intp)
+        n_pairs += dt.size
+        if dt.size:
+            parts.append(_extremes(values, classes, dt, key))
+        # no name keeps this block while the next one is made
+        del block, values, classes, dt
     if not parts:
         raise ValueError("cannot fit an empty pair set")
     # the blocks' least and greatest ds per value, taken together: per block
@@ -231,8 +278,8 @@ def fit_qi(blocks) -> QIReport:
     # greatest the greatest hi, the extremes over all the pairs
     block_values = np.concatenate([p[0] for p in parts])
     values, lo, hi = _extremes(
-        np.concatenate([p[1] for p in parts] + [p[2] for p in parts]),
-        np.concatenate([block_values, block_values]))
+        np.concatenate([p[1] for p in parts] + [p[2] for p in parts]), ...,
+        np.concatenate([block_values, block_values]), key)
     # a NaN or inf distance reaches the merged extremes whatever block it
     # sits in
     if not (np.isfinite(values).all() and np.isfinite(lo).all()
@@ -247,8 +294,8 @@ def fit_qi(blocks) -> QIReport:
     if np.any((values > lam * lo + sigma + tol)
               | (values < hi / lam - sigma - tol)):
         def broken(block):
-            ds, dt = _aligned(block)
-            dtf = dt.astype(float)
+            values, classes, dt = _aligned(block)
+            ds, dtf = values[classes], dt.astype(float)
             return int(np.count_nonzero(
                 (dtf > lam * ds + sigma + tol) | (dtf < ds / lam - sigma - tol)))
 

@@ -170,22 +170,28 @@ class ProductEmbedding:
     def all_pairs_dist(self) -> np.ndarray:
         """(n_points, n_points) int32 l1 product distances: the sum over
         trees of each tree's int16 `all_pairs_dist` at the points' nodes,
-        cast to int32 in the add.  A tree whose table column is the
-        identity, as on an all-singleton ladder, is added whole; any other
+        cast to int32 as it is written.  A tree whose table column is the
+        identity, as on an all-singleton ladder, is taken whole; any other
         is gathered rows then columns in row blocks of at most BLOCK_ENTRIES
-        entries, so no n_points x n_points int16 copy is made."""
+        entries, so no n_points x n_points int16 copy is made.  The first
+        tree is written into the uninitialised result and the others are
+        added, so no page of it is read before it is written."""
         n = self.grid.n_points
-        out = np.zeros((n, n), dtype=np.int32)
-        rows = max(1, BLOCK_ENTRIES // n)
+        if not self.trees:
+            return np.zeros((n, n), dtype=np.int32)
+        out = np.empty((n, n), dtype=np.int32)
         for a, t in enumerate(self.trees):
             col = self.table[:, a]
             dist = t.all_pairs_dist
-            if t.n_nodes == n and np.array_equal(col, np.arange(n)):
-                out += dist
-                continue
+            whole = t.n_nodes == n and np.array_equal(col, np.arange(n))
+            rows = n if whole else max(1, BLOCK_ENTRIES // n)
             for lo in range(0, n, rows):
-                part = col[lo: lo + rows]
-                out[lo: lo + rows] += dist.take(part, axis=0).take(col, axis=1)
+                part = dist if whole else (
+                    dist.take(col[lo: lo + rows], axis=0).take(col, axis=1))
+                if a:
+                    out[lo: lo + rows] += part
+                else:
+                    out[lo: lo + rows] = part
         return out
 
     def __repr__(self):

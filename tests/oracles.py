@@ -1,6 +1,7 @@
 """References that the pipeline does not run, the tests' oracles for the
-kernels it does: `cone_metric` over arbitrary cone points, which
-`ConeGrid.level_rows` matches bit for bit on the grid; `ast_shrink`, the
+kernels it does: `cone_metric` over arbitrary cone points, and
+`level_rows`, the grid's rows computed one pair at a time, both of which
+`ConeGrid.level_pair`'s distance classes match bit for bit; `ast_shrink`, the
 paper's merge step at full strength, through which the tests check the
 `eroded` and `merged` kernels that `separate` runs with a moat of its own;
 `component_level`, the component level builder as a search over every
@@ -34,6 +35,35 @@ def cone_metric(space, z, t) -> np.ndarray:
     sh = np.sinh(t)
     s = np.sinh(0.5 * (t[:, None] - t[None, :])) ** 2 + np.outer(sh, sh) * np.sin(half) ** 2
     return 2.0 * np.arcsinh(np.sqrt(s))
+
+
+def level_rows(grid, j: int, lo: int = 0, hi: int | None = None,
+               start: int = 0) -> np.ndarray:
+    """The cone distances of rows [lo, hi) of level j to the grid points
+    [start, n_points), a (hi - lo, n_points - start) array, one entry per
+    pair: 2*asinh(sqrt(A + B*S)) with A and B at the two points' levels and
+    S = sin(a/2)**2 from the n x n base, the apex (level 0, one row) at base
+    point 0.  The grid's row kernel before distance classes."""
+    n, n_points = grid.space.n, grid.n_points
+    t = np.arange(grid.depth + 1) * grid.R
+    sh = np.sinh(t)
+    a = np.sinh(0.5 * (t[:, None] - t[None, :])) ** 2
+    b = np.outer(sh, sh)
+    s = np.sin(0.5 * grid.mu * grid.space.dist) ** 2
+    s = s[lo:(n if hi is None else hi)] if j else s[:1]
+    rows = np.empty((len(s), n_points - start))
+    # from the level of column start on, level k's columns from base point
+    # z0, one slice of S's rows each; the apex's one column is base point 0
+    for k in range((start + n - 1) // n, grid.depth + 1):
+        first = grid.index(k, 0)
+        z0, width = max(start - first, 0), (n if k else 1)
+        part = rows[:, first + z0 - start: first + width - start]
+        np.multiply(b[j, k], s[:, z0:width], out=part)
+        np.add(a[j, k], part, out=part)
+    np.sqrt(rows, out=rows)
+    np.arcsinh(rows, out=rows)
+    rows *= 2.0
+    return rows
 
 
 def ast_shrink(fam, ghat, s: float, delta: float):

@@ -283,10 +283,10 @@ def _check_cone_metric(res) -> str:
     sp, grid = res.space, res.grid
     mu = math.pi / sp.diameter
     level, z = grid.point_level, grid.point_z
-    rows = [grid.level_rows(j) for j in range(grid.depth + 1)]  # the run's kernel
+    dist = grid.dist_matrix  # the run's kernel, one level pair at a time
 
     def grid_dist(i, k):
-        return float(rows[level[i]][z[i], k])  # the apex's one row is base point 0
+        return float(dist[i, k])
 
     # grid pairs on distinct base points against the textbook form
     rng = np.random.default_rng(616)

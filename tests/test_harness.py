@@ -187,12 +187,18 @@ class TestPipeline:
 
     @pytest.mark.parametrize("name", ["flagship", "cascade"])
     def test_space_caches_no_table(self, name):
-        # a finished run leaves only the matrix and scalars on its space
+        # a finished run leaves only the matrix, scalars and the class map
+        # on its space, and the class map is None or a view over 2n entries
         cfg = WORKLOAD_CONFIGS[name]
         res = run_pipeline(PipelineConfig(**{**cfg,
                                              "params": dict(cfg["params"])}))
         assert set(vars(res.space)) <= {"dist", "point_ids", "meta", "rel_tol",
-                                        "diameter", "min_gap"}
+                                        "classes", "diameter", "min_gap"}
+        held = res.space.classes
+        assert (held is None) == (name == "cascade")
+        while getattr(held, "base", None) is not None:
+            held = held.base
+        assert held is None or held.size == 2 * res.space.n
 
     def test_unknown_config_key(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -250,9 +256,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("name", ["flagship", "cascade", "long_ray"])
     def test_certify_streams_the_cone_pairs(self, monkeypatch, name):
-        # fit_qi gets one block per level whose concatenation is the upper
-        # triangle of both pair matrices, row-major, and the whole cone
-        # matrix is never built
+        # fit_qi gets one block per pair of levels j <= j', the apex with
+        # itself aside, whose pairs are the upper triangle of both pair
+        # matrices, and the whole cone matrix is never built
         seen = []
 
         def fit(blocks):
@@ -265,15 +271,18 @@ class TestPipeline:
                                              "params": dict(cfg["params"])}))
         assert "dist_matrix" not in res.grid.__dict__
         [blocks] = seen
-        ds, dt = (np.concatenate(side) for side in zip(*blocks))
+        depth = res.grid.depth
+        assert len(list(blocks)) == depth + depth * (depth + 1) // 2
         upper = np.triu_indices(res.grid.n_points, k=1)
-        assert len(list(blocks)) == res.grid.depth + 1
-        assert np.array_equal(ds, res.grid.dist_matrix[upper])
-        assert np.array_equal(dt, res.embedding.all_pairs_dist[upper])
+        ds, dt = res.grid.dist_matrix[upper], res.embedding.all_pairs_dist[upper]
+        got_ds, got_dt = _pairs(blocks)
+        order, got_order = np.lexsort((ds, dt)), np.lexsort((got_ds, got_dt))
+        assert np.array_equal(got_ds[got_order], ds[order])
+        assert np.array_equal(got_dt[got_order], dt[order])
         assert res.qi == fit_qi([(ds, dt)])
 
     def test_cone_factors_released_after_the_fit(self):
-        # the n x n S table is no longer held through tree_delta; the grid
+        # the S table is no longer held through tree_delta; the grid
         # derives it again on demand, with the same entries
         res = run_pipeline(PipelineConfig(generator="circle",
                                           params={"n": 48}, depth=3))
@@ -293,21 +302,27 @@ class TestPipeline:
 
 
 def _pair_blocks(grid, product, monkeypatch, block_entries):
-    """_LevelPairs's blocks with BLOCK_ENTRIES set, and the (level, lo, hi,
-    start, entries) of every `level_rows` call that made them."""
+    """_LevelPairs's blocks with BLOCK_ENTRIES set, and the (j, k, lo, hi)
+    of every `level_pair` call that made them."""
     monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
     calls = []
-    level_rows = ConeGrid.level_rows
+    level_pair = ConeGrid.level_pair
 
-    def recording(self, j, lo, hi, start):
-        rows = level_rows(self, j, lo, hi, start)
-        calls.append((j, lo, hi, start, rows.size))
-        return rows
+    def recording(self, j, k, lo, hi, keep):
+        calls.append((j, k, lo, hi))
+        return level_pair(self, j, k, lo, hi, keep)
 
-    monkeypatch.setattr(ConeGrid, "level_rows", recording)
+    monkeypatch.setattr(ConeGrid, "level_pair", recording)
     blocks = list(harness._LevelPairs(grid, product))
-    monkeypatch.setattr(ConeGrid, "level_rows", level_rows)
+    monkeypatch.setattr(ConeGrid, "level_pair", level_pair)
     return blocks, calls
+
+
+def _pairs(blocks):
+    """The blocks' pairs as flat (ds, dt), ds = values[classes]."""
+    return (np.concatenate([np.ravel(values[classes])
+                            for (values, classes), _ in blocks]),
+            np.concatenate([np.ravel(dt) for _, dt in blocks]))
 
 
 class TestLevelPairs:
@@ -318,46 +333,42 @@ class TestLevelPairs:
         ("random_circle", {"n": 11}), ("visual_circle", {"n": 12}),
     ], ids=lambda v: v if isinstance(v, str) else "")
     @pytest.mark.parametrize("split", ["row", "mid_level", "default"])
-    def test_blocks_are_the_upper_triangle(self, monkeypatch, kind, params,
-                                           depth, split):
-        # the concatenated blocks are both matrices' upper triangles in
-        # np.triu_indices's order, however the rows are split; the product
-        # side has distinct entries, so any misplaced pair shows
+    def test_blocks_cover_the_upper_triangle_once(self, monkeypatch, kind,
+                                                  params, depth, split):
+        # the product side's entries are their pairs' flat indices, so the
+        # blocks hold every pair i < k exactly once, with its cone distance,
+        # however the rows are split
         grid = build_grid(generate(kind, **params), r=0.125, depth=depth)
         n, big_n = grid.space.n, grid.n_points
-        product = np.arange(big_n * big_n, dtype=np.int32).reshape(big_n, big_n)
-        block_entries = {"row": 1, "mid_level": (n // 2) * (big_n - 2),
+        product = np.arange(big_n * big_n).reshape(big_n, big_n)
+        block_entries = {"row": 1, "mid_level": (n // 2) * n,
                          "default": harness.BLOCK_ENTRIES}[split]
         blocks, calls = _pair_blocks(grid, product, monkeypatch, block_entries)
+        ds, dt = _pairs(blocks)
         upper = np.triu_indices(big_n, k=1)
-        ds, dt = (np.concatenate(side) for side in zip(*blocks))
-        assert np.array_equal(ds, grid.dist_matrix[upper])
-        assert np.array_equal(dt, product[upper])
-        for j, lo, hi, start, entries in calls:
-            # a block computes at most block_entries, or one wider row
-            assert entries <= block_entries or hi - lo == 1
-            assert start == grid.index(j, 0) + lo + 1
-        rows = [hi - lo for _, lo, hi, _, _ in calls]
-        if split == "row":
-            assert rows == [1] * big_n
-        elif split == "mid_level":
-            assert rows[1] == n // 2 and calls[2][1] == n // 2
-        else:
-            assert rows == [1] + [n] * depth
+        assert np.array_equal(np.sort(dt), product[upper])
+        assert np.array_equal(ds, grid.dist_matrix.ravel()[dt])
+        # each pair of levels j <= k but the apex with itself, its rows
+        # split into blocks of at most block_entries pairs, or one row
+        assert sorted({(j, k) for j, k, _, _ in calls}) == [
+            (j, k) for j in range(depth + 1) for k in range(max(j, 1), depth + 1)]
+        step = {"row": 1, "mid_level": n // 2, "default": n}[split]
+        for j, k, lo, hi in calls:
+            assert (hi - lo) * n <= block_entries or hi - lo == 1
+            assert lo % step == 0 and hi == min(lo + step, n if j else 1)
 
     def test_large_level_splits_within_the_bound(self, monkeypatch):
         # a level of more rows than one block holds is split, each block
         # within BLOCK_ENTRIES, and the pairs are still the upper triangle
         grid = build_grid(generate("circle", n=300), r=0.125, depth=2)
         big_n = grid.n_points
-        product = np.arange(big_n * big_n, dtype=np.int64).reshape(big_n, big_n)
+        product = np.arange(big_n * big_n).reshape(big_n, big_n)
         blocks, calls = _pair_blocks(grid, product, monkeypatch, 1 << 14)
-        assert len(calls) > grid.depth + 1
-        assert all(entries <= 1 << 14 for *_, entries in calls)
-        upper = np.triu_indices(big_n, k=1)
-        ds, dt = (np.concatenate(side) for side in zip(*blocks))
-        assert np.array_equal(ds, grid.dist_matrix[upper])
-        assert np.array_equal(dt, product[upper])
+        assert len(calls) > 5
+        assert all((hi - lo) * 300 <= 1 << 14 for _, _, lo, hi in calls)
+        ds, dt = _pairs(blocks)
+        assert np.array_equal(np.sort(dt), product[np.triu_indices(big_n, k=1)])
+        assert np.array_equal(ds, grid.dist_matrix.ravel()[dt])
 
 
 class TestBundleIO:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conetrees import ConeError, build_grid
+from conetrees import ConeError, FiniteMetricSpace, build_grid
 from conetrees.harness import generate
 from conetrees.hyp_cone import RADIUS_CAP
-from oracles import cone_metric
+from oracles import cone_metric, level_rows
 
 
 def hyperboloid_oracle(t1, t2, alpha):
@@ -28,9 +28,14 @@ def grid_metric(grid):
     return cone_metric(grid.space, grid.point_z, grid.point_level * grid.R)
 
 
-def stacked_level_rows(grid):
-    """Every level's rows, stacked in grid point order."""
-    return np.vstack([grid.level_rows(j) for j in range(grid.depth + 1)])
+def level_span(grid, j):
+    """Level j's grid points, as a slice of the grid's point order."""
+    return slice(grid.index(j), grid.index(j) + (grid.space.n if j else 1))
+
+
+GENERATED = [("circle", {"n": 10}), ("interval", {"n": 9}),
+             ("cantor", {"depth": 3}), ("tree_boundary", {"depth": 3}),
+             ("random_circle", {"n": 11}), ("visual_circle", {"n": 12})]
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +155,8 @@ class TestConeGrid:
     def test_dist_matrix_equals_cone_metric(self, kind, params, depth):
         grid = build_grid(generate(kind, **params), r=0.125, depth=depth)
         oracle = grid_metric(grid)
-        assert np.array_equal(stacked_level_rows(grid), oracle)
+        rows = np.vstack([level_rows(grid, j) for j in range(depth + 1)])
+        assert np.array_equal(rows, oracle)
         assert np.array_equal(grid.dist_matrix, oracle)
 
     def test_refuses_base_asymmetric_within_rel_tol(self):
@@ -167,46 +173,84 @@ class TestConeGrid:
         with pytest.raises(MetricError, match="not symmetric"):
             FiniteMetricSpace(d, base.point_ids, meta=dict(base.meta))
 
-    def test_level_rows_shapes_and_range(self):
+    def test_level_pair_shapes_and_range(self):
         grid = build_grid(generate("circle", n=8), r=0.25, depth=3)
-        assert grid.level_rows(0).shape == (1, 25)
-        assert grid.level_rows(3).shape == (8, 25)
-        for j in (-1, 4):
+        for (j, k), shape in {(0, 0): (1, 1), (0, 3): (1, 8), (3, 0): (8, 1),
+                              (2, 3): (8, 8)}.items():
+            values, classes = grid.level_pair(j, k)
+            assert values[classes].shape == shape
+        assert grid.level_pair(2, 1, 3, 5)[1].shape == (2, 8)
+        assert grid.level_pair(1, 1, 4, 4)[1].shape == (0, 8)
+        assert grid.level_pair(0, 2, 1, 1)[1].shape == (0, 8)
+        for j, k in ((-1, 0), (4, 1), (1, 4), (0, -1)):
             with pytest.raises(ConeError, match="outside"):
-                grid.level_rows(j)
+                grid.level_pair(j, k)
+        for lo, hi in ((-1, 3), (0, 9), (5, 4)):
+            with pytest.raises(ConeError, match="rows"):
+                grid.level_pair(1, 2, lo, hi)
+        with pytest.raises(ConeError, match="rows"):
+            grid.level_pair(0, 1, 0, 2)
 
     @pytest.mark.parametrize("kind, params, depth", [
         ("circle", {"n": 9}, 3), ("random_circle", {"n": 7}, 1),
         ("cantor", {"depth": 2}, 4),
     ])
-    def test_level_rows_block_is_a_slice_of_cone_metric(self, kind, params,
+    def test_level_pair_block_is_a_slice_of_cone_metric(self, kind, params,
                                                         depth):
-        # rows [lo, hi) of level j over columns [start, n_points), bit for
-        # bit, for every range, the empty ones included
+        # rows [lo, hi) of level j against level k, bit for bit, for every
+        # range, the empty ones included, whole and under a mask
         grid = build_grid(generate(kind, **params), r=0.125, depth=depth)
         oracle = grid_metric(grid)
+        rng = np.random.default_rng(depth)
         for j in range(depth + 1):
-            first, size = grid.index(j, 0), (grid.space.n if j else 1)
-            for lo in range(size + 1):
-                for hi in range(lo, size + 1):
-                    for start in range(grid.n_points + 1):
-                        assert np.array_equal(
-                            grid.level_rows(j, lo, hi, start),
-                            oracle[first + lo: first + hi, start:])
+            first, size = grid.index(j), (grid.space.n if j else 1)
+            for k in range(depth + 1):
+                for lo in range(size + 1):
+                    for hi in range(lo, size + 1):
+                        want = oracle[first + lo: first + hi, level_span(grid, k)]
+                        values, classes = grid.level_pair(j, k, lo, hi)
+                        assert np.array_equal(values[classes], want)
+                        keep = rng.random(want.shape) < 0.5
+                        values, classes = grid.level_pair(j, k, lo, hi, keep)
+                        assert np.array_equal(values[classes], want[keep])
 
-    def test_level_rows_row_and_column_range(self):
-        grid = build_grid(generate("circle", n=8), r=0.25, depth=3)
-        assert grid.level_rows(2, 3, 5, 10).shape == (2, 15)
-        assert grid.level_rows(0, 0, 1, 25).shape == (1, 0)
-        assert grid.level_rows(1, 4, 4).shape == (0, 25)
-        for lo, hi in ((-1, 3), (0, 9), (5, 4)):
-            with pytest.raises(ConeError, match="rows"):
-                grid.level_rows(1, lo, hi)
-        with pytest.raises(ConeError, match="rows"):
-            grid.level_rows(0, 0, 2)
-        for start in (-1, 26):
-            with pytest.raises(ConeError, match="first column"):
-                grid.level_rows(1, 0, 8, start)
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("kind, params", GENERATED,
+                             ids=[kind for kind, _ in GENERATED])
+    def test_level_pair_equals_the_per_pair_rows(self, kind, params, depth):
+        # every level pair's distances are the per-pair kernel's entries:
+        # one value per offset over the space's class map on the circle,
+        # which is circulant, one per pair on every other space
+        space = generate(kind, **params)
+        grid = build_grid(space, r=0.125, depth=depth)
+        for j in range(depth + 1):
+            rows = level_rows(grid, j)
+            for k in range(depth + 1):
+                values, classes = grid.level_pair(j, k)
+                if kind == "circle":
+                    assert values.shape == (space.n,)
+                    assert np.shares_memory(classes, space.classes)
+                else:
+                    assert space.classes is None and classes is ...
+                assert np.array_equal(values[classes],
+                                      rows[:, level_span(grid, k)])
+
+    def test_one_ulp_off_circulant_takes_pair_classes(self):
+        # one symmetric pair of a circle's matrix a ulp longer: still a
+        # metric, no longer circulant, so each pair is its own class
+        circle = generate("circle", n=12)
+        d = circle.dist.copy()
+        d[3, 5] = d[5, 3] = np.nextafter(d[3, 5], np.inf)
+        space = FiniteMetricSpace(d, circle.point_ids, meta=dict(circle.meta))
+        assert circle.classes is not None and space.classes is None
+        grid = build_grid(space, r=0.125, depth=3)
+        assert np.array_equal(grid.dist_matrix, grid_metric(grid))
+        for j in range(4):
+            rows = level_rows(grid, j)
+            for k in range(4):
+                values, classes = grid.level_pair(j, k)
+                assert classes is ...
+                assert np.array_equal(values, rows[:, level_span(grid, k)])
 
     def test_angle_map_tops_out_at_pi(self):
         sp = generate("circle", n=8)

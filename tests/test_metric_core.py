@@ -9,6 +9,7 @@ from conetrees import (
     FiniteMetricSpace,
     LadderConstructionError,
     MetricError,
+    build_grid,
     build_level,
     metric_core,
 )
@@ -276,7 +277,12 @@ class TestCirculantMinPath:
             return is_circulant(d)
 
         monkeypatch.setattr(metric_core, "_is_circulant", counted)
-        assert generate(kind, n=64).n == 64
+        space = generate(kind, n=64)
+        assert calls == [64]
+        # the cone grid reads the verdict off the space's class map
+        assert (space.classes is not None) == (kind == "circle")
+        grid = build_grid(space, r=0.125, depth=2)
+        assert grid.dist_matrix.shape == (129, 129)
         assert calls == [64]
 
     def test_circle_never_runs_the_loop(self, monkeypatch):

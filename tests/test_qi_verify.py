@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conetrees import qi_verify
+from conetrees import harness, qi_verify
 from conetrees import (
+    PipelineConfig,
     build_base,
     build_tree,
     delta_hyperbolicity,
     fit_qi,
+    run_pipeline,
     separate,
     visual_metric_circle,
 )
@@ -563,6 +565,105 @@ class TestFitQIOracle:
         ds = res.grid.dist_matrix[upper]
         dt = res.embedding.all_pairs_dist[upper]
         assert res.qi == reference_fit_qi(ds, dt)
+
+
+def _class_blocks(seed, n_blocks=4):
+    """Random (values, classes) blocks over one set of class values, with
+    integer dt in a narrow range, and the same pairs as plain arrays."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.01, 5.0, int(rng.integers(1, 30)))
+    blocks = []
+    for _ in range(n_blocks):
+        shape = tuple(rng.integers(0, 40, size=int(rng.integers(1, 3))))
+        classes = rng.integers(0, values.size, shape)
+        dt = ((values[classes] * rng.uniform(0.5, 3.0, shape)).round()
+              + int(rng.integers(-3, 4))).astype(np.int32)
+        blocks.append(((values, classes), dt))
+    ds = np.concatenate([values[c].ravel() for (_, c), _ in blocks])
+    dt = np.concatenate([dt.ravel() for _, dt in blocks])
+    return blocks, ds, dt
+
+
+class TestClassBlocks:
+    """fit_qi over blocks that give ds as (values, classes), meaning
+    values[classes], against the same pairs given one distance each."""
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("kind, params", [
+        ("circle", {"n": 10}), ("interval", {"n": 9}),
+        ("cantor", {"depth": 3}), ("tree_boundary", {"depth": 3}),
+        ("random_circle", {"n": 11}), ("visual_circle", {"n": 12}),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_level_pairs_fit_as_the_upper_triangle(self, kind, params, depth):
+        res = run_pipeline(PipelineConfig(generator=kind, params=params,
+                                          depth=depth, tree_delta_check=False))
+        grid, product = res.grid, res.embedding.all_pairs_dist
+        upper = np.triu_indices(grid.n_points, k=1)
+        whole = fit_qi([(grid.dist_matrix[upper], product[upper])])
+        assert res.qi == whole
+        assert fit_qi(harness._LevelPairs(grid, product)) == whole
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_either_reduction_is_the_per_pair_fit(self, monkeypatch, seed):
+        # the presence table and values[classes], each forced, and the size
+        # rule's own choice all give the per-pair reference's report
+        blocks, ds, dt = _class_blocks(seed)
+        want = reference_fit_qi(ds, dt)
+        chosen, by_presence = [], qi_verify._by_presence
+
+        def rule(width, n_classes, size):
+            chosen.append(by_presence(width, n_classes, size))
+            return chosen[-1]
+
+        for forced in (lambda *args: True, lambda *args: False, rule):
+            monkeypatch.setattr(qi_verify, "_by_presence", forced)
+            assert fit_qi(blocks) == want
+        if seed == 0:
+            assert True in chosen and False in chosen
+
+    @pytest.mark.parametrize("presence", [True, False])
+    def test_violations_counted_over_values_of_classes(self, monkeypatch,
+                                                       presence):
+        # an all-zero curve (lam = 1, sigma = 0) makes each pair with
+        # dt != ds a violation, counted over values[classes]
+        blocks, ds, dt = _class_blocks(3)
+        zero = lambda *args: np.zeros(len(qi_verify.LAMBDA_GRID))
+        monkeypatch.setattr(qi_verify, "_sigma_curve", zero)
+        monkeypatch.setattr(qi_verify, "_by_presence", lambda *args: presence)
+        rep = fit_qi(blocks)
+        assert rep.violations == np.count_nonzero(dt != ds) > 0
+        assert rep == reference_fit_qi(ds, dt, sigma_curve=zero)
+
+    @pytest.mark.parametrize("presence", [True, False])
+    def test_circle_pipeline_either_reduction(self, monkeypatch, presence,
+                                              flagship_result):
+        res = flagship_result
+        monkeypatch.setattr(qi_verify, "_by_presence", lambda *args: presence)
+        blocks = harness._LevelPairs(res.grid, res.embedding.all_pairs_dist)
+        assert fit_qi(blocks) == res.qi
+
+    # refused with no warning first, which the filter turns into an error
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("presence", [True, False])
+    def test_non_finite_class_value_refused(self, monkeypatch, bad, presence):
+        monkeypatch.setattr(qi_verify, "_by_presence", lambda *args: presence)
+        values = np.array([1.0, bad, 3.0])
+        blocks = [((values, np.array([[0, 2], [2, 0]])), np.array([[1, 3], [3, 1]])),
+                  ((values, np.array([0, 1, 1])), np.array([2, 2, 3]))]
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fit_qi(blocks)
+
+    def test_unused_non_finite_class_value_is_no_distance(self):
+        values = np.array([1.0, np.nan, 3.0])
+        classes, dt = np.array([0, 2, 2]), np.array([1, 3, 3])
+        assert fit_qi([((values, classes), dt)]) == fit_qi(
+            [(values[classes], dt)])
+
+    def test_misaligned_classes_rejected(self):
+        values = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="align"):
+            fit_qi([((values, np.zeros((2, 3), dtype=int)), np.ones(6))])
 
 
 class TestVisualCircle:

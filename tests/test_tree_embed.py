@@ -599,7 +599,9 @@ class TestPairKernelsAgainstReference:
                                 rows):
         # the small ladder is all singletons, so both table columns are the
         # identity; the identity goes to tree 0 and a random column to tree
-        # 1, and the skipping tree's grid has no identity column at all
+        # 1, then the other way round, and the skipping tree's grid has no
+        # identity column at all; the first tree is written, not added, and
+        # a product of no trees is zero
         grid = build_grid(small__seq.space, 0.125, 3)
         n_points = grid.n_points
         assert np.array_equal(embed_grid(small__seq, grid, small_trees).table,
@@ -611,12 +613,17 @@ class TestPairKernelsAgainstReference:
         table = random_table(grid, small_trees, 5)
         table[:, 0] = np.arange(n_points)
         mixed = ProductEmbedding(grid=grid, trees=small_trees, table=table)
+        swapped = ProductEmbedding(grid=grid, trees=small_trees[::-1],
+                                   table=table[:, ::-1])
         skipping = skipping_tree()
         skip_grid = build_grid(skipping.members.space, 0.5, 3)
         skip_emb = ProductEmbedding(
             grid=skip_grid, trees=(skipping, skipping),
             table=random_table(skip_grid, (skipping, skipping), 6))
-        for emb in (mixed, skip_emb):
+        empty = ProductEmbedding(grid=grid, trees=(),
+                                 table=np.zeros((n_points, 0), dtype=np.int64))
+        assert not empty.all_pairs_dist.any()
+        for emb in (mixed, swapped, skip_emb, empty):
             assert np.array_equal(emb.all_pairs_dist,
                                   reference_product_pairs(emb))
 
