@@ -259,7 +259,7 @@ def _greedy_level(space: FiniteMetricSpace, scale: float, m: int,
         np.minimum(mind, d[nxt], out=mind)
     members = [np.flatnonzero(d[c] <= 0.49 * scale) for c in centers]
     balls = Family(space, members)
-    close = balls.member_min(balls.dist_rows().T) < scale / 4
+    close = balls.gaps(balls.dist_rows()) < scale / 4
     color_of = []
     for i in range(len(centers)):
         used = {color_of[j] for j in np.flatnonzero(close[i, :i])}
@@ -281,19 +281,23 @@ def _greedy_level(space: FiniteMetricSpace, scale: float, m: int,
         for c in range(max(m, needed))))
 
 
-def _pick_strategy(space: FiniteMetricSpace) -> str:
-    """The level builder for the space's ``meta["kind"]``; a space of no
-    stock kind gets ``generic_greedy``."""
-    kind = space.meta.get("kind", "")
-    if kind in ("circle", "random_circle", "visual_circle"):
-        return "circle_arcs"
-    if kind == "interval":
-        return "interval_blocks"
-    if kind == "cantor":
-        return "cantor_clopen"
-    if kind == "tree_boundary":
-        return "tree_boundary_cylinders"
-    return "generic_greedy"
+# meta["kind"] -> (the strategy the provenance records, the level builder)
+_KINDS = {
+    "circle": ("circle_arcs", _circle_windows),
+    "random_circle": ("circle_arcs", _circle_windows),
+    "visual_circle": ("circle_arcs", _circle_windows),
+    "interval": ("interval_blocks", _interval_windows),
+    "cantor": ("cantor_clopen", _component_level),
+    "tree_boundary": ("tree_boundary_cylinders", _component_level),
+}
+_GREEDY = ("generic_greedy", _greedy_level)
+
+
+def _kind(space: FiniteMetricSpace) -> tuple:
+    """The space's `_KINDS` entry; a kind that is no string, which may be
+    unhashable, or that names no stock builder gets generic_greedy."""
+    kind = space.meta.get("kind")
+    return _KINDS.get(kind, _GREEDY) if isinstance(kind, str) else _GREEDY
 
 
 def build_level(space: FiniteMetricSpace, scale: float, m: int,
@@ -313,20 +317,16 @@ def build_level(space: FiniteMetricSpace, scale: float, m: int,
         raise LadderConstructionError(f"need at least 2 colors, got {m}")
     if space.n == 0:
         raise LadderConstructionError("cannot cover an empty space")
-    resolved = _pick_strategy(space)
+    builder = _kind(space)[1]
     points = np.arange(space.n)
     if scale >= space.diameter:
         cov = _shared_level(Family._of(space, np.array([0, space.n]), points), m)
     elif space.n == 1 or (m - 1) / (2 * (m + 1)) * scale <= space.min_gap:
         cov = _shared_level(Family._of(space, np.arange(space.n + 1), points), m)
-    elif resolved == "circle_arcs":
-        cov = _circle_windows(space, scale, m)
-    elif resolved == "interval_blocks":
-        cov = _interval_windows(space, scale, m)
-    elif resolved in ("cantor_clopen", "tree_boundary_cylinders"):
-        cov = _component_level(space, scale, m)
-    else:
+    elif builder is _greedy_level:
         cov = _greedy_level(space, scale, m, allow_more_colors)
+    else:
+        cov = builder(space, scale, m)
     if cov.mesh > scale * (1 + 1e-9):
         raise LadderConstructionError(
             f"built level has mesh {cov.mesh:.6g} above scale {scale:.6g}"
@@ -344,8 +344,11 @@ def _measure(levels: tuple[ColoredCovering, ...], r: float,
     stats ("levels") and, with ``margins``, gamma and its "gamma_records"
     in (fine, coarse, color) order; gamma is None without.  Each level's
     distinct families (whole, singleton and component levels share one
-    among colors) have their `dist_rows()` and `depths` derived once, and
-    dropped before the next, and every constant is read off them.
+    among colors) have their `dist_rows()`, `depths` and own member-to-member
+    `gaps` derived once, and dropped before the next, and every constant is
+    read off them: the separation is the least of the gaps off the
+    diagonal, and the same table, diagonal at +inf, is `_pair_margins`'
+    avoidance term at jf == jc, where the fine family is the coarse one.
 
     delta is the min over levels of lebesgue, per-color separation, and
     per-color inner radius, each in units of r**j; the lebesgue clause is
@@ -360,7 +363,9 @@ def _measure(levels: tuple[ColoredCovering, ...], r: float,
         seps, nets, inners, peaks = [], [], [], []
         for coarse in dict.fromkeys(cov.colors):
             rows, depths = coarse.dist_rows(), coarse.depths
-            seps.append(coarse._separation(rows))
+            gaps = coarse.gaps(rows)
+            np.fill_diagonal(gaps, np.inf)  # no member is apart from itself
+            seps.append(float(gaps.min(initial=np.inf)))
             nets.append(float(rows.min(axis=0, initial=np.inf).max()))
             # per member, the largest depth of any point inside it
             inners.append(float(depths.max(axis=1).min(initial=np.inf)))
@@ -371,8 +376,8 @@ def _measure(levels: tuple[ColoredCovering, ...], r: float,
                     if cov.colors[a] is not coarse or not fine:
                         continue
                     if (jf, fine) not in pairs:
-                        pairs[jf, fine] = _pair_margins(fine, rows, depths,
-                                                        jf == jc)
+                        pairs[jf, fine] = _pair_margins(
+                            fine, gaps if jf == jc else fine.gaps(rows), depths)
                     pair_min, desc_min = (m / r ** jf for m in pairs[jf, fine])
                     rec = {"color": a, "fine": jf, "coarse": jc,
                            "pair_margin": pair_min}
@@ -381,7 +386,8 @@ def _measure(levels: tuple[ColoredCovering, ...], r: float,
                         rec["descendant_margin"] = desc_min
                         gamma = min(gamma, desc_min)
                     records.append(rec)
-            del rows, depths
+                gaps = None  # its last reader is the same-level margins
+            del rows, depths, gaps
         scale = r ** jc
         st = {
             "scale": scale,
@@ -424,7 +430,7 @@ def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
     levels = tuple(build_level(space, r ** j, colors)
                    for j in range(1, depth + 1))
     seq = CharSequence(space, r, levels, {
-        "strategy": _pick_strategy(space),
+        "strategy": _kind(space)[0],
         "delta_target": delta_target,
     })
     if delta_target is not None and seq.delta < delta_target:
@@ -438,25 +444,23 @@ def build_base(space: FiniteMetricSpace, r: float, depth: int, colors: int = 2,
 # separation margins
 
 
-def _pair_margins(fine: Family, rows: np.ndarray, depths: np.ndarray,
-                  same_level: bool) -> tuple[float, float]:
+def _pair_margins(fine: Family, gaps: np.ndarray,
+                  depths: np.ndarray) -> tuple[float, float]:
     """Dichotomy margins between one fine and one coarse family, same color,
-    given the coarse family's `dist_rows()` and `depths`.
+    given their member-to-member `gaps` and the coarse family's `depths`.
 
     For each pair the dichotomy (miss or sit inside) holds for every radius
     up to max(M1, M2), where M1 is the containment margin, the distance from
     the fine member to the coarse member's complement, and M2 the avoidance
-    margin, the distance between the two members.  Returns (min pair
+    margin, the distance between the two members, read off ``gaps``; a
+    family against itself passes its gaps with the diagonal at +inf, as
+    identical members never compete with themselves.  Returns (min pair
     margin, min over coarse members of the best containment margin of any
     fine member), the latter only meaningful across distinct levels.
     """
     m1 = fine.member_min(depths.T)
     desc = float(m1.max(axis=0).min())
-    margins = np.maximum(m1, fine.member_min(rows.T), out=m1)
-    if same_level:
-        # identical members never compete with themselves
-        np.fill_diagonal(margins, np.inf)
-    return float(margins.min()), desc
+    return float(np.maximum(m1, gaps, out=m1).min()), desc
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +531,7 @@ def separate(base: CharSequence, enforce_assumptions: bool = False) -> CharSeque
                 continue
             # ghat's open grow-neighborhoods, derived once for the
             # disjointness check and the merges
-            hoods = ghat.hoods(grow)
+            hoods = ghat.dist_rows() < grow
             record["ghat_disjoint"] = bool(hoods.sum(axis=0).max() <= 1)
             if not record["ghat_disjoint"]:
                 violations.append(

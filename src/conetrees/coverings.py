@@ -16,17 +16,19 @@ only by the benchmark and by the tests, as an oracle for them.
 minimum over each member's rows of an (n, m) array, which on a family of
 singletons is a plain gather of the members' rows.  A space's matrix is
 exactly symmetric, so row x of it is every point's distance to x, and
-`dist_rows` reads the members' rows of the matrix itself.  `depths` reads
-the same rows, one per (member, inside point) pair, and takes each row's
-minimum over the columns outside its member.  Erosion and merge take and
-give Families: `eroded` erodes every member, and `merged` merges all of a
+`dist_rows` reads the members' rows of the matrix itself.  `gaps`, the
+one member-to-member kernel, is the `member_min` of a `dist_rows()`
+transposed; a family's own gives its separation.  `depths` reads the same
+rows, one per (member, inside point) pair, and takes each row's minimum
+over the columns outside its member.  Erosion and merge take and give
+Families: `eroded` erodes every member, and `merged` merges all of a
 family's members, the cores, at once against a fine family's open
-neighborhoods, its `hoods`, which the caller derives once; the cores'
-distances are their own `dist_rows()`.  Each per-member reduction is an
-exact min, max or AND, so no value depends on the order of a member's
-points.  Neither table is cached on the Family: both are derived per call,
-since at n = 2048 each is 32 MB, and a caller that needs one twice derives
-it once and passes it on.
+neighborhoods, ``dist_rows() < s``, which the caller derives once; the
+cores' distances are their own `dist_rows()`.  Each per-member reduction
+is an exact min, max or AND, so no value depends on the order of a
+member's points.  No table is cached on the Family: each is derived per
+call, since at n = 2048 each is 32 MB, and a caller that needs one twice
+derives it once and passes it on.
 """
 
 from __future__ import annotations
@@ -122,6 +124,12 @@ class Family:
         """(k, n): row i = distance from each point to member i."""
         return self.member_min(self.space.dist)
 
+    def gaps(self, rows: np.ndarray) -> np.ndarray:
+        """(k, m): [i, l] = distance between member i and member l of the
+        family whose `dist_rows()` is the (m, n) ``rows``, which may be this
+        family's own; exactly symmetric on its own, as the matrix is."""
+        return self.member_min(rows.T)
+
     @property
     def depths(self) -> np.ndarray:
         """(k, n): row i = distance from each point to the complement of
@@ -148,23 +156,9 @@ class Family:
             return self.space.diameter
         return max(float(self.space.dist[u[:, None], u].max()) for u in self)
 
-    def hoods(self, r: float) -> np.ndarray:
-        """(k, n) bool: row i marks the open signed-radius r neighborhood of
-        member i: the points < r from it for r > 0, and for r <= 0 its
-        points > -r from its complement, so r = 0 gives the members."""
-        return self.dist_rows() < r if r > 0 else self.depths > -r
-
     def lebesgue(self) -> float:
         """min over points of min(best inscribed depth, mesh)."""
         return float(min(self.depths.max(axis=0).min(), self.mesh)) if len(self) else 0.0
-
-    def _separation(self, rows: np.ndarray) -> float:
-        """Min distance between distinct members, +inf if fewer than 2,
-        read off the family's `dist_rows()`; the member distances are
-        exactly symmetric, as the space's matrix is."""
-        sep = self.member_min(rows.T)  # [i, l]: min over x in i of d(x, l)
-        np.fill_diagonal(sep, np.inf)
-        return float(sep.min(initial=np.inf))
 
     def eroded(self, s: float) -> "Family":
         """Each member eroded by s > 0, i.e. its points farther than s from
@@ -177,8 +171,8 @@ class Family:
         output member per core, in order.
 
         The rows of the (k, n) bool ``hoods`` are the fine family's open
-        s-neighborhoods, its `hoods(s)`.  The merge is two products of 0/1
-        tables, whose counts float32 holds exactly.
+        s-neighborhoods, its ``dist_rows() < s``.  The merge is two products
+        of 0/1 tables, whose counts float32 holds exactly.
         """
         if s <= 0:
             raise CoveringError(f"merge radius must be positive, got {s}")

@@ -111,12 +111,8 @@ def _tree_boundary(depth: int, branching: int = 2) -> FiniteMetricSpace:
     n = branching ** depth
     if n > 2048:
         raise ValueError(f"{n} leaves exceed the 2048 cap")
-    digits = np.zeros((n, depth), dtype=int)
-    for i in range(n):
-        v = i
-        for pos in range(depth - 1, -1, -1):
-            digits[i, pos] = v % branching
-            v //= branching
+    # row i: the base-branching digits of i, most significant first
+    digits = np.arange(n)[:, None] // branching ** np.arange(depth - 1, -1, -1) % branching
     common = np.zeros((n, n), dtype=int)
     agree = np.ones((n, n), dtype=bool)
     for pos in range(depth):

@@ -85,7 +85,7 @@ def ast_shrink(fam, ghat, s: float, delta: float):
         raise SeparationPreconditionError(
             f"fine family mesh {ghat.mesh:.6g} exceeds 2s = {2 * s:.6g}"
         )
-    hoods = ghat.hoods(delta * s)  # for the check and the merge
+    hoods = ghat.dist_rows() < delta * s  # for the check and the merge
     if hoods.sum(axis=0).max(initial=0) > 1:
         raise SeparationPreconditionError(
             f"fine family is not {delta * s:.6g}-disjoint")

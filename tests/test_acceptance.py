@@ -58,8 +58,10 @@ def pool():
 
 def _hood(sp, idx, r) -> frozenset:
     """The open signed-radius r neighborhood of the nonempty index set, as
-    the pipeline computes it: `Family.hoods` of a one-member family."""
-    row = Family(sp, [sorted(idx)]).hoods(r)[0]
+    the pipeline computes it off a one-member family's `dist_rows()` for
+    r > 0 and off its `depths` for r <= 0."""
+    fam = Family(sp, [sorted(idx)])
+    row = (fam.dist_rows() < r if r > 0 else fam.depths > -r)[0]
     return frozenset(np.flatnonzero(row).tolist())
 
 
@@ -165,7 +167,7 @@ def test_c03_merge_dichotomy_and_nesting(pool):
                 kept.append(int(z))
         ghat = Family(sp, [sorted(closed_hood(sp, [z], rho)) for z in kept])
         # open delta*s neighborhoods pairwise disjoint, as ast_shrink checks
-        if ghat.mesh > 2 * s or ghat.hoods(delta * s).sum(axis=0).max() > 1:
+        if ghat.mesh > 2 * s or (ghat.dist_rows() < delta * s).sum(axis=0).max() > 1:
             continue  # inadmissible draw
 
         # coarse member: union of a few closed balls wide enough to survive

@@ -3,6 +3,8 @@ margin measurement, and verification."""
 
 import dataclasses
 import math
+import tracemalloc
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -253,14 +255,14 @@ class TestBuildLevel:
 
     def test_cantor_ladder_reaches_the_component_builder(self, monkeypatch):
         # the configuration of the CI step that exercises _component_level
-        component_level = char_seq._component_level
+        strategy, component_level = char_seq._KINDS["cantor"]
         calls = []
 
         def counted(*args):
             calls.append(args)
             return component_level(*args)
 
-        monkeypatch.setattr(char_seq, "_component_level", counted)
+        monkeypatch.setitem(char_seq._KINDS, "cantor", (strategy, counted))
         sp = generate("cantor", depth=7)
         base = build_base(sp, r=0.125, depth=4, colors=2)
         assert calls
@@ -628,7 +630,11 @@ class TestCoveringConstantsOracle:
                     == np.bincount(pooled.indices).max()
                 assert cov.lebesgue() == st["lebesgue"] == pooled.lebesgue()
                 for fam in cov.colors:
-                    assert fam._separation(fam.dist_rows()) == triu_separation(fam)
+                    # the measure reads the whole table, diagonal at +inf
+                    gaps = fam.gaps(fam.dist_rows())
+                    assert np.array_equal(gaps, gaps.T)
+                    np.fill_diagonal(gaps, np.inf)
+                    assert gaps.min(initial=np.inf) == triu_separation(fam)
                 assert st["separation"] == min(triu_separation(f)
                                                for f in cov.colors)
 
@@ -636,6 +642,54 @@ class TestCoveringConstantsOracle:
         empty, whole = odd_ladder().levels
         assert not empty.colors[1] and empty.multiplicity() == 2
         assert whole.lebesgue() == whole.pooled.lebesgue() > 0
+
+
+class TestOneGapTablePerFamily:
+    @pytest.mark.parametrize("ladder", [flagship_ladder, cascade_ladder])
+    def test_one_own_table_per_distinct_family_and_level(self, ladder,
+                                                         monkeypatch):
+        # every member-to-member table the pass reduces, keyed by the family
+        # whose members give its rows and the family whose `dist_rows()`
+        # gives its columns: no table is derived twice, and a family's own,
+        # which gives both its separation and its same-level avoidance
+        # margins, comes once per distinct family and level
+        seq = separate(ladder())
+        owners, tables = {}, Counter()  # id(rows) -> (rows, its family)
+        dist_rows, member_min = Family.dist_rows, Family.member_min
+
+        def noted(self):
+            rows = dist_rows(self)
+            owners[id(rows)] = rows, self
+            return rows
+
+        def counted(self, values):
+            rows, owner = owners.get(id(values.base), (None, None))
+            if rows is not None and rows is values.base:
+                tables[id(self), id(owner)] += 1
+            return member_min(self, values)
+
+        monkeypatch.setattr(Family, "dist_rows", noted)
+        monkeypatch.setattr(Family, "member_min", counted)
+        seq.measurement
+        own = sum(n for (fam, of), n in tables.items() if fam == of)
+        assert own == sum(len({id(f) for f in cov.colors}) for cov in seq.levels)
+        assert max(tables.values()) == 1
+        assert len(tables) > own  # the cross-level tables are counted too
+
+    def test_the_pass_holds_four_tables_at_most(self):
+        # levels 2 to 4 are singletons: each (n, n) table, dist_rows, depths,
+        # a family's gaps and a pair's margins, is 2 MiB, and the own gaps
+        # are dropped before the cross-level tables are derived
+        seq = separate(build_base(generate("circle", n=512), r=0.125, depth=4,
+                                  colors=2))
+        assert all(len(f) == 512 for cov in seq.levels[1:] for f in cov.colors)
+        tracemalloc.start()
+        try:
+            _measure(seq.levels, seq.r, margins=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 512 * 512 * 8
 
 
 class TestSeparationMargins:
@@ -664,9 +718,9 @@ class TestSeparationMargins:
                                   colors=2))
         calls = []
 
-        def counting(fine, rows, depths, same_level):
-            calls.append(same_level)
-            return _pair_margins(fine, rows, depths, same_level)
+        def counting(fine, gaps, depths):
+            calls.append(fine)
+            return _pair_margins(fine, gaps, depths)
 
         monkeypatch.setattr(char_seq, "_pair_margins", counting)
         records = _measure(seq.levels, seq.r, margins=True)["gamma_records"]
@@ -713,6 +767,15 @@ def random_family(rng, sp, k):
     return Family(sp, tuple(members))
 
 
+def level_gaps(fine, coarse):
+    """The gaps `_measure` passes to `_pair_margins`: fine's members to
+    coarse's, diagonal at +inf when the fine family is the coarse one."""
+    gaps = fine.gaps(coarse.dist_rows())
+    if fine is coarse:
+        np.fill_diagonal(gaps, np.inf)
+    return gaps
+
+
 class TestPairMarginsOracle:
     def test_random_families(self):
         rng = np.random.default_rng(5)
@@ -724,10 +787,9 @@ class TestPairMarginsOracle:
             sp = FiniteMetricSpace(d, tuple(f"x{i}" for i in range(n)))
             fine = random_family(rng, sp, int(rng.integers(1, 6)))
             coarse = random_family(rng, sp, int(rng.integers(1, 6)))
-            for same in (False, True):
-                assert (_pair_margins(fine, coarse.dist_rows(), coarse.depths,
-                                      same)
-                        == brute_pair_margins(fine, coarse, same))
+            for f, same in ((fine, False), (coarse, True)):
+                assert (_pair_margins(f, level_gaps(f, coarse), coarse.depths)
+                        == brute_pair_margins(f, coarse, same))
 
     def test_cascade_ladder(self):
         sp = generate("random_circle", n=60, seed=0)
@@ -738,8 +800,9 @@ class TestPairMarginsOracle:
                 for a in range(2):
                     fine, coarse = seq.level(jf).colors[a], seq.level(jc).colors[a]
                     built += any(1 < len(u) < sp.n for u in coarse)
-                    assert (_pair_margins(fine, coarse.dist_rows(),
-                                          coarse.depths, jf == jc)
+                    assert (fine is coarse) == (jf == jc)
+                    assert (_pair_margins(fine, level_gaps(fine, coarse),
+                                          coarse.depths)
                             == brute_pair_margins(fine, coarse, jf == jc))
         assert built  # some coarse family has members that are really built
 

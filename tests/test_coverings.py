@@ -14,10 +14,17 @@ from conetrees.harness import GENERATORS, generate
 from setcalc import dist_sets, dist_to, hood, is_r_disjoint, r_multiplicity
 
 
+def hoods(fam, r):
+    """(k, n) bool: row i marks member i's open signed-radius r
+    neighborhood, the points < r from it for r > 0 and, for r <= 0, its
+    points > -r from its complement, read off the family's two kernels."""
+    return fam.dist_rows() < r if r > 0 else fam.depths > -r
+
+
 def overlap(fam, r):
     """Max over points of how many of the members' open signed-radius r
-    neighborhoods, `Family.hoods`, hold it."""
-    return int(fam.hoods(r).sum(axis=0).max(initial=0))
+    neighborhoods, `hoods`, hold it."""
+    return int(hoods(fam, r).sum(axis=0).max(initial=0))
 
 
 def as_lists(fam):
@@ -29,9 +36,16 @@ def covers(fam):
     return np.unique(fam.indices).size == fam.space.n
 
 
+def level_stats(fam):
+    """The ladder's measured stats of a level of fam beside the whole
+    space, whose one member adds no separation and no net radius."""
+    level = ColoredCovering(fam.space, (fam, Family(fam.space, (range(fam.space.n),))))
+    return _measure((level,), 0.5, margins=False)["levels"][0]
+
+
 def separation(fam):
     """Min distance between distinct members, as the ladder measures it."""
-    return fam._separation(fam.dist_rows())
+    return level_stats(fam)["separation"]
 
 
 def multiplicity(fam):
@@ -40,9 +54,8 @@ def multiplicity(fam):
 
 
 def net_radius(fam):
-    """fam's net radius as the ladder measures it, beside the whole space."""
-    level = ColoredCovering(fam.space, (fam, Family(fam.space, (range(fam.space.n),))))
-    return _measure((level,), 0.5, margins=False)["levels"][0]["net_radius"]
+    """fam's net radius as the ladder measures it."""
+    return level_stats(fam)["net_radius"]
 
 
 def line_space(n=11, spacing=1.0):
@@ -194,14 +207,14 @@ class TestStarMerge:
         sp = line_space(25)
         cores = Family(sp, ([5],))
         fam = Family(sp, ([7], [20]))
-        merged = cores.merged(fam.hoods(3.0), 3.0)
+        merged = cores.merged(fam.dist_rows() < 3.0, 3.0)
         assert as_lists(merged) == [list(range(3, 10))]
 
     def test_no_absorption_when_far(self):
         sp = line_space(25)
         cores = Family(sp, ([5],))
         fam = Family(sp, ([20],))
-        merged = cores.merged(fam.hoods(2.0), 2.0)
+        merged = cores.merged(fam.dist_rows() < 2.0, 2.0)
         assert as_lists(merged) == [[4, 5, 6]]
 
     def test_rejects_nonpositive_radius(self):
@@ -209,7 +222,7 @@ class TestStarMerge:
         fam = Family(sp, ([1],))
         for s in (0.0, -1.0):
             with pytest.raises(CoveringError, match="positive"):
-                Family(sp, ([0],)).merged(fam.hoods(1.0), s)
+                Family(sp, ([0],)).merged(fam.dist_rows() < 1.0, s)
 
 
 class TestColoredCovering:
@@ -363,7 +376,7 @@ class TestKernelOracles:
         if counts.all():  # a covering, whose multiplicity the pipeline counts
             assert multiplicity(fam) == counts.max()
         for r in (0.05, 0.3, 1.0, -0.2, 0.0):
-            rows = fam.hoods(r)
+            rows = hoods(fam, r)
             assert rows.shape == (len(fam), sp.n)
             for row, u in zip(rows, members):
                 assert set(np.flatnonzero(row).tolist()) == hood(sp, u, r)
@@ -408,7 +421,7 @@ class TestKernelOracles:
             assert as_lists(fam.eroded(s)) == want
             core = Family(sp, (rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
                                           replace=False),))
-            merged = core.merged(fam.hoods(s), s)
+            merged = core.merged(fam.dist_rows() < s, s)
             assert as_lists(merged) == [brute_star_merge(core[0], fam, s)]
 
     @pytest.mark.parametrize("fam", oracle_cases())
@@ -419,13 +432,13 @@ class TestKernelOracles:
             rng.choice(sp.n, size=int(rng.integers(1, sp.n + 1)),
                        replace=False) for _ in range(4)))
         for s in (0.01, 0.2, 1.0, 2.0):
-            got = cores.merged(fam.hoods(s), s)
+            got = cores.merged(fam.dist_rows() < s, s)
             assert as_lists(got) == [brute_star_merge(core, fam, s)
                                      for core in cores]
-        assert Family(sp, ()).merged(fam.hoods(1.0), 1.0).members == ()
+        assert Family(sp, ()).merged(fam.dist_rows() < 1.0, 1.0).members == ()
         for s in (0.0, -1.0):
             with pytest.raises(CoveringError, match="positive"):
-                cores.merged(fam.hoods(1.0), s)
+                cores.merged(fam.dist_rows() < 1.0, s)
 
     @pytest.mark.parametrize("fam", oracle_cases())
     def test_singleton_member_min_is_reduceat(self, fam):

@@ -79,6 +79,33 @@ class TestGenerators:
         values = np.unique(sp.dist)
         assert np.allclose(values, [0.0, 1 / 3, 2 / 3, 1.0])
 
+    @pytest.mark.parametrize("branching", [2, 3, 4])
+    def test_tree_boundary_matches_a_digit_by_digit_oracle(self, branching):
+        # every depth up to the 2048-leaf cap: each leaf's digits peeled off
+        # one at a time, and the distance is the share of digits after the
+        # longest common prefix
+        depths = [d for d in range(1, 12) if branching ** d <= 2048]
+        for depth in depths:
+            sp = generate("tree_boundary", depth=depth, branching=branching)
+            digits = []
+            for i in range(branching ** depth):
+                row = []
+                for _ in range(depth):
+                    i, digit = divmod(i, branching)
+                    row.insert(0, digit)
+                digits.append(row)
+            assert sp.point_ids == tuple("t" + "".join(map(str, row))
+                                         for row in digits)
+            x = np.array(digits)
+            prefix = np.zeros((len(x), len(x)), dtype=int)
+            agree = np.ones(prefix.shape, dtype=bool)
+            for column in x.T:
+                agree &= column[:, None] == column
+                prefix += agree
+            want = (depth - prefix) / depth
+            assert sp.dist.dtype == want.dtype
+            assert sp.dist.tobytes() == want.tobytes()
+
     def test_random_circle_seeded(self):
         a = generate("random_circle", n=30, seed=4)
         b = generate("random_circle", n=30, seed=4)
@@ -835,13 +862,16 @@ class TestCLI:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "profile.json").exists()
 
+    @pytest.mark.parametrize("kind", [["interval"], {"interval": 1}, 3],
+                             ids=["list", "dict", "int"])
     def test_profile_gives_a_kind_that_is_no_string_the_greedy_builder(
-            self, tmp_path):
+            self, tmp_path, kind):
+        # a list or a dict is unhashable, so no key of the kind table
         sp = generate("interval", n=40)
         space_file = tmp_path / "space.json"
         space_file.write_text(json.dumps({
             "dist": sp.dist.tolist(), "point_ids": list(sp.point_ids),
-            "meta": {"kind": ["interval"]}}), encoding="utf-8")
+            "meta": {"kind": kind}}), encoding="utf-8")
         out = tmp_path / "profile.json"
         rc = cli_main(["profile", "--space", str(space_file), "--r", "0.5",
                        "--depth", "1", "--out", str(out)])

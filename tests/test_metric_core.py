@@ -602,7 +602,8 @@ class TestSpaceProperties:
 
 class TestNeighborhoods:
     """The set calculus of `setcalc`, the tests' oracle, against brute
-    force, and `Family.hoods` against both."""
+    force, and `Family`'s `dist_rows()`, `depths` and `eroded` against
+    both."""
 
     def test_open_ball_strict(self):
         sp = line_space(11)
@@ -624,7 +625,8 @@ class TestNeighborhoods:
     def test_erosion_of_whole_space_is_identity(self):
         sp = line_space(11)
         assert hood(sp, range(11), -100.0) == frozenset(range(11))
-        assert Family(sp, [range(11)]).hoods(-100.0).all()
+        assert Family(sp, [range(11)]).eroded(100.0).members[0].tolist() == \
+            list(range(11))
 
     def test_closed_ball_includes_boundary(self):
         sp = line_space(11)
@@ -646,9 +648,9 @@ class TestNeighborhoods:
             assert hood(sp, idx, -r) == brute_erosion(sp, idx, r)
             if r > 0:
                 fam = Family(sp, [sorted(idx)])
-                assert set(np.flatnonzero(fam.hoods(r)[0])) == \
+                assert set(np.flatnonzero(fam.dist_rows()[0] < r)) == \
                     brute_open_ball(sp, idx, r)
-                assert set(np.flatnonzero(fam.hoods(-r)[0])) == \
+                assert set(np.flatnonzero(fam.depths[0] > r)) == \
                     brute_erosion(sp, idx, r)
 
     def test_inclusion_lemma(self):
